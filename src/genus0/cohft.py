@@ -34,22 +34,17 @@ from .keelring import (
 )
 from .linalg import (
     PRIMES,
-    BadPrime,
     FractionRREF,
     Inconsistent,
     ModEliminator,
-    _certify_residual,
-    crt_combine,
-    mod_matmul,
-    entry_mod,
-    rational_reconstruct,
+    solve_certified,
     solve_fraction,
 )
 from .taut import kappa, z
 from .trees import (
     Split,
     Tree,
-    a_value_masks,
+    _compat_graph,
     enumerate_stable_trees,
     iter_all_trees,
     orbit,
@@ -253,11 +248,17 @@ class Potential:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Potential":
-        metric = Metric.from_dict(obj)
-        coeffs = {
-            tuple(t["multi_index"]): Fraction(t["coeff"]) for t in obj["terms"]
-        }
-        return cls.build(metric, coeffs, int(obj["order"]))
+        """Parse a potential file's JSON; malformed input is a ValueError."""
+        try:
+            metric = Metric.from_dict(obj)
+            coeffs = {
+                tuple(t["multi_index"]): Fraction(t["coeff"]) for t in obj["terms"]
+            }
+            return cls.build(metric, coeffs, int(obj["order"]))
+        except KeyError as exc:
+            raise ValueError(f"potential lacks the key {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed potential: {exc}") from exc
 
 
 def identity_potential(order: int = 10) -> Potential:
@@ -530,24 +531,8 @@ def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fractio
 # sparse pairing structures and monomial bases
 
 
-_COMPAT_BITS: dict[int, list[int]] = {}
 _SP: dict[tuple[int, int], list] = {}
 _BASIS: dict[tuple[int, int, int], tuple[int, ...]] = {}
-
-
-def _compat_bitmasks(n: int) -> list[int]:
-    got = _COMPAT_BITS.get(n)
-    if got is None:
-        splits = stable_splits(n)
-        got = []
-        for s in splits:
-            m = 0
-            for j, t in enumerate(splits):
-                if a_value_masks(n, s, t) != 4:
-                    m |= 1 << j
-            got.append(m)
-        _COMPAT_BITS[n] = got
-    return got
 
 
 def _build_sp(n: int, lo: int, hi: int) -> list:
@@ -566,13 +551,14 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
             m |= 1 << sid[part]
         for lane in range(lanes):
             colbits[j, lane] = (m >> (64 * lane)) & lane_mask
-    compat = _compat_bitmasks(n)
+    adj = _compat_graph(n)
     pair_raw = _pair_parts.__wrapped__
     out = []
     for t in rows_trees:
         sig = full
         for part in t.parts:
-            sig &= compat[sid[part]]
+            i = sid[part]
+            sig &= adj[i] | 1 << i
         bad = sig ^ full
         ok = np.ones(len(cols_trees), dtype=bool)
         for lane in range(lanes):
@@ -632,65 +618,16 @@ def _sp_rows(n: int, d: int) -> list:
     return got
 
 
-def _densify(rows: list, width: int) -> np.ndarray:
-    block = np.zeros((len(rows), width))
-    for i, (cols, vals) in enumerate(rows):
-        if cols.size:
-            block[i, cols] = vals
-    return block
-
-
-def _greedy_rows(rows: list, width: int, p: int, block: int = 512) -> tuple[int, ...]:
+def _greedy_rows(rows: list, width: int, p: int) -> tuple[int, ...]:
     """Indices of a maximal set of rows independent mod p, greedily.
 
-    Mirrors the incremental echelon sweep, remembering which source row
-    produced each pivot.  Independence mod p implies independence over
-    the rationals, so the selection is always safe; completeness is
-    certified downstream by the exact solvers that consume it.
+    Independence mod p implies independence over the rationals, so the
+    selection is always safe; completeness is certified downstream by the
+    exact solvers that consume it.
     """
-    store = np.zeros((0, width))
-    piv: list[int] = []
-    chosen: list[int] = []
-    for lo in range(0, len(rows), block):
-        chunk = rows[lo : lo + block]
-        b = np.mod(_densify(chunk, width), p)
-        if piv:
-            coeff = b[:, piv]
-            if np.any(coeff):
-                b = np.mod(b - mod_matmul(coeff, store, p), p)
-        new_rows: list[np.ndarray] = []
-        new_cols: list[int] = []
-        for i in range(b.shape[0]):
-            row = b[i]
-            for cpos, nr in zip(new_cols, new_rows):
-                f = row[cpos]
-                if f:
-                    row = np.mod(row - f * nr, p)
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            cpos = int(nz[0])
-            inv = pow(int(row[cpos]), p - 2, p)
-            new_rows.append(np.mod(row * inv, p))
-            new_cols.append(cpos)
-            chosen.append(lo + i)
-        if new_rows:
-            fresh = np.array(new_rows)
-            for j in range(len(new_cols) - 1, 0, -1):
-                cpos = new_cols[j]
-                for i2 in range(j):
-                    f = fresh[i2, cpos]
-                    if f:
-                        fresh[i2] = np.mod(fresh[i2] - f * fresh[j], p)
-            if piv:
-                coeff = store[:, new_cols]
-                if np.any(coeff):
-                    store = np.mod(store - mod_matmul(coeff, fresh, p), p)
-            store = np.vstack([store, fresh])
-            piv.extend(new_cols)
-        if len(piv) == width:
-            break
-    return tuple(sorted(chosen))
+    elim = ModEliminator(width, p)
+    elim.feed_all(rows)
+    return tuple(sorted(elim.sources))
 
 
 def _monomial_basis(n: int, r: int, attempt: int = 0) -> tuple[int, ...]:
@@ -734,68 +671,21 @@ def _restricted_dense(n: int, r: int, basis: tuple[int, ...]) -> np.ndarray:
     return a
 
 
-def _solve_full_rank(a_int: np.ndarray, rhs_cols: list[list[Fraction]]):
-    """Exact solutions of a full-column-rank system, fully certified.
+def _solve_full_rank(n: int, r: int, rhs_cols: list[list[Fraction]]):
+    """Degree-r coordinates, in a monomial basis, of classes with the
+    given pairings against the complementary degree.
 
-    Feeds rows mod p only until the rank fills up, lifts by rational
-    reconstruction across as many primes as needed, and accepts only
-    once the integer residual over every row (fed or not) vanishes.
+    A thin basis from an unlucky prime cannot span, so the selection is
+    retried with a fresh prime before giving up.  Returns the basis and
+    one certified solution per right-hand column.
     """
-    nrows, ncols = a_int.shape
-    nrhs = len(rhs_cols)
-    if nrhs == 0:
-        return []
-    acc = None
-    modulus = 1
-    inconsistent_seen = 0
-    for p in PRIMES:
+    for attempt in range(3):
+        basis = _monomial_basis(n, r, attempt)
         try:
-            amod = np.mod(a_int, p).astype(np.float64)
-            rmod = np.empty((nrows, nrhs))
-            for j, col in enumerate(rhs_cols):
-                rmod[:, j] = [entry_mod(x, p) for x in col]
-            elim = ModEliminator(ncols, p, nsolve=nrhs)
-            block = np.hstack([amod, rmod])
-            for lo in range(0, nrows, 1024):
-                elim.feed(block[lo : lo + 1024])
-                if elim.rank == ncols:
-                    break
-            if elim.rank < ncols:
-                continue
-            x_p, _ = elim.solutions()
-        except BadPrime:
-            continue
-        except Inconsistent:
-            inconsistent_seen += 1
-            if inconsistent_seen >= 2:
+            return basis, solve_certified(_restricted_dense(n, r, basis), rhs_cols)
+        except (Inconsistent, RuntimeError):
+            if attempt == 2:
                 raise
-            continue
-        x_int = x_p.astype(np.int64).astype(object)
-        if acc is None:
-            acc, modulus = x_int, p
-        else:
-            lift = np.vectorize(
-                lambda a1, a2: crt_combine(int(a1), modulus, int(a2), p),
-                otypes=[object],
-            )
-            acc = lift(acc, x_int)
-            modulus *= p
-        sols = []
-        for j in range(nrhs):
-            col = []
-            for v in acc[:, j]:
-                f = rational_reconstruct(int(v), modulus)
-                if f is None:
-                    break
-                col.append(f)
-            else:
-                sols.append(col)
-                continue
-            break
-        else:
-            if _certify_residual(a_int, sols, rhs_cols):
-                return sols
-    raise RuntimeError("prime pool exhausted without a certified solution")
 
 
 # ---------------------------------------------------------------------------
@@ -822,19 +712,7 @@ def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], RingElemen
         rhs_cols = [
             [_stratum_value(phi, t, m) for t in trees_c] for m in midxs
         ]
-        attempt = 0
-        while True:
-            basis = _monomial_basis(n, r, attempt)
-            a_int = _restricted_dense(n, r, basis)
-            try:
-                sols = _solve_full_rank(a_int, rhs_cols)
-                break
-            except (Inconsistent, RuntimeError):
-                # a thin basis from an unlucky prime cannot span; retry
-                # the selection with a fresh prime before giving up
-                attempt += 1
-                if attempt >= 3:
-                    raise
+        basis, sols = _solve_full_rank(n, r, rhs_cols)
         trees_r = enumerate_stable_trees(n, r)
         for mi, m in enumerate(midxs):
             for pos, tree_idx in enumerate(basis):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
 from math import factorial
 
 import numpy as np
@@ -47,9 +46,12 @@ def good_orientation(tau: Tree, edges: tuple[int, ...]):
 
     Each vertex v must receive |v| - 3 incoming marked edges.  The marked
     edges form a forest inside the tree, so leaf peeling settles every
-    edge without search: a vertex with one undecided edge has its count
-    forced.  An exhaustive fallback guards the (never observed) case of
-    the propagation stalling.
+    edge without search.  A forest with an undecided edge has a vertex
+    with exactly one undecided edge (a leaf of the undecided subforest),
+    and there the count is forced: the edge points in when the vertex
+    still needs one arrow and out when it needs none, and any other need
+    is a contradiction.  So every sweep that starts with an undecided
+    edge settles one or returns None, and propagation never stalls.
 
     Returns a dict edge index -> head vertex.
     """
@@ -92,37 +94,11 @@ def good_orientation(tau: Tree, edges: tuple[int, ...]):
                     if not settle(e, v):
                         return None
                 changed = True
-    if len(orient) == len(edges):
-        if any(need):
-            return None
-        return orient
-    return _orientation_fallback(model, edges, tau)
-
-
-def _orientation_fallback(model, edges, tau):
-    # propagation never stalls on forests; kept as a correctness net
-    base = [len(fl) - 3 for fl in model.flags]
-    for heads in iter_product(*(model.edges[e] for e in edges)):
-        need = list(base)
-        for h in heads:
-            need[h] -= 1
-        if not any(need):
-            return dict(zip(edges, heads))
-    return None
-
-
-def count_good_orientations(tau: Tree, edges: tuple[int, ...]) -> int:
-    """Exhaustive count; exists to confirm uniqueness in tests."""
-    model = tau.model
-    base = [len(fl) - 3 for fl in model.flags]
-    hits = 0
-    for heads in iter_product(*(model.edges[e] for e in edges)):
-        need = list(base)
-        for h in heads:
-            need[h] -= 1
-        if not any(need):
-            hits += 1
-    return hits
+    if len(orient) != len(edges):
+        raise AssertionError("unreachable: leaf peeling settles every forest")
+    # the last sweep settled nothing and met no undecided edge, so it has
+    # checked that every vertex got exactly its need
+    return orient
 
 
 @lru_cache(maxsize=None)
@@ -155,10 +131,6 @@ def pair_kaufmann(m1: Tree, m2: Tree) -> Fraction:
     if m1.parts <= m2.parts:
         return _pair_parts(m1.n, m1.parts, m2.parts)
     return _pair_parts(m1.n, m2.parts, m1.parts)
-
-
-def pair_trees(m1: Tree, m2: Tree) -> Fraction:
-    return pair_kaufmann(m1, m2)
 
 
 def pair_element(x: RingElement, m: Tree) -> Fraction:
@@ -227,7 +199,7 @@ def pairing_matrix(n: int, r: int, invariant: bool = False) -> PairingMatrix:
         rows = enumerate_stable_trees(n, r)
         cols = enumerate_stable_trees(n, s)
         entries = tuple(
-            tuple(pair_kaufmann(a, b) for b in cols) for a in rows
+            tuple(Fraction(int(v)) for v in row) for row in pairing_matrix_int(n, r)
         )
         return PairingMatrix(n, r, False, rows, cols, entries)
     row_reps = orbit_reps(n, r)

@@ -475,38 +475,29 @@ def is_zero_class(x: RingElement) -> bool:
         return not class_vector(x)
     # Poincaré duality: a class on a smooth proper space is zero exactly
     # when it pairs to zero with everything of complementary degree
-    from .intersect import pair_trees
+    from .intersect import pair_element
 
-    for d in x.degrees():
-        comp = x.component(d)
-        for m in enumerate_stable_trees(x.n, x.n - 3 - d):
-            total = Fraction(0)
-            for t, c in comp.terms.items():
-                total += c * pair_trees(t, m)
-            if total:
-                return False
-    return True
+    return not any(
+        pair_element(x, m)
+        for d in x.degrees()
+        for m in enumerate_stable_trees(x.n, x.n - 3 - d)
+    )
 
 
 def equal_mod_relations(x: RingElement, y: RingElement) -> bool:
     return is_zero_class(x - y)
 
 
-def _relation_rank(n: int, d: int, p: int) -> int:
+def _relation_rows(n: int, d: int) -> list:
+    """Canonical degree-d relations as sparse (cols, vals) rows."""
     basis = {t: i for i, t in enumerate(enumerate_stable_trees(n, d))}
-    elim = linalg.ModEliminator(len(basis), p)
-    block = []
-    for rel in relations_of_degree(n, d):
-        row = [0] * len(basis)
-        for t, c in rel.element.terms.items():
-            row[basis[t]] = int(c)
-        block.append(row)
-        if len(block) == 256:
-            elim.feed(linalg.rows_mod(block, p))
-            block = []
-    if block:
-        elim.feed(linalg.rows_mod(block, p))
-    return elim.rank
+    return [
+        (
+            [basis[t] for t in rel.element.terms],
+            [int(c) for c in rel.element.terms.values()],
+        )
+        for rel in relations_of_degree(n, d)
+    ]
 
 
 def betti(n: int, r: int | None = None):
@@ -522,17 +513,18 @@ def betti(n: int, r: int | None = None):
 
     Returns the full vector, or a single number when r is given.
     """
-    from .intersect import pairing_matrix_int
+    from .cohft import _sp_rows
 
     degrees = range(n - 2) if r is None else [r]
     out = []
     for d in degrees:
         ngood = len(enumerate_stable_trees(n, d))
+        ncomp = len(enumerate_stable_trees(n, n - 3 - d))
+        relations = _relation_rows(n, d)
+        pairings = _sp_rows(n, d)
         for p in linalg.PRIMES[:3]:
-            relrank = _relation_rank(n, d, p)
-            pairrank = linalg.rank_mod(
-                pairing_matrix_int(n, d), len(enumerate_stable_trees(n, n - 3 - d)), p
-            )
+            relrank = linalg.rank_mod(relations, ngood, p)
+            pairrank = linalg.rank_mod(pairings, ncomp, p)
             if relrank + pairrank == ngood:
                 out.append(pairrank)
                 break

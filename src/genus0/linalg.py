@@ -28,6 +28,12 @@ PRIMES = (
 
 _CHUNK = 8192
 
+# mod_matmul sums up to _CHUNK products of entries below p in float64
+# before reducing; every partial sum must stay an exact integer.  Checked
+# here rather than asserted so that it also holds under ``python -O``.
+if _CHUNK * (max(PRIMES) - 1) ** 2 + max(PRIMES) >= 2**53:
+    raise RuntimeError("_CHUNK and PRIMES break float64 exactness in mod_matmul")
+
 
 class BadPrime(Exception):
     """A denominator vanished mod p; retry with another prime."""
@@ -73,6 +79,15 @@ def rows_mod(rows, p: int) -> np.ndarray:
     return np.array(data, dtype=np.float64)
 
 
+def densify(rows, width: int) -> np.ndarray:
+    """Dense float64 block of sparse (column indices, values) rows."""
+    block = np.zeros((len(rows), width))
+    for i, (cols, vals) in enumerate(rows):
+        if len(cols):
+            block[i, cols] = vals
+    return block
+
+
 class ModEliminator:
     """Incremental reduced row echelon form over GF(p).
 
@@ -81,7 +96,8 @@ class ModEliminator:
     stored rows fully reduced makes rank queries and solution extraction
     trivial.  ``nsolve`` marks trailing columns as right-hand sides: pivots
     are never chosen there, so those columns just carry along the reduction
-    of each attached vector.
+    of each attached vector.  ``sources`` records, for each pivot, the
+    position among all rows fed so far of the row that produced it.
     """
 
     def __init__(self, ncols: int, p: int, nsolve: int = 0):
@@ -91,6 +107,8 @@ class ModEliminator:
         self.width = ncols + nsolve
         self.rows = np.zeros((0, self.width))
         self.piv_cols: list[int] = []
+        self.sources: list[int] = []
+        self.fed = 0
         self.dead_rows = np.zeros((0, self.width))  # zero A-part, nonzero rhs
 
     @property
@@ -101,7 +119,8 @@ class ModEliminator:
         block = np.mod(np.asarray(block, dtype=np.float64), self.p)
         if self.piv_cols:
             coeff = block[:, self.piv_cols]
-            block = np.mod(block - mod_matmul(coeff, self.rows, self.p), self.p)
+            if np.any(coeff):
+                block = np.mod(block - mod_matmul(coeff, self.rows, self.p), self.p)
         return block
 
     def feed(self, block) -> None:
@@ -125,6 +144,8 @@ class ModEliminator:
             row = np.mod(row * inv, p)
             new_rows.append(row)
             new_cols.append(c)
+            self.sources.append(self.fed + i)
+        self.fed += block.shape[0]
         if not new_rows:
             return
         fresh = np.array(new_rows)
@@ -152,13 +173,19 @@ class ModEliminator:
         self.piv_cols.extend(new_cols)
 
     def feed_all(self, rows, block_size: int = 512) -> None:
-        rows = np.asarray(rows, dtype=np.float64)
-        for lo in range(0, rows.shape[0], block_size):
-            self.feed(rows[lo : lo + block_size])
+        """Feed rows block by block until the rank fills every column.
 
-    def residual(self, block) -> np.ndarray:
-        """Rows reduced against the current pivots (membership test)."""
-        return self._reduce_block(block)
+        ``rows`` is a matrix or a list of sparse (column indices, values)
+        rows, densified one block at a time.  Rows after the one that
+        completes the rank are not fed, so they are neither checked for
+        consistency nor counted in ``fed``.
+        """
+        sparse = not isinstance(rows, np.ndarray)
+        for lo in range(0, len(rows), block_size):
+            block = rows[lo : lo + block_size]
+            self.feed(densify(block, self.width) if sparse else block)
+            if self.rank == self.ncols:
+                break
 
     def solutions(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Pivot-supported solutions for the attached right-hand sides.
@@ -178,19 +205,12 @@ class ModEliminator:
 
 
 def rank_mod(rows, ncols: int, p: int = PRIMES[0]) -> int:
-    """Rank over GF(p); always a lower bound for the rational rank."""
+    """Rank over GF(p); always a lower bound for the rational rank.
+
+    ``rows`` is anything ``ModEliminator.feed_all`` takes.
+    """
     elim = ModEliminator(ncols, p)
-    if isinstance(rows, np.ndarray):
-        elim.feed_all(rows)
-    else:
-        buf = []
-        for row in rows:
-            buf.append(row)
-            if len(buf) == 512:
-                elim.feed(rows_mod(buf, p))
-                buf = []
-        if buf:
-            elim.feed(rows_mod(buf, p))
+    elim.feed_all(rows)
     return elim.rank
 
 
@@ -306,11 +326,13 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
 
     A may be rectangular and rank-deficient; any exact solution is
     acceptable and the returned one has support in the pivot columns of
-    the reduced form.  Solutions are obtained mod one or more primes,
-    lifted by rational reconstruction, and only returned once the exact
-    residual certificate passes.  Raises Inconsistent when no solution
-    exists (detected mod p and confirmed by elimination over a second
-    prime).
+    the reduced form.  Rows are eliminated mod one or more primes, each
+    time only until the rank fills every column; the solutions are lifted
+    by rational reconstruction across the primes and only returned once
+    the exact residual over every row, fed or not, vanishes.  Raises
+    Inconsistent when fed rows contradict each other mod two primes; a
+    contradiction only in rows past full rank fails every certificate and
+    ends in RuntimeError once the prime pool is exhausted.
     """
     rhs_cols = list(rhs_cols)
     nrhs = len(rhs_cols)

@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -477,11 +477,6 @@ def forget_and_stabilize(tree: Tree, label: int) -> tuple[Tree, int]:
     return Tree(n - 1, tuple(sorted(kept))), len(tree.parts) - len(kept)
 
 
-def canonicalize(tree: Tree) -> Tree:
-    """Identity on well-formed trees; the stored key is already canonical."""
-    return Tree.make(tree.n, tree.parts)
-
-
 # ---------------------------------------------------------------------------
 # symmetric group action
 
@@ -551,5 +546,7 @@ def orbit_reps(n: int, r: int) -> tuple[tuple[Tree, int], ...]:
 
 
 def iter_all_trees(n: int) -> Iterator[Tree]:
-    for r in range(n - 2):
-        yield from enumerate_stable_trees(n, r)
+    """All stable trees on labels 1..n, degree by degree."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    return chain.from_iterable(enumerate_stable_trees(n, r) for r in range(n - 2))

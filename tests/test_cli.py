@@ -221,6 +221,37 @@ class TestErrorObjects:
         assert status == 1
         assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            {},
+            [],
+            {"gram": [["1"]], "parities": [0], "order": 3, "terms": 5},
+            {
+                "gram": [["1"]],
+                "parities": [0],
+                "order": 3,
+                "terms": [{"multi_index": [0, 0, 0], "coeff": None}],
+            },
+        ],
+    )
+    def test_malformed_potential(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        for argv in (
+            ("wdvv", "--input", str(path)),
+            ("tensor", "--left", str(path), "--right", str(path)),
+        ):
+            status, out = run_main(capsys, *argv)
+            assert status == 1
+            assert json.loads(out)["error"]["type"] == "ValueError"
+
+    def test_trees_too_few_labels(self, capsys):
+        for argv in (("trees", "--n", "2"), ("trees", "--n", "2", "--degree", "0")):
+            status, out = run_main(capsys, *argv)
+            assert status == 1
+            assert json.loads(out)["error"]["type"] == "ValueError"
+
 
 @pytest.mark.slow
 class TestProcessLevel:

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from genus0 import linalg
+from genus0 import cohft, linalg
 from genus0.intersect import (
-    count_good_orientations,
     good_orientation,
     integrate,
     pair_element,
     pair_kaufmann,
     pair_oracle,
-    pair_trees,
     pairing_matrix,
     pairing_matrix_int,
 )
@@ -59,43 +57,43 @@ class TestIntegrate:
 
 class TestPairExamples:
     def test_self_pairing_of_divisor(self):
-        assert pair_trees(T("12|345"), T("12|345")) == -1
+        assert pair_kaufmann(T("12|345"), T("12|345")) == -1
 
     def test_disjoint_sides(self):
-        assert pair_trees(T("12|345"), T("34|125")) == 1
+        assert pair_kaufmann(T("12|345"), T("34|125")) == 1
 
     def test_crossing(self):
-        assert pair_trees(T("12|345"), T("13|245")) == 0
+        assert pair_kaufmann(T("12|345"), T("13|245")) == 0
 
     def test_point_against_unit(self):
         one = Tree.one_vertex(5)
-        assert pair_trees(one, T("12|345", "123|45")) == 1
+        assert pair_kaufmann(one, T("12|345", "123|45")) == 1
 
     def test_divisor_against_unit(self):
-        assert pair_trees(Tree.one_vertex(4), T("12|34")) == 1
+        assert pair_kaufmann(Tree.one_vertex(4), T("12|34")) == 1
 
     def test_compatible_but_unorientable(self):
         # The union exists, yet no orientation feeds both trivalent
         # endpoints of the doubled edge, so the pairing vanishes.
-        assert pair_trees(T("12|3456"), T("12|3456", "123|456")) == 0
+        assert pair_kaufmann(T("12|3456"), T("12|3456", "123|456")) == 0
 
     def test_doubled_edge_with_room(self):
-        assert pair_trees(T("12|3456"), T("12|3456", "1234|56")) == -1
+        assert pair_kaufmann(T("12|3456"), T("12|3456", "1234|56")) == -1
 
     def test_four_valent_vertices_factorial(self):
         # Doubling both edges of this tree marks each four-valent vertex
         # once; every such vertex contributes (-1)^{|v|-3} (|v|-3)!.
         tau = T("12|34567", "1234|567")
-        assert pair_trees(tau, tau) == 1
+        assert pair_kaufmann(tau, tau) == 1
         assert pair_oracle(tau, tau) == 1
 
     def test_wrong_degrees_rejected(self):
         with pytest.raises(ValueError):
-            pair_trees(T("12|345"), T("12|345", "123|45"))
+            pair_kaufmann(T("12|345"), T("12|345", "123|45"))
 
     def test_different_label_counts_rejected(self):
         with pytest.raises(ValueError):
-            pair_trees(T("12|34"), T("12|345", "123|45"))
+            pair_kaufmann(T("12|34"), T("12|345", "123|45"))
 
 
 class TestOrientation:
@@ -127,8 +125,9 @@ class TestOrientation:
         assert labels == {4, 5, 6}
 
     def test_uniqueness_small(self):
-        # Whenever the pairing is nonzero the orientation is unique, and
-        # the count is zero exactly when the pairing vanishes.
+        # Whenever the pairing is nonzero the orientation is unique, the
+        # count is zero exactly when the pairing vanishes, and leaf
+        # propagation finds the same orientation as exhaustive search.
         for n in (4, 5, 6):
             for r in range(1, n - 2):
                 rows = enumerate_stable_trees(n, r)
@@ -141,20 +140,26 @@ class TestOrientation:
                             assert value == 0
                             continue
                         marked = _doubled(m1, m2, tau)
-                        cnt = count_good_orientations(tau, marked)
-                        assert cnt <= 1
-                        assert (cnt == 1) == (value != 0)
+                        found = exhaustive_orientations(tau, marked)
+                        assert len(found) <= 1
+                        assert (len(found) == 1) == (value != 0)
+                        want = found[0] if found else None
+                        assert good_orientation(tau, marked) == want
 
-    def test_value_independent_of_tiebreak(self):
-        # The orientation count being at most one makes the tie-break
-        # moot, but double-check the fallback agrees with propagation.
-        from genus0.intersect import _orientation_fallback
 
-        tau = T("12|3456", "1234|56")
-        model = tau.model
-        via_prop = good_orientation(tau, (0, 1))
-        via_search = _orientation_fallback(model, (0, 1), tau)
-        assert via_prop == via_search
+def exhaustive_orientations(tau, edges):
+    """Every orientation of the marked edges feeding each vertex exactly
+    its excess valency, found by trying every choice of heads."""
+    model = tau.model
+    base = [len(fl) - 3 for fl in model.flags]
+    out = []
+    for heads in itertools.product(*(model.edges[e] for e in edges)):
+        need = list(base)
+        for h in heads:
+            need[h] -= 1
+        if not any(need):
+            out.append(dict(zip(edges, heads)))
+    return out
 
 
 def _union(m1, m2):
@@ -212,11 +217,11 @@ class TestPairElement:
         b = T("34|125")
         m = T("13|245")
         x = RingElement.monomial(a).scale(2) - RingElement.monomial(b)
-        assert pair_element(x, m) == 2 * pair_trees(a, m) - pair_trees(b, m)
+        assert pair_element(x, m) == 2 * pair_kaufmann(a, m) - pair_kaufmann(b, m)
 
     def test_skips_off_degree_terms(self):
         x = RingElement.unit(5) + RingElement.monomial(T("12|345"))
-        assert pair_element(x, T("34|125")) == pair_trees(
+        assert pair_element(x, T("34|125")) == pair_kaufmann(
             T("12|345"), T("34|125")
         )
 
@@ -239,6 +244,22 @@ class TestPairingMatrix:
                 m = pairing_matrix_int(n, r)
                 rank = linalg.rank_mod(m, m.shape[1], linalg.PRIMES[0])
                 assert rank == betti(n, r)
+
+    def test_sparse_rows_match_dense(self):
+        # The sparse builder (compatibility-graph filter, transposed
+        # orientation for the larger degree) against the dense reference,
+        # and the greedy basis selection against the plain rank.
+        p = linalg.PRIMES[0]
+        for n in (4, 5, 6):
+            for d in range(n - 2):
+                dense = pairing_matrix_int(n, d)
+                width = dense.shape[1]
+                sparse = cohft._sp_rows(n, d)
+                assert np.array_equal(linalg.densify(sparse, width), dense)
+                chosen = cohft._greedy_rows(sparse, width, p)
+                rank = linalg.rank_mod(dense, width, p)
+                assert len(chosen) == rank
+                assert linalg.rank_mod(dense[list(chosen)], width, p) == rank
 
     def test_structured_output(self):
         pm = pairing_matrix(5, 1)
@@ -266,7 +287,7 @@ class TestPairingMatrix:
         for i, r_rep in enumerate(pm.row_basis):
             size = len(orbit(r_rep))
             for j, c_rep in enumerate(pm.col_basis):
-                want = size * sum(pair_trees(r_rep, m) for m in orbit(c_rep))
+                want = size * sum(pair_kaufmann(r_rep, m) for m in orbit(c_rep))
                 assert pm.entries[i][j] == want
 
 
@@ -276,4 +297,4 @@ class TestAgainstBettiDuality:
     def test_symmetric_pairing(self, t1, t2):
         if t1.n != t2.n or t1.degree + t2.degree != t1.n - 3:
             return
-        assert pair_trees(t1, t2) == pair_trees(t2, t1)
+        assert pair_kaufmann(t1, t2) == pair_kaufmann(t2, t1)

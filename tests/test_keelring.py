@@ -437,7 +437,7 @@ class TestPullback:
     def projection_audit(self, n, sigma):
         # Integrating the restriction equals integrating against the
         # divisor upstairs, for every good monomial of the right degree.
-        from genus0.intersect import integrate, pair_trees
+        from genus0.intersect import integrate, pair_kaufmann
 
         geom = keelring.DivisorGeometry(sigma)
         n1 = geom.n1
@@ -449,7 +449,7 @@ class TestPullback:
                 i1 = integrate(RingElement.monomial(Tree(n1, p1)))
                 i2 = integrate(RingElement.monomial(Tree(n2, p2)))
                 total += c * i1 * i2
-            upstairs = pair_trees(Tree.make(n, (sigma.side,)), m)
+            upstairs = pair_kaufmann(Tree.make(n, (sigma.side,)), m)
             assert total == upstairs, (str(sigma), str(m))
 
     def test_projection_formula_n5(self):

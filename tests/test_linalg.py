@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ class TestEliminator:
         assert la.rank_mod(m, 5) == 5
 
     def test_rank_with_dependent_rows(self):
-        rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]]
+        rows = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])
         assert la.rank_mod(rows, 3) == 2
 
     @given(st.integers(0, 2**32))
@@ -70,6 +71,36 @@ class TestEliminator:
         e2.feed_all(m, block_size=512)
         assert e1.rank == e2.rank
         assert sorted(e1.piv_cols) == sorted(e2.piv_cols)
+
+
+    def test_sources_name_the_pivot_rows(self):
+        m = np.array([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])
+        e = la.ModEliminator(3, la.PRIMES[0])
+        e.feed_all(m, block_size=2)
+        assert e.sources == [1, 3]
+
+    def test_feed_all_stops_at_full_rank(self):
+        m = np.vstack([np.eye(3), np.ones((700, 3))])
+        e = la.ModEliminator(3, la.PRIMES[0])
+        e.feed_all(m, block_size=512)
+        assert e.rank == 3 and e.fed == 512
+
+    def test_sparse_rows_match_dense(self):
+        rng = np.random.default_rng(5)
+        m = rng.integers(-3, 4, size=(40, 9)) * (rng.random((40, 9)) < 0.3)
+        sparse = [(np.nonzero(r)[0], r[np.nonzero(r)[0]]) for r in m]
+        assert np.array_equal(la.densify(sparse, 9), m)
+        assert la.rank_mod(sparse, 9) == la.rank_mod(m, 9)
+
+
+class TestExactnessGuard:
+    def test_import_refuses_inexact_chunk(self):
+        # Doubling the chunk lets float64 partial sums pass 2^53; the
+        # module must refuse to load rather than compute wrong residues.
+        path = Path(la.__file__)
+        src = path.read_text().replace("_CHUNK = 8192", "_CHUNK = 2 * 8192")
+        with pytest.raises(RuntimeError, match="exactness"):
+            exec(compile(src, str(path), "exec"), {"__name__": "linalg_copy"})
 
 
 class TestReconstruct:
@@ -118,6 +149,17 @@ class TestSolveCertified:
         rows = [[1, 0], [1, 0]]
         with pytest.raises(la.Inconsistent):
             la.solve_certified(rows, [[1, 2]])
+
+    def test_rows_past_full_rank_are_certified(self):
+        # The first block fills the rank, so the last row is never fed;
+        # the exact residual over every row still has the final word.
+        rows = np.array([[1, 0], [0, 1]] + [[1, 1]] * 600)
+        rhs = [1, 2] + [3] * 600
+        (x,) = la.solve_certified(rows, [rhs])
+        assert x == [1, 2]
+        rhs[-1] = 4
+        with pytest.raises(RuntimeError):
+            la.solve_certified(rows, [rhs])
 
     def test_multiple_rhs(self):
         rows = np.array([[1, 2], [3, 4]])
