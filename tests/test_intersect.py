@@ -146,6 +146,17 @@ class TestOrientation:
                         want = found[0] if found else None
                         assert good_orientation(tau, marked) == want
 
+    def test_value_independent_of_tiebreak(self):
+        # The orientation count being at most one makes the tie-break
+        # moot, but double-check exhaustive search agrees with
+        # propagation. Both marked edges must head into the middle
+        # vertex, which has room for one arrow only, so neither finds
+        # an orientation.
+        tau = T("12|3456", "1234|56")
+        found = exhaustive_orientations(tau, (0, 1))
+        assert found == []
+        assert good_orientation(tau, (0, 1)) is None
+
 
 def exhaustive_orientations(tau, edges):
     """Every orientation of the marked edges feeding each vertex exactly
