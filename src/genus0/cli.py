@@ -5,12 +5,15 @@ are always printed in lowest terms as ``p/q`` with a positive
 denominator, and identical invocations produce byte-identical output.
 Check-style subcommands exit 0 when the check passes and 1 when it
 fails; precondition violations print a JSON error object and exit 1.
+When the reader closes standard output early (``genus0 trees --n 9 |
+head -1``) the command stops without a traceback and exits 1.
 Setting ``GENUS0_CACHE_DIR`` caches pairing matrices and monomial bases
 on disk between runs.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -359,13 +362,20 @@ def main(argv=None) -> int:
         status, payload, lines = args.handler(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(err, indent=2))
-        return 1
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        status, lines = 1, [json.dumps(err, indent=2)]
     else:
+        if args.format == "json":
+            lines = [json.dumps(payload, indent=2)]
+    try:
         for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (as `| head` does).  Point stdout at
+        # devnull so that the interpreter's own flush at exit cannot raise
+        # again, and report the lost output with status 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return status
 
 

@@ -169,8 +169,23 @@ class Metric:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Metric":
-        gram = tuple(tuple(Fraction(x) for x in row) for row in obj["gram"])
+        gram = tuple(tuple(_exact(x) for x in row) for row in obj["gram"])
         return cls(gram, tuple(obj["parities"]))
+
+
+def _exact(value) -> Fraction:
+    """A rational read from JSON: an integer or a string such as "p/q".
+
+    Floats are refused: the binary value of 0.1 is not one tenth, and an
+    inexact number must not enter an exact computation.  So are bools,
+    which Python counts as integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{value!r} is not an integer or a 'p/q' string")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{value!r} has a zero denominator") from exc
 
 
 def _require_even(metric: Metric, what: str) -> None:
@@ -252,7 +267,7 @@ class Potential:
         try:
             metric = Metric.from_dict(obj)
             coeffs = {
-                tuple(t["multi_index"]): Fraction(t["coeff"]) for t in obj["terms"]
+                tuple(t["multi_index"]): _exact(t["coeff"]) for t in obj["terms"]
             }
             return cls.build(metric, coeffs, int(obj["order"]))
         except KeyError as exc:

@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .keelring import RingElement, ring
+from .keelring import RingElement, mul
 from .trees import Tree, a_value_masks, enumerate_stable_trees, orbit, orbit_reps
 
 
@@ -36,8 +36,8 @@ def integrate(x: RingElement) -> Fraction:
 def pair_oracle(m1: Tree, m2: Tree) -> Fraction:
     """Pairing by brute-force ring reduction; the slow reference method."""
     _check_complementary(m1, m2)
-    terms = ring(m1.n).mul_monomials(m1, m2)
-    return Fraction(sum(terms.values(), 0))
+    prod = mul(RingElement.monomial(m1), RingElement.monomial(m2))
+    return Fraction(sum(prod.terms.values(), 0))
 
 
 def good_orientation(tau: Tree, edges: tuple[int, ...]):

@@ -146,7 +146,9 @@ def kappa(n: int, a: int) -> TautClass:
     if a > n - 3:
         element = RingElement(n, {})
     else:
-        element = pushforward_forget(psi(n + 1, n + 1).pow(a + 1))
+        # psi^(a+1) at the extra label sits on the psi_monomial prefix
+        # chain, so kappa_1, kappa_2, ... share their lower powers
+        element = pushforward_forget(_psi_prefix(n + 1, (0,) * n + (a + 1,)))
     out = TautClass(n, f"kappa({a})", element)
     _KAPPA[key] = out
     return out

@@ -233,6 +233,16 @@ class TestErrorObjects:
                 "order": 3,
                 "terms": [{"multi_index": [0, 0, 0], "coeff": None}],
             },
+            # inexact numbers: 0.1 would load as 3602879701896397/2**55
+            *(
+                {
+                    "gram": [[g]],
+                    "parities": [0],
+                    "order": 3,
+                    "terms": [{"multi_index": [0, 0, 0], "coeff": c}],
+                }
+                for g, c in (("1", 0.1), ("1", True), (1.0, "1"), ("1", "1/0"))
+            ),
         ],
     )
     def test_malformed_potential(self, content, tmp_path, capsys):
@@ -273,3 +283,22 @@ class TestProcessLevel:
         assert cold.stdout == bare.stdout
         assert warm.stdout == bare.stdout
         assert any(tmp_path.iterdir())
+
+    def test_closed_stdout_pipe(self):
+        # `genus0 trees --n 8 | head -1`: the reader leaves after one line,
+        # long before the command has written its ~600 kB
+        env = dict(os.environ)
+        env.pop("GENUS0_CACHE_DIR", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "genus0.cli", "trees", "--n", "8"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first == b"{}\n"
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err

@@ -22,10 +22,12 @@ from genus0.keelring import (
     reduce_product,
     relation,
     relations_of_degree,
+    TensorElement,
     tensor_of_factors,
     tensor_unit,
 )
-from genus0.trees import Split, Tree, enumerate_stable_trees
+from genus0.taut import psi
+from genus0.trees import Split, Tree, enumerate_stable_trees, stable_splits
 
 from conftest import stable_trees
 
@@ -481,3 +483,153 @@ class TestSerialization:
     def test_monomial_round_trip(self, t):
         x = RingElement.monomial(t)
         assert RingElement.from_json(x.to_json()) == x
+
+
+# ---------------------------------------------------------------------------
+# The divisor-by-divisor product that the ring's kernel replaced, kept as a
+# reference: every divisor meets every monomial, crossings are found by
+# a-values, and coefficients are Fractions throughout.
+
+
+def ref_divisor_times(side, m):
+    """D_side * m: zero on a crossing, the union on a new compatible edge,
+    and on a repeated edge the transplant rewrite keeping, at each
+    endpoint, the two branches with the smallest labels."""
+    n = m.n
+    if side in m.parts:
+        e = m.parts.index(side)
+        out = {}
+        for v in m.edge_vertices(e):
+            flags = sorted(
+                (f for f in m.flags_at(v) if not (f.kind == "edge" and f.ref == e)),
+                key=lambda f: f.branch & -f.branch,
+            )
+            for k in range(1, len(flags) - 1):
+                for grp in itertools.combinations(flags[2:], k):
+                    t = trees.transplant(m, e, grp)
+                    out[t] = out.get(t, 0) - 1
+        return out
+    if any(trees.a_value_masks(n, side, p) == 4 for p in m.parts):
+        return {}
+    return {Tree(n, tuple(sorted(m.parts + (side,)))): 1}
+
+
+def ref_times_divisor(terms, side):
+    out = {}
+    for t, c in terms.items():
+        for t2, c2 in ref_divisor_times(side, t).items():
+            out[t2] = out.get(t2, 0) + c * c2
+    return {t: c for t, c in out.items() if c}
+
+
+def ref_mul(x, y):
+    if sum(t.degree for t in y.terms) > sum(t.degree for t in x.terms):
+        x, y = y, x
+    out = {}
+    for t2, c2 in y.terms.items():
+        terms = dict(x.terms)
+        for side in t2.parts:
+            terms = ref_times_divisor(terms, side)
+        for t, c in terms.items():
+            out[t] = out.get(t, 0) + c2 * c
+    return RingElement(x.n, out)
+
+
+def ref_pullback(sigma, x):
+    geo = keelring.DivisorGeometry(sigma)
+    total = {}
+    for mono, coeff in x.terms.items():
+        acc = {(Tree.one_vertex(geo.n1), Tree.one_vertex(geo.n2)): Fraction(coeff)}
+        for part in mono.parts:
+            rules = geo.restrict_divisor(part)
+            if rules is None:
+                acc = {}
+                break
+            nxt = {}
+            for (t1, t2), c in acc.items():
+                for which, side, sign in rules:
+                    for t, c2 in ref_divisor_times(side, (t1, t2)[which]).items():
+                        key = (t, t2) if which == 0 else (t1, t)
+                        nxt[key] = nxt.get(key, 0) + c * sign * c2
+            acc = nxt
+        for (t1, t2), c in acc.items():
+            key = (t1.parts, t2.parts)
+            total[key] = total.get(key, 0) + c
+    return TensorElement.make(geo.n1, geo.n2, total)
+
+
+DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
+
+
+@st.composite
+def elements(draw, n):
+    """A random element on n labels with mixed denominators."""
+    monomials = draw(st.lists(stable_trees(min_n=n, max_n=n), max_size=5))
+    return RingElement(
+        n,
+        {
+            t: Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(DENOMINATORS)))
+            for t in monomials
+        },
+    )
+
+
+@st.composite
+def element_pairs(draw, max_n=6):
+    n = draw(st.integers(4, max_n))
+    return draw(elements(n)), draw(elements(n))
+
+
+class TestKernelAgainstReference:
+    @given(element_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_mul_term_for_term(self, xy):
+        x, y = xy
+        assert mul(x, y).terms == ref_mul(x, y).terms
+
+    @given(element_pairs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pullback_term_for_term(self, xy, data):
+        x, _ = xy
+        # x's own edges are drawn often, so that self-restrictions, whose
+        # marker sums square, come up
+        pool = [p for t in x.terms for p in t.parts] + list(stable_splits(x.n))
+        sigma = Split(x.n, data.draw(st.sampled_from(pool)))
+        assert pullback_to_divisor(sigma, x) == ref_pullback(sigma, x)
+
+    def test_self_restrictions_n6(self):
+        # restricting a monomial to one of its own edges squares a marker
+        # divisor against the other edges' restrictions
+        for r in (2, 3):
+            for t in enumerate_stable_trees(6, r):
+                x = RingElement.monomial(t, Fraction(1, 3))
+                for side in t.parts:
+                    sigma = Split(6, side)
+                    assert pullback_to_divisor(sigma, x) == ref_pullback(sigma, x)
+
+    def test_psi_square_n8(self):
+        p = psi(8, 8).element
+        got = mul(p, p)
+        assert got.terms and got.terms == ref_mul(p, p).terms
+
+    def test_crossing_pairs_never_reach_mul_divisor_raw(self, monkeypatch):
+        asked = []
+        raw = keelring.Ring.mul_divisor_raw
+
+        def spy(self, side, parts):
+            asked.append((self.n, side, parts))
+            return raw(self, side, parts)
+
+        monkeypatch.setattr(keelring.Ring, "mul_divisor_raw", spy)
+        p = psi(6, 6).element
+        square = mul(p, p)
+        pullback_to_divisor(Split.parse("{123|456}"), square)
+        asked_before_cube = len(asked)
+        mul(square, p)
+        for n, side, parts in asked:
+            assert all(trees.compatible_masks(n, side, q) for q in parts)
+        # the cube pairs every monomial of the square with every divisor of
+        # psi; most of those pairs cross, and only the rest were asked for
+        cube_asked = len(asked) - asked_before_cube
+        assert 0 < asked_before_cube and 0 < cube_asked
+        assert cube_asked < len(square.terms) * len(p.terms) / 2
