@@ -170,7 +170,7 @@ class Metric:
     @classmethod
     def from_dict(cls, obj: dict) -> "Metric":
         gram = tuple(tuple(_exact(x) for x in row) for row in obj["gram"])
-        return cls(gram, tuple(obj["parities"]))
+        return cls(gram, tuple(_integer(p) for p in obj["parities"]))
 
 
 def _exact(value) -> Fraction:
@@ -186,6 +186,13 @@ def _exact(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError as exc:
         raise ValueError(f"{value!r} has a zero denominator") from exc
+
+
+def _integer(value) -> int:
+    """An integer read from JSON; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
 
 
 def _require_even(metric: Metric, what: str) -> None:
@@ -267,9 +274,10 @@ class Potential:
         try:
             metric = Metric.from_dict(obj)
             coeffs = {
-                tuple(t["multi_index"]): _exact(t["coeff"]) for t in obj["terms"]
+                tuple(_integer(i) for i in t["multi_index"]): _exact(t["coeff"])
+                for t in obj["terms"]
             }
-            return cls.build(metric, coeffs, int(obj["order"]))
+            return cls.build(metric, coeffs, _integer(obj["order"]))
         except KeyError as exc:
             raise ValueError(f"potential lacks the key {exc}") from exc
         except TypeError as exc:

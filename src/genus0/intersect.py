@@ -133,16 +133,6 @@ def pair_kaufmann(m1: Tree, m2: Tree) -> Fraction:
     return _pair_parts(m1.n, m2.parts, m1.parts)
 
 
-def pair_element(x: RingElement, m: Tree) -> Fraction:
-    """Pairing of a (possibly mixed-degree) element against one monomial."""
-    total = Fraction(0)
-    comp = m.n - 3 - m.degree
-    for t, c in x.terms.items():
-        if t.degree == comp:
-            total += c * pair_kaufmann(t, m)
-    return total
-
-
 def _check_complementary(m1: Tree, m2: Tree) -> None:
     if m1.n != m2.n:
         raise ValueError("monomials over different label sets")

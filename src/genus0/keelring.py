@@ -9,8 +9,10 @@ of one-edge refinements obtained by transplanting branches onto the doubled
 edge.
 
 Good monomials span but are not a basis; the canonical linear relations
-among them are generated here as well, both to compute Betti numbers and
-to decide equality of classes (reduction modulo the relation span).
+among them are generated here as well, for the Betti numbers.  Equality
+of classes needs no basis: the intersection pairing is perfect, so a
+class is zero exactly when it pairs to zero with every good monomial of
+the complementary degree (see `class_vector`).
 """
 
 from __future__ import annotations
@@ -345,27 +347,6 @@ def mul(x: RingElement, y: RingElement) -> RingElement:
     return ring(x.n).mul(x, y)
 
 
-def d_sigma_squared_avg(sigma: Split) -> RingElement:
-    """The square of a boundary divisor, averaged over all rewrites.
-
-    Instead of fixing one pair of stationary branches, average the
-    one-branch-moving rewrites with the weights that make the expression
-    symmetric in both sides of the partition.  Must agree with the
-    deterministic rewrite modulo relations, which the tests check.
-    """
-    n = sigma.n
-    rewrites: dict[Tree, Fraction] = {}
-    for here, there in ((sigma.side, sigma.other), (sigma.other, sigma.side)):
-        labels = labels_of(here)
-        size = len(labels)
-        for k in range(1, size - 1):
-            weight = Fraction((size - k) * (size - k - 1), size * (size - 1))
-            for moved in combinations(labels, k):
-                t = Tree(n, (canonical_side(n, there | mask_of(moved, n)),))
-                rewrites[t] = rewrites.get(t, 0) - weight
-    return mul(RingElement.divisor(sigma), RingElement(n, rewrites))
-
-
 # ---------------------------------------------------------------------------
 # canonical linear relations among good monomials
 
@@ -461,54 +442,54 @@ def keel_relation(n: int, i: int, j: int, k: int, l: int) -> RingElement:
 
 
 # ---------------------------------------------------------------------------
-# equality modulo relations, and Betti numbers
+# equality of classes, and Betti numbers
 
 
 @lru_cache(maxsize=None)
-def _coordmap(n: int, d: int) -> tuple[dict, linalg.FractionRREF]:
-    """Degree-d monomials' columns (by edge tuple) and the reduced relation
-    span among them, n <= 6."""
-    index = {t.parts: i for i, t in enumerate(enumerate_stable_trees(n, d))}
-    rref = linalg.FractionRREF()
-    for rel in relations_of_degree(n, d):
-        rref.add({index[t.parts]: c for t, c in rel.element.terms.items()})
-    return index, rref
+def _positions(n: int, d: int) -> dict:
+    """Degree-d good monomials' positions in the tree enumeration, by edges."""
+    return {t.parts: i for i, t in enumerate(enumerate_stable_trees(n, d))}
+
+
+def _pairings(n: int, nums: dict) -> dict:
+    """Integer pairings of sum(c * m) with every complementary monomial.
+
+    ``nums`` maps edge tuples m to integers c.  Returns the nonzero sums,
+    keyed by (degree of m, column in the complementary degree's
+    enumeration), from the cached sparse pairing rows.
+    """
+    from .cohft import _sp_rows
+
+    out: dict = {}
+    for parts, c in nums.items():
+        d = len(parts)
+        cols, vals = _sp_rows(n, d)[_positions(n, d)[parts]]
+        for j, v in zip(cols.tolist(), vals.tolist()):
+            out[d, j] = out.get((d, j), 0) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
 def class_vector(x: RingElement) -> tuple:
-    """A canonical coordinate form of the class of x (exact, n <= 6).
+    """The class of x: its pairings with every complementary monomial.
 
-    Two elements represent the same cohomology class exactly when their
-    canonical forms coincide: each graded piece is reduced modulo the
-    span of the canonical relations.
+    The pairing on M̄₀,ₙ is perfect (Poincaré duality) and good monomials
+    span every degree, so a degree-d class is determined by its pairings
+    with all good monomials of degree n-3-d.  Two elements represent the
+    same class exactly when their vectors coincide, for every n, with no
+    basis, prime or certificate involved.  Returns the nonzero pieces as
+    (d, ((column, value), ...)), columns indexing
+    ``enumerate_stable_trees(n, n - 3 - d)``.
     """
-    if x.n > 6:
-        raise ValueError("canonical class coordinates implemented for n <= 6")
-    out = []
-    for d in x.degrees():
-        index, rref = _coordmap(x.n, d)
-        vec = {index[t.parts]: c for t, c in x.component(d).terms.items()}
-        reduced = rref.reduce(vec)
-        if reduced:
-            out.append((d, tuple(sorted(reduced.items()))))
-    return tuple(out)
+    nums, den = _numerators(x.terms)
+    pieces: dict = {}
+    for (d, j), v in sorted(_pairings(x.n, nums).items()):
+        pieces.setdefault(d, []).append((j, Fraction(v, den)))
+    return tuple((d, tuple(piece)) for d, piece in pieces.items())
 
 
 def is_zero_class(x: RingElement) -> bool:
     """Whether x vanishes in cohomology (not just formally)."""
-    if not x.terms:
-        return True
-    if x.n <= 6:
-        return not class_vector(x)
-    # Poincaré duality: a class on a smooth proper space is zero exactly
-    # when it pairs to zero with everything of complementary degree
-    from .intersect import pair_element
-
-    return not any(
-        pair_element(x, m)
-        for d in x.degrees()
-        for m in enumerate_stable_trees(x.n, x.n - 3 - d)
-    )
+    return not class_vector(x)
 
 
 def equal_mod_relations(x: RingElement, y: RingElement) -> bool:
@@ -517,10 +498,10 @@ def equal_mod_relations(x: RingElement, y: RingElement) -> bool:
 
 def _relation_rows(n: int, d: int) -> list:
     """Canonical degree-d relations as sparse (cols, vals) rows."""
-    basis = {t: i for i, t in enumerate(enumerate_stable_trees(n, d))}
+    index = _positions(n, d)
     return [
         (
-            [basis[t] for t in rel.element.terms],
+            [index[t.parts] for t in rel.element.terms],
             [int(c) for c in rel.element.terms.values()],
         )
         for rel in relations_of_degree(n, d)
@@ -603,26 +584,24 @@ class TensorElement:
         )
 
     def is_zero_class(self) -> bool:
-        """Zero as a class: reduce both factors to canonical coordinates.
+        """Zero as a class: pairs to zero with every complementary product.
 
-        The per-factor canonical forms are injective on classes, so their
-        tensor is injective on the tensor product of the quotients.
+        By Künneth the cohomology of the product space is the tensor
+        product of the factors', and its pairing is the product of the
+        factors' pairings, so it is perfect as well.  The element is thus
+        zero exactly when, for every complementary monomial of the second
+        factor, pairing each term's second factor with it leaves a zero
+        class in the first factor.
         """
-        acc: dict = {}
+        den = lcm(*(c.denominator for _, c in self.terms))
+        by_left: dict = {}
         for (p1, p2), c in self.terms:
-            v1 = class_vector(RingElement.monomial(Tree(self.n1, p1)))
-            v2 = class_vector(RingElement.monomial(Tree(self.n2, p2)))
-            for d1, items1 in v1:
-                for c1i, a1 in items1:
-                    for d2, items2 in v2:
-                        for c2i, a2 in items2:
-                            key = (d1, c1i, d2, c2i)
-                            now = acc.get(key, 0) + c * a1 * a2
-                            if now:
-                                acc[key] = now
-                            else:
-                                acc.pop(key, None)
-        return not acc
+            by_left.setdefault(p1, {})[p2] = c.numerator * (den // c.denominator)
+        contracted: dict = {}
+        for p1, right in by_left.items():
+            for key, v in _pairings(self.n2, right).items():
+                contracted.setdefault(key, {})[p1] = v
+        return not any(_pairings(self.n1, left) for left in contracted.values())
 
 
 def tensor_unit(n1: int, n2: int) -> TensorElement:

@@ -330,9 +330,11 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
     time only until the rank fills every column; the solutions are lifted
     by rational reconstruction across the primes and only returned once
     the exact residual over every row, fed or not, vanishes.  Raises
-    Inconsistent when fed rows contradict each other mod two primes; a
-    contradiction only in rows past full rank fails every certificate and
-    ends in RuntimeError once the prime pool is exhausted.
+    Inconsistent when fed rows contradict each other mod two primes, or
+    when the pivots fill every column and the lifted solution satisfies
+    the pivot rows exactly but not the rest: those rows are then
+    invertible over the rationals, so their one solution is the only
+    candidate left and the system has none.
     """
     rhs_cols = list(rhs_cols)
     nrhs = len(rhs_cols)
@@ -393,6 +395,13 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
         else:
             if _certify_residual(rows, sol_cols, rhs_cols):
                 return sol_cols
+            src = elim.sources
+            if len(src) == ncols and _certify_residual(
+                rows[src] if isinstance(rows, np.ndarray) else [rows[i] for i in src],
+                sol_cols,
+                [[col[i] for i in src] for col in rhs_cols],
+            ):
+                raise Inconsistent("the pivot rows' one solution fails the rest")
     raise RuntimeError("failed to certify a solution with the prime pool")
 
 

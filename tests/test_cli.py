@@ -114,6 +114,13 @@ class TestSubcommands:
         data = json.loads(out)
         assert status == 0 and data["passed"] and data["checked"] == 13
 
+    def test_log_check_past_seven_labels(self, capsys):
+        status, out = run_main(
+            capsys, "log-check", "--a", "1", "--nmax", "8", "--format", "json"
+        )
+        data = json.loads(out)
+        assert status == 0 and data["passed"] and data["checked"] == 213
+
     def test_matone(self, capsys):
         status, out = run_main(capsys, "matone", "--format", "json")
         data = json.loads(out)
@@ -242,6 +249,23 @@ class TestErrorObjects:
                     "terms": [{"multi_index": [0, 0, 0], "coeff": c}],
                 }
                 for g, c in (("1", 0.1), ("1", True), (1.0, "1"), ("1", "1/0"))
+            ),
+            # an index, order or parity that int() would truncate or accept
+            *(
+                {
+                    "gram": [["1"]],
+                    "parities": [parity],
+                    "order": order,
+                    "terms": [{"multi_index": index, "coeff": "1"}],
+                }
+                for index, order, parity in (
+                    ([0, 0, 0.7], 3, 0),
+                    ([0, 0, True], 3, 0),
+                    ([0, 0, 0], 4.9, 0),
+                    ([0, 0, 0], True, 0),
+                    ([0, 0, 0], "3", 0),
+                    ([0, 0, 0], 3, 0.7),
+                )
             ),
         ],
     )

@@ -1,5 +1,6 @@
 """Ring arithmetic: products, rewriting, relations, Betti numbers."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -8,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus0 import keelring, trees
+from genus0.linalg import FractionRREF
 from genus0.keelring import (
     RingElement,
     betti,
     class_vector,
-    d_sigma_squared_avg,
     equal_mod_relations,
     is_zero_class,
     keel_relation,
@@ -260,6 +261,28 @@ class TestFlagIndependence:
                 assert equal_mod_relations(base, v), (str(tree), e)
 
 
+def d_sigma_squared_avg(sigma: Split) -> RingElement:
+    """The square of a boundary divisor, averaged over all rewrites.
+
+    Instead of fixing one pair of stationary branches, average the
+    one-branch-moving rewrites with the weights that make the expression
+    symmetric in both sides of the partition.  Must agree with the
+    deterministic rewrite modulo relations, which the tests below check.
+    """
+    n = sigma.n
+    rewrites: dict[Tree, Fraction] = {}
+    for here, there in ((sigma.side, sigma.other), (sigma.other, sigma.side)):
+        labels = trees.labels_of(here)
+        size = len(labels)
+        for k in range(1, size - 1):
+            weight = Fraction((size - k) * (size - k - 1), size * (size - 1))
+            for moved in itertools.combinations(labels, k):
+                side = trees.canonical_side(n, there | trees.mask_of(moved, n))
+                t = Tree(n, (side,))
+                rewrites[t] = rewrites.get(t, 0) - weight
+    return mul(RingElement.divisor(sigma), RingElement(n, rewrites))
+
+
 class TestAveragedSquare:
     def test_minimal_case_vanishes(self):
         # With four labels neither side of a split has room to shed a
@@ -373,17 +396,26 @@ class TestClassVector:
         assert class_vector(x) == class_vector(y)
 
     def test_pairing_route_matches_rref_route(self):
-        # For small n both zero tests are available; they must agree.
-        from genus0 import intersect
-
+        # Relations vanish under both the pairing and the relation
+        # reduction; adding a divisor makes them nonzero under both.
         for rel in relations_of_degree(5, 1):
             el = rel.element
-            byrref = not class_vector(el)
-            bypair = all(
-                intersect.pair_element(el, m) == 0
-                for m in enumerate_stable_trees(5, 1)
-            )
-            assert byrref and bypair
+            assert not class_vector(el) and not ref_class_form(el)
+            off = el + D(5, "12|345")
+            assert class_vector(off) and ref_class_form(off)
+
+    def test_pieces_are_pairings(self):
+        # each entry is the pairing with one complementary monomial
+        from genus0.intersect import pair_kaufmann
+
+        x = D(6, "12|3456").scale(Fraction(2, 3)) - M(6, "123|456", "12|3456")
+        cols = {d: enumerate_stable_trees(6, 3 - d) for d in (1, 2)}
+        for d, piece in class_vector(x):
+            for j, v in piece:
+                m = cols[d][j]
+                assert v == sum(
+                    c * pair_kaufmann(t, m) for t, c in x.component(d).terms.items()
+                )
 
 
 class TestBetti:
@@ -633,3 +665,109 @@ class TestKernelAgainstReference:
         cube_asked = len(asked) - asked_before_cube
         assert 0 < asked_before_cube and 0 < cube_asked
         assert cube_asked < len(square.terms) * len(p.terms) / 2
+
+
+# ---------------------------------------------------------------------------
+# The relation reduction that decided class equality before the pairing
+# did, kept as a reference for n <= 6: each graded piece reduced modulo the
+# span of the canonical relations, exactly over the rationals.
+
+
+@functools.lru_cache(maxsize=None)
+def ref_relation_span(n, d):
+    index = {t.parts: i for i, t in enumerate(enumerate_stable_trees(n, d))}
+    rref = FractionRREF()
+    for rel in relations_of_degree(n, d):
+        rref.add({index[t.parts]: c for t, c in rel.element.terms.items()})
+    return index, rref
+
+
+def ref_class_form(x):
+    """Canonical form of the class of x: pieces reduced modulo relations."""
+    out = []
+    for d in x.degrees():
+        index, rref = ref_relation_span(x.n, d)
+        vec = {index[t.parts]: c for t, c in x.component(d).terms.items()}
+        reduced = rref.reduce(vec)
+        if reduced:
+            out.append((d, tuple(sorted(reduced.items()))))
+    return tuple(out)
+
+
+def ref_tensor_is_zero(te):
+    """Zero test on a tensor: products of the factors' reduced forms."""
+    acc = {}
+    for (p1, p2), c in te.terms:
+        v1 = ref_class_form(RingElement.monomial(Tree(te.n1, p1)))
+        v2 = ref_class_form(RingElement.monomial(Tree(te.n2, p2)))
+        for d1, items1 in v1:
+            for i1, a1 in items1:
+                for d2, items2 in v2:
+                    for i2, a2 in items2:
+                        key = (d1, i1, d2, i2)
+                        acc[key] = acc.get(key, 0) + c * a1 * a2
+    return not any(acc.values())
+
+
+relations_cached = functools.lru_cache(maxsize=None)(relations_of_degree)
+
+
+@st.composite
+def relation_sums(draw, n):
+    """A random combination of canonical relations, mixed denominators."""
+    rels = relations_cached(n, draw(st.integers(1, n - 3)))
+    r = RingElement(n, {})
+    for i in draw(st.lists(st.integers(0, len(rels) - 1), min_size=1, max_size=4)):
+        c = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(DENOMINATORS)))
+        r = r + rels[i].element.scale(c)
+    return r
+
+
+@st.composite
+def element_and_relations(draw, max_n=6):
+    """A random element x and a relation sum r on the same labels."""
+    n = draw(st.integers(4, max_n))
+    return draw(elements(n)), draw(relation_sums(n))
+
+
+@st.composite
+def zero_tensors(draw, n1, n2):
+    """Zero classes on a product: relation sums tensored with anything."""
+    te = TensorElement.make(n1, n2, {})
+    if n1 >= 4:
+        te = te + tensor_of_factors(draw(relation_sums(n1)), draw(elements(n2)))
+    if n2 >= 4:
+        te = te + tensor_of_factors(draw(elements(n1)), draw(relation_sums(n2)))
+    return te
+
+
+class TestPairingAgainstRelationReduction:
+    @given(element_and_relations())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_test(self, xr):
+        x, r = xr
+        assert is_zero_class(r)
+        for z in (x, r, x + r, x - r.scale(3)):
+            assert is_zero_class(z) == (not ref_class_form(z))
+
+    @given(element_and_relations(), element_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_equality(self, xr, yz):
+        x, r = xr
+        assert class_vector(x + r) == class_vector(x)
+        for a, b in ((x, x + r), yz):
+            same = class_vector(a) == class_vector(b)
+            assert same == (ref_class_form(a) == ref_class_form(b))
+
+    @given(element_pairs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tensor_zero_test_on_pullbacks(self, xy, data):
+        x, _ = xy
+        pool = [p for t in x.terms for p in t.parts] + list(stable_splits(x.n))
+        sigma = Split(x.n, data.draw(st.sampled_from(pool)))
+        pulled = pullback_to_divisor(sigma, x)
+        zero = data.draw(zero_tensors(pulled.n1, pulled.n2))
+        assert zero.is_zero_class() and ref_tensor_is_zero(zero)
+        assert (pulled + zero - pulled).is_zero_class()
+        for te in (pulled, pulled + zero, pulled - zero.scale(Fraction(1, 2))):
+            assert te.is_zero_class() == ref_tensor_is_zero(te)

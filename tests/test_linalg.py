@@ -150,16 +150,27 @@ class TestSolveCertified:
         with pytest.raises(la.Inconsistent):
             la.solve_certified(rows, [[1, 2]])
 
-    def test_rows_past_full_rank_are_certified(self):
+    def test_rows_past_full_rank_are_certified(self, monkeypatch):
         # The first block fills the rank, so the last row is never fed;
         # the exact residual over every row still has the final word.
         rows = np.array([[1, 0], [0, 1]] + [[1, 1]] * 600)
         rhs = [1, 2] + [3] * 600
         (x,) = la.solve_certified(rows, [rhs])
         assert x == [1, 2]
+        # The pivot rows alone pin down the only candidate, so a failed
+        # residual past them is a contradiction, found with the first prime.
+        primes = []
+        init = la.ModEliminator.__init__
+
+        def spy(self, ncols, p, nsolve=0):
+            primes.append(p)
+            init(self, ncols, p, nsolve)
+
+        monkeypatch.setattr(la.ModEliminator, "__init__", spy)
         rhs[-1] = 4
-        with pytest.raises(RuntimeError):
+        with pytest.raises(la.Inconsistent):
             la.solve_certified(rows, [rhs])
+        assert len(primes) == 1
 
     def test_multiple_rhs(self):
         rows = np.array([[1, 2], [3, 4]])

@@ -8,6 +8,7 @@ import pytest
 
 from genus0.intersect import integrate
 from genus0.keelring import (
+    DivisorGeometry,
     RingElement,
     equal_mod_relations,
     is_zero_class,
@@ -203,6 +204,15 @@ class TestLogarithmic:
         rep = check_logarithmic(lambda n: psi(n, 1), 5)
         assert not rep.passed
         assert (5, "{12|345}") in rep.failures
+
+    def test_psi_fails_past_seven_labels(self):
+        # a divisor with a two-label side gives a factor with 7 labels
+        rep = check_logarithmic(lambda n: psi(n, 1), 8)
+        assert rep.checked == 3 + 10 + 25 + 56 + 119
+        factors = [
+            DivisorGeometry(Split.parse(name)) for n, name in rep.failures if n == 8
+        ]
+        assert any(7 in (geo.n1, geo.n2) for geo in factors)
 
     def test_report_dict(self):
         rep = check_logarithmic(lambda n: kappa(n, 1), 5)
