@@ -26,7 +26,9 @@ from . import cache
 from .intersect import _pair_parts, integrate, pair_kaufmann
 from .keelring import (
     RingElement,
+    _exact,
     _fmt_coeff,
+    _integer,
     equal_mod_relations,
     mul,
     pullback_to_divisor,
@@ -171,28 +173,6 @@ class Metric:
     def from_dict(cls, obj: dict) -> "Metric":
         gram = tuple(tuple(_exact(x) for x in row) for row in obj["gram"])
         return cls(gram, tuple(_integer(p) for p in obj["parities"]))
-
-
-def _exact(value) -> Fraction:
-    """A rational read from JSON: an integer or a string such as "p/q".
-
-    Floats are refused: the binary value of 0.1 is not one tenth, and an
-    inexact number must not enter an exact computation.  So are bools,
-    which Python counts as integers.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{value!r} is not an integer or a 'p/q' string")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"{value!r} has a zero denominator") from exc
-
-
-def _integer(value) -> int:
-    """An integer read from JSON; floats, bools and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{value!r} is not an integer")
-    return value
 
 
 def _require_even(metric: Metric, what: str) -> None:

@@ -46,6 +46,28 @@ def _fmt_coeff(c) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+def _exact(value) -> Fraction:
+    """A rational read from JSON: an integer or a string such as "p/q".
+
+    Floats are refused: the binary value of 0.1 is not one tenth, and an
+    inexact number must not enter an exact computation.  So are bools,
+    which Python counts as integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{value!r} is not an integer or a 'p/q' string")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{value!r} has a zero denominator") from exc
+
+
+def _integer(value) -> int:
+    """An integer read from JSON; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 class RingElement:
     """A rational combination of good monomials over one label set."""
 
@@ -151,11 +173,13 @@ class RingElement:
     def from_dict(cls, obj: dict) -> "RingElement":
         from .trees import tree_from_dict
 
-        n = int(obj["n"])
+        n = _integer(obj["n"])
         terms: dict[Tree, Fraction] = {}
         for item in obj["terms"]:
+            if _integer(item["tree"]["n"]) != n:
+                raise ValueError(f"a term's tree does not have {n} labels")
             t = tree_from_dict(item["tree"])
-            terms[t] = terms.get(t, Fraction(0)) + Fraction(item["coeff"])
+            terms[t] = terms.get(t, Fraction(0)) + _exact(item["coeff"])
         return cls(n, terms)
 
     @classmethod
@@ -697,10 +721,13 @@ def pullback_to_divisor(sigma: Split, x: RingElement) -> TensorElement:
     # each in the order of the edges; pairs sharing a second word share
     # one kernel call per factor.
     lefts: dict = {}
+    restricted: dict = {}  # edge -> its restriction; monomials share edges
     for parts, c in nums.items():
         pairs = [((), (), c)]
         for part in parts:
-            rules = geo.restrict_divisor(part)
+            if part not in restricted:
+                restricted[part] = geo.restrict_divisor(part)
+            rules = restricted[part]
             if rules is None:
                 pairs = []
                 break

@@ -5,6 +5,13 @@ eliminated over GF(p) for word-sized primes using float64 matrix products
 (exact below 2^53), lifted back to rationals by Wang's reconstruction with
 Chinese-remainder widening, and certified by an exact residual check, so
 every answer returned by this module is provably correct, never "probably".
+
+The GF(p) arithmetic reduces lazily.  A float64 holds every integer below
+2^53 exactly, and one update ``row - f * pivot_row`` with f and the pivot
+row in [0, p) moves an entry by less than (p - 1)^2 < 2^40.  So a row is
+reduced (`_reduce_mod`) only after `_LAZY` = 8192 updates or before it is
+tested or stored, and the difference of two reduced values only needs p
+added where it is negative.  Both bounds are checked when the module loads.
 """
 
 from __future__ import annotations
@@ -34,6 +41,13 @@ _CHUNK = 8192
 if _CHUNK * (max(PRIMES) - 1) ** 2 + max(PRIMES) >= 2**53:
     raise RuntimeError("_CHUNK and PRIMES break float64 exactness in mod_matmul")
 
+# ModEliminator.feed subtracts f * row with f and row in [0, p), so less
+# than (p - 1)^2, and reduces a row after at most _LAZY such updates;
+# in between the row must stay an exact integer, whatever the block size.
+_LAZY = 8192
+if _LAZY * (max(PRIMES) - 1) ** 2 + max(PRIMES) >= 2**53:
+    raise RuntimeError("_LAZY and PRIMES break float64 exactness in feed")
+
 
 class BadPrime(Exception):
     """A denominator vanished mod p; retry with another prime."""
@@ -43,16 +57,30 @@ class Inconsistent(Exception):
     """The linear system has no solution."""
 
 
+def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x % p for float64 arrays of exact integers, as a new array."""
+    r = np.fmod(x, p)
+    np.add(r, p, out=r, where=r < 0)
+    return r
+
+
+def _sub_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a - b) % p for entries of a and b already in [0, p)."""
+    d = a - b
+    np.add(d, p, out=d, where=d < 0)
+    return d
+
+
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p for float64 matrices with entries in [0, p)."""
     k = a.shape[1]
     out = None
     for lo in range(0, k, _CHUNK):
         part = a[:, lo : lo + _CHUNK] @ b[lo : lo + _CHUNK]
-        out = part if out is None else np.mod(out + part, p)
+        out = part if out is None else _reduce_mod(out + part, p)
     if out is None:
         return np.zeros((a.shape[0], b.shape[1]))
-    return np.mod(out, p)
+    return _reduce_mod(out, p)
 
 
 def entry_mod(x, p: int) -> int:
@@ -98,6 +126,11 @@ class ModEliminator:
     are never chosen there, so those columns just carry along the reduction
     of each attached vector.  ``sources`` records, for each pivot, the
     position among all rows fed so far of the row that produced it.
+
+    Stored rows, ``dead_rows`` and the multipliers are always reduced into
+    [0, p); a row being swept is not.  It takes updates unreduced and is
+    reduced after at most `_LAZY` of them, whatever the block size, which
+    keeps its entries below _LAZY * (p - 1)^2 + p < 2^53 and exact.
     """
 
     def __init__(self, ncols: int, p: int, nsolve: int = 0):
@@ -116,11 +149,11 @@ class ModEliminator:
         return len(self.piv_cols)
 
     def _reduce_block(self, block: np.ndarray) -> np.ndarray:
-        block = np.mod(np.asarray(block, dtype=np.float64), self.p)
+        block = _reduce_mod(np.asarray(block, dtype=np.float64), self.p)
         if self.piv_cols:
             coeff = block[:, self.piv_cols]
             if np.any(coeff):
-                block = np.mod(block - mod_matmul(coeff, self.rows, self.p), self.p)
+                block = _sub_mod(block, mod_matmul(coeff, self.rows, self.p), self.p)
         return block
 
     def feed(self, block) -> None:
@@ -130,10 +163,16 @@ class ModEliminator:
         new_cols: list[int] = []
         for i in range(block.shape[0]):
             row = block[i]
+            pending = 0
             for c, nr in zip(new_cols, new_rows):
-                f = row[c]
+                f = row[c] % p
                 if f:
-                    row = np.mod(row - f * nr, p)
+                    row -= f * nr
+                    pending += 1
+                    if pending == _LAZY:
+                        row = _reduce_mod(row, p)
+                        pending = 0
+            row = _reduce_mod(row, p)
             nz = np.nonzero(row[: self.ncols])[0]
             if nz.size == 0:
                 if self.nsolve and np.any(row[self.ncols :]):
@@ -141,7 +180,7 @@ class ModEliminator:
                 continue
             c = int(nz[0])
             inv = pow(int(row[c]), p - 2, p)
-            row = np.mod(row * inv, p)
+            row = _reduce_mod(row * inv, p)
             new_rows.append(row)
             new_cols.append(c)
             self.sources.append(self.fed + i)
@@ -150,22 +189,34 @@ class ModEliminator:
             return
         fresh = np.array(new_rows)
         # make the fresh pivots clean against each other (earlier rows may
-        # still hit later pivot columns), then against everything stored
+        # still hit later pivot columns), then against everything stored.
+        # Rows past j are zero in column c, so no update changes fresh[i, c]
+        # before it is read: f needs no reduction.  Row j has taken all its
+        # updates when it becomes the pivot row, and row 0 all at the end.
+        pending = [0] * len(new_cols)
         for j in range(len(new_cols) - 1, 0, -1):
+            if pending[j]:
+                fresh[j] = _reduce_mod(fresh[j], p)
             c = new_cols[j]
             for i in range(j):
                 f = fresh[i, c]
                 if f:
-                    fresh[i] = np.mod(fresh[i] - f * fresh[j], p)
+                    fresh[i] -= f * fresh[j]
+                    pending[i] += 1
+                    if pending[i] == _LAZY:
+                        fresh[i] = _reduce_mod(fresh[i], p)
+                        pending[i] = 0
+        if pending[0]:
+            fresh[0] = _reduce_mod(fresh[0], p)
         if self.piv_cols:
             coeff = self.rows[:, new_cols]
             if np.any(coeff):
-                self.rows = np.mod(self.rows - mod_matmul(coeff, fresh, p), p)
+                self.rows = _sub_mod(self.rows, mod_matmul(coeff, fresh, p), p)
         if self.dead_rows.shape[0]:
             coeff = self.dead_rows[:, new_cols]
             if np.any(coeff):
-                self.dead_rows = np.mod(
-                    self.dead_rows - mod_matmul(coeff, fresh, p), p
+                self.dead_rows = _sub_mod(
+                    self.dead_rows, mod_matmul(coeff, fresh, p), p
                 )
                 keep = np.any(self.dead_rows, axis=1)
                 self.dead_rows = self.dead_rows[keep]

@@ -27,7 +27,7 @@ from genus0.keelring import (
     tensor_of_factors,
     tensor_unit,
 )
-from genus0.taut import psi
+from genus0.taut import kappa, psi
 from genus0.trees import Split, Tree, enumerate_stable_trees, stable_splits
 
 from conftest import stable_trees
@@ -511,6 +511,23 @@ class TestSerialization:
         d = D(4, "12|34").scale(4).to_dict()
         assert d["terms"][0]["coeff"] == "4"
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 4.7, "terms": []},
+            {"n": True, "terms": []},
+            {"n": "4", "terms": []},
+            {"n": 4, "terms": [{"tree": {"n": 4, "edges": []}, "coeff": 0.1}]},
+            {"n": 4, "terms": [{"tree": {"n": 4, "edges": []}, "coeff": False}]},
+            {"n": 4, "terms": [{"tree": {"n": 4, "edges": []}, "coeff": "1/0"}]},
+            {"n": 4, "terms": [{"tree": {"n": 4.2, "edges": []}, "coeff": 1}]},
+            {"n": 5, "terms": [{"tree": {"n": 4, "edges": []}, "coeff": 1}]},
+        ],
+    )
+    def test_inexact_fields_are_refused(self, obj):
+        with pytest.raises(ValueError):
+            RingElement.from_dict(obj)
+
     @given(stable_trees(max_n=6))
     def test_monomial_round_trip(self, t):
         x = RingElement.monomial(t)
@@ -638,6 +655,31 @@ class TestKernelAgainstReference:
                 for side in t.parts:
                     sigma = Split(6, side)
                     assert pullback_to_divisor(sigma, x) == ref_pullback(sigma, x)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_kappa_pullbacks(self, n, monkeypatch):
+        # each distinct edge is restricted once per call, however many
+        # monomials share it, and the result is the uncached reference's
+        calls = []
+        restrict = keelring.DivisorGeometry.restrict_divisor
+
+        def spy(self, t_side):
+            calls.append(t_side)
+            return restrict(self, t_side)
+
+        for a in range(1, n - 2):
+            x = kappa(n, a).element
+            edges = {p for t in x.terms for p in t.parts}
+            rest = "".join(map(str, range(4, n + 1)))
+            for text in ("{12|3" + rest + "}", "{123|" + rest + "}"):
+                sigma = Split.parse(text)
+                want = ref_pullback(sigma, x)
+                monkeypatch.setattr(keelring.DivisorGeometry, "restrict_divisor", spy)
+                calls.clear()
+                got = pullback_to_divisor(sigma, x)
+                monkeypatch.undo()
+                assert got == want
+                assert len(calls) == len(set(calls)) and set(calls) <= edges
 
     def test_psi_square_n8(self):
         p = psi(8, 8).element

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -93,6 +94,135 @@ class TestEliminator:
         assert la.rank_mod(sparse, 9) == la.rank_mod(m, 9)
 
 
+class RefEliminator(la.ModEliminator):
+    """The row-by-row engine that reduces after every update."""
+
+    def _reduce_block(self, block):
+        block = np.mod(np.asarray(block, dtype=np.float64), self.p)
+        if self.piv_cols:
+            coeff = block[:, self.piv_cols]
+            if np.any(coeff):
+                block = np.mod(block - la.mod_matmul(coeff, self.rows, self.p), self.p)
+        return block
+
+    def feed(self, block):
+        p = self.p
+        block = self._reduce_block(block)
+        new_rows, new_cols = [], []
+        for i in range(block.shape[0]):
+            row = block[i]
+            for c, nr in zip(new_cols, new_rows):
+                f = row[c]
+                if f:
+                    row = np.mod(row - f * nr, p)
+            nz = np.nonzero(row[: self.ncols])[0]
+            if nz.size == 0:
+                if self.nsolve and np.any(row[self.ncols :]):
+                    self.dead_rows = np.vstack([self.dead_rows, row])
+                continue
+            c = int(nz[0])
+            row = np.mod(row * pow(int(row[c]), p - 2, p), p)
+            new_rows.append(row)
+            new_cols.append(c)
+            self.sources.append(self.fed + i)
+        self.fed += block.shape[0]
+        if not new_rows:
+            return
+        fresh = np.array(new_rows)
+        for j in range(len(new_cols) - 1, 0, -1):
+            c = new_cols[j]
+            for i in range(j):
+                f = fresh[i, c]
+                if f:
+                    fresh[i] = np.mod(fresh[i] - f * fresh[j], p)
+        if self.piv_cols:
+            coeff = self.rows[:, new_cols]
+            if np.any(coeff):
+                self.rows = np.mod(self.rows - la.mod_matmul(coeff, fresh, p), p)
+        if self.dead_rows.shape[0]:
+            coeff = self.dead_rows[:, new_cols]
+            if np.any(coeff):
+                self.dead_rows = np.mod(
+                    self.dead_rows - la.mod_matmul(coeff, fresh, p), p
+                )
+                self.dead_rows = self.dead_rows[np.any(self.dead_rows, axis=1)]
+        self.rows = np.vstack([self.rows, fresh])
+        self.piv_cols.extend(new_cols)
+
+
+def assert_same_state(got, want):
+    assert got.piv_cols == want.piv_cols
+    assert got.sources == want.sources
+    assert got.fed == want.fed
+    for name in ("rows", "dead_rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+@st.composite
+def systems(draw):
+    """A random system with dependent rows and some inconsistent rhs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    nrows = draw(st.integers(0, 60))
+    ncols = draw(st.integers(1, 14))
+    nsolve = draw(st.integers(0, 2))
+    rank = draw(st.integers(1, ncols))
+    span = rng.integers(-9, 10, size=(rank, ncols + nsolve))
+    a = rng.integers(-3, 4, size=(nrows, rank)) @ span
+    a[rng.random(nrows) < 0.2, ncols:] += 1  # knock rows off consistency
+    return a, ncols, nsolve
+
+
+class TestLazyFeedAgainstReference:
+    # The lazy engine holds rows unreduced between updates; its states must
+    # equal the reference's bit for bit, also with the lazy bound shrunk so
+    # that rows are reduced in the middle of a sweep.
+    @given(
+        systems(),
+        st.sampled_from([7, la.PRIMES[0]]),
+        st.integers(1, 512),
+        st.sampled_from([la._LAZY, 1, 2, 5]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_systems(self, system, p, block_size, lazy):
+        a, ncols, nsolve = system
+        want = RefEliminator(ncols, p, nsolve)
+        want.feed_all(a, block_size)
+        got = la.ModEliminator(ncols, p, nsolve)
+        with patch.object(la, "_LAZY", lazy):
+            got.feed_all(a, block_size)
+        assert_same_state(got, want)
+
+    def test_dense_block_of_600(self):
+        # one full-rank block: its last row takes 599 unreduced updates,
+        # more than any row of a 512-row block
+        p = la.PRIMES[0]
+        a = np.random.default_rng(11).integers(0, p, size=(600, 600))
+        want = RefEliminator(600, p)
+        want.feed_all(a, block_size=600)
+        got = la.ModEliminator(600, p)
+        got.feed_all(a, block_size=600)
+        assert got.rank == 600
+        assert_same_state(got, want)
+
+
+    def test_rows_are_reduced_at_the_lazy_bound(self):
+        # Near 2^26 only two updates fit below 2^53.  With the bound shrunk
+        # to match, the engine stays exact only if it reduces every row
+        # that has taken two updates.  Free columns keep what the updates
+        # add, in the sweep and in the back-substitution.
+        p = 67108859
+        assert 2 * (p - 1) ** 2 + p < 2**53 < 3 * (p - 1) ** 2
+        a = np.random.default_rng(5).integers(0, p, size=(40, 60))
+        want = RefEliminator(60, p)
+        want.feed_all(a, block_size=40)
+        got = la.ModEliminator(60, p)
+        with patch.object(la, "_LAZY", 2):
+            got.feed_all(a, block_size=40)
+        assert got.rank == 40
+        assert_same_state(got, want)
+
+
 class TestExactnessGuard:
     def test_import_refuses_inexact_chunk(self):
         # Doubling the chunk lets float64 partial sums pass 2^53; the
@@ -100,6 +230,13 @@ class TestExactnessGuard:
         path = Path(la.__file__)
         src = path.read_text().replace("_CHUNK = 8192", "_CHUNK = 2 * 8192")
         with pytest.raises(RuntimeError, match="exactness"):
+            exec(compile(src, str(path), "exec"), {"__name__": "linalg_copy"})
+
+    def test_import_refuses_inexact_lazy_bound(self):
+        # Twice as many unreduced updates per row would pass 2^53 in feed.
+        path = Path(la.__file__)
+        src = path.read_text().replace("_LAZY = 8192", "_LAZY = 2 * 8192")
+        with pytest.raises(RuntimeError, match="exactness in feed"):
             exec(compile(src, str(path), "exec"), {"__name__": "linalg_copy"})
 
 
