@@ -28,7 +28,6 @@ from .keelring import (
     RingElement,
     _exact,
     _fmt_coeff,
-    _integer,
     equal_mod_relations,
     mul,
     pullback_to_divisor,
@@ -47,6 +46,7 @@ from .trees import (
     Split,
     Tree,
     _compat_graph,
+    _integer,
     enumerate_stable_trees,
     iter_all_trees,
     orbit,
@@ -461,23 +461,43 @@ def _plan(tree: Tree):
     return got
 
 
-def _stratum_value(phi: Potential, tree: Tree, idx) -> Fraction:
+def _stratum_value(phi: Potential, tree: Tree, idx, memo=None) -> Fraction:
     """One stratum's integral: vertex values contracted along the edges.
 
     Works up the tree from the leaves; each component sends its parent a
     vector obtained by closing its own value off with the inverse
     pairing, and the root contracts everything that reaches it.
+
+    ``memo`` hash-conses branches for one potential: a vertex is keyed by
+    (is it the root, its sorted tail indices, the sorted ids of the
+    branches below it), and each distinct non-root branch gets a small
+    integer id next to the message it sends up.  The key is exact: the
+    values are looked up under sorted multi-indices, so the order of a
+    vertex's flags cannot matter; `Fraction` addition is exact, so the
+    order of the summands cannot either; and callers require an even
+    metric, so no Koszul sign depends on that order.  A caller evaluating
+    many strata of one potential passes one dict to all of them; a memo
+    must never be shared between potentials.
     """
+    if memo is None:
+        memo = {}
     kids, tails, topo = _plan(tree)
     ymap = phi._map
     cas = phi.metric.casimir
     rank = phi.metric.rank
-    msg: dict[int, list[Fraction]] = {}
+    sent: dict[int, tuple[int, list[Fraction]]] = {}
     for v in topo:
-        base = tuple(idx[t] for t in tails[v])
+        below = [sent.pop(ch) for ch in kids[v]]
+        base = tuple(sorted([idx[t] for t in tails[v]]))
+        key = (v == 0, base, tuple(sorted([bid for bid, _ in below])))
+        got = memo.get(key)
+        if got is not None:
+            if v == 0:
+                return got
+            sent[v] = got
+            continue
         combos = [(base, Fraction(1))]
-        for ch in kids[v]:
-            vec = msg.pop(ch)
+        for _, vec in below:
             nxt = []
             for part, w in combos:
                 for slot in range(rank):
@@ -493,6 +513,7 @@ def _stratum_value(phi: Potential, tree: Tree, idx) -> Fraction:
                 yv = ymap.get(tuple(sorted(part)))
                 if yv:
                     tot += w * yv
+            memo[key] = tot
             return tot
         raw = [Fraction(0)] * rank
         for part, w in combos:
@@ -504,7 +525,7 @@ def _stratum_value(phi: Potential, tree: Tree, idx) -> Fraction:
         for a, b, w in cas:
             if raw[a]:
                 out[b] += w * raw[a]
-        msg[v] = out
+        sent[v] = memo[key] = (len(memo), out)
     raise AssertionError("unreachable: the root always terminates the sweep")
 
 
@@ -527,7 +548,8 @@ def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fractio
         raise ValueError("need one basis index per label")
     if any(not 0 <= i < phi.metric.rank for i in idx):
         raise ValueError("basis index out of range")
-    return {tree: _stratum_value(phi, tree, idx) for tree in iter_all_trees(n)}
+    memo: dict = {}
+    return {tree: _stratum_value(phi, tree, idx, memo) for tree in iter_all_trees(n)}
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +731,12 @@ def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], RingElemen
     rank = phi.metric.rank
     midxs = list(combinations_with_replacement(range(rank), n))
     parts: dict[tuple[int, ...], dict[Tree, Fraction]] = {m: {} for m in midxs}
+    memo: dict = {}
     for r in range(n - 2):
         c = n - 3 - r
         trees_c = enumerate_stable_trees(n, c)
         rhs_cols = [
-            [_stratum_value(phi, t, m) for t in trees_c] for m in midxs
+            [_stratum_value(phi, t, m, memo) for t in trees_c] for m in midxs
         ]
         basis, sols = _solve_full_rank(n, r, rhs_cols)
         trees_r = enumerate_stable_trees(n, r)
@@ -735,14 +758,18 @@ def reconstruct_classes(phi: Potential, n: int) -> dict[tuple[int, ...], RingEle
     the stratum integrals; the potential must satisfy the associativity
     constraints for those equations to be consistent.
     """
-    report = wdvv_check(phi)
+    _require_associative(phi)
+    return dict(_reconstruct_all(phi, n))
+
+
+def _require_associative(phi: Potential, order: int | None = None) -> None:
+    report = wdvv_check(phi, order)
     if not report.passed:
         quad, nu, _, _ = report.failure
         raise ValueError(
             f"potential violates associativity at quadruple {quad}, "
             f"spectators {nu}"
         )
-    return dict(_reconstruct_all(phi, n))
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +804,9 @@ def tensor_potential(
     The n-point value at a product insertion splits as an integral of a
     first-factor class against the second factor; expanding the first
     factor in boundary monomials reduces everything to stratum integrals
-    of the second.  The output is checked against the associativity
-    constraints before it is returned.
+    of the second.  Both factors must satisfy the associativity
+    constraints through the order (ValueError otherwise), and the output
+    is checked against them before it is returned.
     """
     if order is None:
         order = min(phi1.order, phi2.order)
@@ -789,21 +817,18 @@ def tensor_potential(
     met = tensor_metric(phi1.metric, phi2.metric)
     r2 = phi2.metric.rank
     coeffs: dict[tuple[int, ...], Fraction] = {}
+    if order >= 4:
+        _require_associative(phi2, order)
+    memo2: dict = {}  # branches of phi2 only; phi1's never enter it
     for n in range(3, order + 1):
         rec1 = reconstruct_classes(phi1, n)
-        wdvv_check(phi2)
-        dp_memo: dict = {}
         for midx in combinations_with_replacement(range(met.rank), n):
             aseq = tuple(b // r2 for b in midx)
             cseq = tuple(b % r2 for b in midx)
             x1 = rec1[aseq]
             tot = Fraction(0)
             for tree, cf in x1.terms.items():
-                key = (tree, cseq)
-                v = dp_memo.get(key)
-                if v is None:
-                    v = _stratum_value(phi2, tree, cseq)
-                    dp_memo[key] = v
+                v = _stratum_value(phi2, tree, cseq, memo2)
                 if v:
                     tot += cf * v
             if tot:

@@ -31,6 +31,7 @@ from .trees import (
     Split,
     Tree,
     _compat_graph,
+    _integer,
     a_value_masks,
     canonical_side,
     enumerate_stable_trees,
@@ -59,13 +60,6 @@ def _exact(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError as exc:
         raise ValueError(f"{value!r} has a zero denominator") from exc
-
-
-def _integer(value) -> int:
-    """An integer read from JSON; floats, bools and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{value!r} is not an integer")
-    return value
 
 
 class RingElement:

@@ -294,9 +294,23 @@ def tree_dict(tree: Tree) -> dict:
     return {"n": tree.n, "edges": sorted(edges)}
 
 
+def _integer(value) -> int:
+    """An integer read from JSON; floats, bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def tree_from_dict(obj: dict) -> Tree:
-    n = int(obj["n"])
-    return Tree.make(n, (mask_of(side, n) for side in obj["edges"]))
+    """Inverse of `tree_dict`; malformed input is a ValueError."""
+    try:
+        n = _integer(obj["n"])
+        sides = [[_integer(x) for x in side] for side in obj["edges"]]
+    except KeyError as exc:
+        raise ValueError(f"tree lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed tree: {exc}") from exc
+    return Tree.make(n, (mask_of(side, n) for side in sides))
 
 
 def _fmt_labels(labels: tuple[int, ...], n: int) -> str:

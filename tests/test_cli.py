@@ -1,15 +1,21 @@
 """Command-line interface: examples, determinism, caching, error objects."""
 
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus0.cli import main
-from genus0.cohft import Potential, p1_potential
+from genus0.cohft import Metric, Potential, p1_potential
 
 
 def run_main(capsys, *argv):
@@ -285,6 +291,98 @@ class TestErrorObjects:
             status, out = run_main(capsys, *argv)
             assert status == 1
             assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(-4, 4),
+    st.text(max_size=3),
+    st.sampled_from(["1/0", "p/q", "2/-3", "1.5", "3/4", "-2", "nan", "1e400"]),
+    st.integers(-3, 5),  # an order past 5 would make tensor slow, not wrong
+)
+
+
+def _valid_potential(draw) -> dict:
+    order = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from(["line", "sum", "rank one", "random"]))
+    if kind == "line":
+        return p1_potential(order).to_dict()
+    rank = 1 if kind == "rank one" else 2
+    metric = Metric.standard(rank)
+    coeffs = {}
+    for k in range(3, order + 1):
+        for m in itertools.combinations_with_replacement(range(rank), k):
+            # a sum of rank-one theories is associative, random values
+            # on mixed indices usually are not
+            if kind != "random" and len(set(m)) > 1:
+                continue
+            num = draw(st.integers(-3, 3))
+            coeffs[m] = Fraction(num, draw(st.integers(1, 4)))
+    return Potential.build(metric, coeffs, order).to_dict()
+
+
+@st.composite
+def potential_files(draw) -> object:
+    """Potential JSON: valid files, and ones with keys, values or indices spoilt."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_JUNK)
+    obj = _valid_potential(draw)
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(["gram", "parities", "order", "terms", "rank"]))
+        how = draw(st.sampled_from(["drop", "junk", "inner"]))
+        if how == "drop":
+            obj.pop(key, None)
+        elif how == "junk" or not isinstance(obj.get(key), list) or not obj[key]:
+            obj[key] = draw(_JUNK)
+        elif key == "terms":
+            term = draw(st.sampled_from(obj["terms"]))
+            field = draw(st.sampled_from(["multi_index", "coeff"]))
+            edit = draw(st.sampled_from(["index", "drop", "junk"]))
+            if edit == "index" and isinstance(term.get("multi_index"), list):
+                # an index outside the basis, or of the wrong type
+                term["multi_index"][0] = draw(st.sampled_from([-1, 2, 9, 0.0, True]))
+            elif edit == "drop":
+                term.pop(field, None)
+            else:
+                term[field] = draw(_JUNK)
+        else:
+            obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(_JUNK)
+    return obj
+
+
+class TestPotentialFuzz:
+    """Any potential file gives a verdict or the JSON error object, never a
+    traceback: wdvv and tensor run in-process on generated files."""
+
+    @given(
+        files=st.lists(potential_files(), min_size=2, max_size=2),
+        fmt=st.sampled_from(["table", "json"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_wdvv_and_tensor(self, files, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, obj in enumerate(files):
+                paths.append(os.path.join(tmp, f"p{i}.json"))
+                with open(paths[-1], "w") as fh:
+                    json.dump(obj, fh)
+            for argv in (
+                ["wdvv", "--input", paths[0]],
+                ["tensor", "--left", paths[0], "--right", paths[1]],
+            ):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    status = main(argv + ["--format", fmt])
+                out = buf.getvalue()
+                assert status in (0, 1), (argv, files)
+                if status == 0:
+                    continue
+                if argv[0] == "wdvv" and "error" not in out:
+                    # a well-formed potential that fails the check
+                    assert "FAILED" in out or json.loads(out)["passed"] is False
+                    continue
+                assert json.loads(out)["error"]["type"] == "ValueError", (out, files)
 
 
 @pytest.mark.slow

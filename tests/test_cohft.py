@@ -1,7 +1,9 @@
 """Field-theory layer: associativity, reconstruction, tensors, recursions."""
 
 import itertools
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -231,29 +233,85 @@ class TestWdvv:
         assert wdvv_check(phi).passed
 
 
-def brute_stratum(phi, tree, idx):
-    """Independent stratum integral: expand every edge over the casimir.
+def brute_strata(phi):
+    """Independent stratum integrals of phi, as a function of (tree, idx).
 
-    Enumerates all edge decorations outright instead of sweeping the
-    tree, so it shares no code path with the production evaluator.
+    Sums over all edge decorations outright instead of sweeping the tree,
+    so it shares no code path with the production evaluator.  Edges are
+    decorated one at a time, and a vertex is weighed as soon as its last
+    edge is, so a zero value cuts off every decoration that extends the
+    prefix.  A decoration weighs one value per vertex times one casimir
+    entry per edge, so the sum runs over integer numerators and is divided
+    once by the common denominator at the end.
     """
-    kids, tails, _ = cohft._plan(tree)
-    edges = [(v, k) for v in range(len(kids)) for k in kids[v]]
-    cas = phi.metric.casimir
-    total = Fraction(0)
-    for decor in itertools.product(cas, repeat=len(edges)):
-        flags = {v: [idx[t] for t in tails[v]] for v in range(len(kids))}
-        weight = Fraction(1)
-        for (pv, cv), (a, b, w) in zip(edges, decor):
-            flags[pv].append(a)
-            flags[cv].append(b)
-            weight *= w
-        for v, fl in flags.items():
-            weight *= phi.y(fl)
-            if not weight:
-                break
-        total += weight
-    return total
+    dy = lcm(*(v.denominator for _, v in phi.terms))
+    dw = lcm(*(w.denominator for _, _, w in phi.metric.casimir))
+    cas = [(a, b, int(w * dw)) for a, b, w in phi.metric.casimir]
+    ynum: dict[tuple[int, ...], int] = {}  # by flags in vertex order
+
+    def value(tree, idx):
+        kids, tails, _ = cohft._plan(tree)
+        nv = len(kids)
+        edges = [(v, k) for v in range(nv) for k in kids[v]]
+        # the flags at each vertex: its tails, then (edge, end) for each
+        # edge end it carries, end 0 on the parent side
+        base = [tuple(idx[t] for t in tails[v]) for v in range(nv)]
+        ends = [
+            [(e, end) for e, pair in enumerate(edges) for end in (0, 1) if pair[end] == v]
+            for v in range(nv)
+        ]
+        ready: list[list[int]] = [[] for _ in range(len(edges) + 1)]
+        for v in range(nv):
+            ready[max((e + 1 for e, _ in ends[v]), default=0)].append(v)
+        decor: list[tuple[int, int]] = []
+
+        def weigh(step, weight):
+            for v in ready[step]:
+                key = base[v] + tuple(decor[e][end] for e, end in ends[v])
+                if key not in ynum:
+                    ynum[key] = int(phi.y(key) * dy)
+                weight *= ynum[key]
+                if not weight:
+                    return 0
+            if step == len(edges):
+                return weight
+            total = 0
+            for a, b, w in cas:
+                decor.append((a, b))
+                total += weigh(step + 1, weight * w)
+                decor.pop()
+            return total
+
+        return Fraction(weigh(0, 1), dw ** len(edges) * dy**nv)
+
+    return value
+
+
+def non_associative_rank_two():
+    base = dict(p1_potential(8).terms)
+    base[(0, 1, 1)] = Fraction(2, 7)  # need not be associative
+    return Potential.build(Metric.hyperbolic(), base, 8)
+
+
+def random_rank_four(seed=7, order=6):
+    """Seeded values on the tensor-square metric; about half of them zero."""
+    rnd = random.Random(seed)
+    coeffs = {}
+    for k in range(3, order + 1):
+        for m in itertools.combinations_with_replacement(range(4), k):
+            if rnd.random() < 0.5:
+                coeffs[m] = Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+    met = tensor_metric(Metric.hyperbolic(), Metric.hyperbolic())
+    return Potential.build(met, coeffs, order)
+
+
+def direct_sum(f, g, order=5):
+    """Y = f(x0) + g(x1) on the standard rank-2 metric: associative."""
+    coeffs = {}
+    for k in range(3, order + 1):
+        coeffs[(0,) * k] = f[k - 3]
+        coeffs[(1,) * k] = g[k - 3]
+    return Potential.build(Metric.standard(2), coeffs, order)
 
 
 class TestStrataIntegrals:
@@ -275,15 +333,40 @@ class TestStrataIntegrals:
             assert got == want
 
     def test_matches_brute_force(self):
-        base = dict(p1_potential(8).terms)
-        base[(0, 1, 1)] = Fraction(2, 7)  # need not be associative
-        phi = Potential.build(Metric.hyperbolic(), base, 8)
+        phi = non_associative_rank_two()
+        brute = brute_strata(phi)
         for n in (4, 5):
             for m in itertools.combinations_with_replacement(range(2), n):
                 for tree in iter_all_trees(n):
-                    assert cohft._stratum_value(phi, tree, m) == brute_stratum(
-                        phi, tree, m
-                    )
+                    assert cohft._stratum_value(phi, tree, m) == brute(tree, m)
+
+    @pytest.mark.parametrize("make", [non_associative_rank_two, random_rank_four])
+    def test_one_memo_across_trees_and_indices(self, make):
+        # branches of one potential are hash-consed across every tree and
+        # multi-index; a key that forgets what fixes a message shows up
+        # as a wrong value somewhere in the shuffled sweep
+        phi = make()
+        jobs = [
+            (tree, m)
+            for n in range(3, 7)
+            for m in itertools.combinations_with_replacement(range(phi.metric.rank), n)
+            for tree in iter_all_trees(n)
+        ]
+        random.Random(1995).shuffle(jobs)
+        brute = brute_strata(phi)
+        memo: dict = {}
+        for tree, m in jobs:
+            got = cohft._stratum_value(phi, tree, m, memo)
+            assert got == brute(tree, m), (tree, m)
+
+    def test_integrals_match_memo_free_values(self):
+        phi = random_rank_four()
+        rnd = random.Random(6)
+        for n in (4, 5, 6):
+            midxs = list(itertools.combinations_with_replacement(range(4), n))
+            for m in rnd.sample(midxs, 12):
+                want = {t: cohft._stratum_value(phi, t, m) for t in iter_all_trees(n)}
+                assert strata_integrals(phi, n, m) == want
 
     def test_validation(self):
         phi = p1_potential(6)
@@ -386,6 +469,20 @@ class TestTensor:
                 right = assignment_class(classes[n], [b % 2 for b in m])
                 assert sq.y(m) == integrate(mul(left, right))
 
+    def test_two_different_factors(self):
+        # each factor's branches stay in a memo of their own; one memo
+        # shared by both would hand one theory's messages to the other
+        f = direct_sum([Fraction(3, 2), -1, Fraction(1, 3)], [2, Fraction(-5, 7), 4])
+        g = direct_sum([1, Fraction(2, 5), -3], [Fraction(-1, 2), 6, Fraction(1, 9)])
+        for left, right in ((f, g), (g, f), (p1_potential(5), f)):
+            out = tensor_potential(left, right)
+            for n in (3, 4, 5):
+                cl, cr = reconstruct_classes(left, n), reconstruct_classes(right, n)
+                for m in itertools.combinations_with_replacement(range(4), n):
+                    a = assignment_class(cl, [b // 2 for b in m])
+                    c = assignment_class(cr, [b % 2 for b in m])
+                    assert out.y(m) == integrate(mul(a, c)), (left, right, m)
+
     def test_square_of_the_line_order_six(self):
         sq = tensor_potential(p1_potential(6), p1_potential(6))
         pred = p1xp1_potential(6)
@@ -412,6 +509,11 @@ class TestTensor:
         odd = Potential.build(odd_pair_metric(), {(0, 1, 2): 5}, 6)
         with pytest.raises(ValueError):
             tensor_potential(odd, p1_potential(6))
+        # a non-associative right factor is refused up front, as a left
+        # one is, instead of surfacing as an inconsistent product
+        bad = Potential.build(Metric.standard(2), {(0, 1, 1): 1}, 4)
+        with pytest.raises(ValueError, match="associativity"):
+            tensor_potential(p1_potential(4), bad)
 
 
 class TestRankOne:

@@ -289,6 +289,24 @@ class TestCanonical:
                 for t in T.enumerate_stable_trees(n, r):
                     assert Tree.from_json(t.to_json()) == t
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"n": 4.7, "edges": [[1, 2]]}', id="float-n"),  # was {12|34}
+            pytest.param('{"n": 4, "edges": [[1, 2.9]]}', id="float-label"),  # was TypeError
+            pytest.param('{"n": true, "edges": []}', id="bool-n"),
+            pytest.param('{"n": "5", "edges": [[1, 2]]}', id="string-n"),
+            pytest.param('{"n": 5, "edges": [[1, false]]}', id="bool-label"),
+            pytest.param('{"n": 5, "edges": 3}', id="edges-not-a-list"),
+            pytest.param('{"n": 5, "edges": [2]}', id="side-not-a-list"),
+            pytest.param('{"edges": [[1, 2]]}', id="no-n"),
+            pytest.param("[]", id="not-an-object"),
+        ],
+    )
+    def test_json_refuses_malformed_input(self, text):
+        with pytest.raises(ValueError):
+            Tree.from_json(text)
+
     def test_json_lists_smaller_side(self):
         payload = json.loads(Tree.parse("{12|3456}").to_json())
         assert payload == {"n": 6, "edges": [[1, 2]]}
