@@ -47,10 +47,12 @@ from .trees import (
     Tree,
     _compat_graph,
     _integer,
+    _split_index,
     enumerate_stable_trees,
     iter_all_trees,
     orbit,
     orbit_reps,
+    orbit_walk,
     stable_splits,
 )
 
@@ -561,11 +563,33 @@ _BASIS: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
 def _build_sp(n: int, lo: int, hi: int) -> list:
+    """Sparse pairing rows of the degree-lo trees against degree hi.
+
+    Only the first row of each relabelling orbit is evaluated, pair by
+    pair, over the columns the compatibility graph allows.  Relabelling
+    by sigma maps stable splits to stable splits and good monomials to
+    good monomials, and it preserves every pairing, so the row of
+    sigma(T) holds the values of the row of T at the columns sigma(C).
+    The other rows of the orbit are filled that way: the representative's
+    column trees are mapped through the split permutation that
+    `orbit_walk` yields, looked up by their packed split ids, and sorted
+    back into ascending column order.  The integer values are copied, so
+    every row equals its pair-by-pair evaluation entry for entry.
+    """
     rows_trees = enumerate_stable_trees(n, lo)
     cols_trees = enumerate_stable_trees(n, hi)
-    splits = stable_splits(n)
-    sid = {m: i for i, m in enumerate(splits)}
-    nsplit = len(splits)
+    sid = _split_index(n)
+    nsplit = len(sid)
+    # one int64 key per column tree: its sorted split ids in radix nsplit,
+    # which fits through n = 10.  Checked rather than asserted so that it
+    # also holds under ``python -O``.
+    if nsplit**hi >= 2**63:
+        raise RuntimeError(f"packed column keys overflow int64 at n={n}")
+    radix = np.array([nsplit**k for k in reversed(range(hi))], dtype=np.int64)
+    col_ids = np.array(
+        [[sid[part] for part in t.parts] for t in cols_trees], dtype=np.int64
+    ).reshape(len(cols_trees), hi)
+    col_keys = col_ids @ radix
     lanes = (nsplit + 63) // 64
     full = (1 << nsplit) - 1
     lane_mask = (1 << 64) - 1
@@ -578,12 +602,16 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
             colbits[j, lane] = (m >> (64 * lane)) & lane_mask
     adj = _compat_graph(n)
     pair_raw = _pair_parts.__wrapped__
-    out = []
-    for t in rows_trees:
+    row_ids = [tuple(sid[part] for part in t.parts) for t in rows_trees]
+    row_of = {ids: i for i, ids in enumerate(row_ids)}
+    out: list = [None] * len(rows_trees)
+    for i, t in enumerate(rows_trees):
+        if out[i] is not None:
+            continue
         sig = full
         for part in t.parts:
-            i = sid[part]
-            sig &= adj[i] | 1 << i
+            k = sid[part]
+            sig &= adj[k] | 1 << k
         bad = sig ^ full
         ok = np.ones(len(cols_trees), dtype=bool)
         for lane in range(lanes):
@@ -595,7 +623,19 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
             if v:
                 cs.append(j)
                 vs.append(int(v))
-        out.append((np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64)))
+        cols = np.asarray(cs, dtype=np.int64)
+        vals = np.asarray(vs, dtype=np.int64)
+        rep_ids = col_ids[cols]
+        out[i] = (cols, vals)
+        walk = orbit_walk(n, row_ids[i])
+        next(walk)  # the representative itself
+        for ids, perm in walk:
+            keys = np.sort(perm[rep_ids], axis=1) @ radix
+            image = np.searchsorted(col_keys, keys)
+            if not np.array_equal(col_keys[image], keys):
+                raise AssertionError("unreachable: relabelling maps columns to columns")
+            order = np.argsort(image)
+            out[row_of[ids]] = (image[order], vals[order])
     return out
 
 
@@ -603,8 +643,12 @@ def _sp_rows(n: int, d: int) -> list:
     """Sparse pairing rows: degree-d monomials against the complement.
 
     Row i lists the complementary-degree trees its tree pairs nonzero
-    with, as (column indices, values).  Built once per complementary
-    pair of degrees; the flipped orientation is a transpose.
+    with, as (column indices, values), the columns strictly ascending.
+    Built once per complementary pair of degrees; the flipped orientation
+    is a transpose.  `_build_sp` evaluates one row per relabelling orbit
+    and derives the rest, which is exact: relabelling preserves the
+    pairing and permutes the good monomials, and the values are copied,
+    never recomputed.
     """
     c = n - 3 - d
     if d < 0 or c < 0:
@@ -806,7 +850,8 @@ def tensor_potential(
     factor in boundary monomials reduces everything to stratum integrals
     of the second.  Both factors must satisfy the associativity
     constraints through the order (ValueError otherwise), and the output
-    is checked against them before it is returned.
+    is checked against them before it is returned.  Below order 4 there
+    are no constraints to check.
     """
     if order is None:
         order = min(phi1.order, phi2.order)
@@ -834,8 +879,7 @@ def tensor_potential(
             if tot:
                 coeffs[midx] = tot
     out = Potential.build(met, coeffs, order)
-    report = wdvv_check(out)
-    if not report.passed:
+    if order >= 4 and not wdvv_check(out).passed:
         raise ArithmeticError("tensor assembly produced an inconsistent potential")
     return out
 

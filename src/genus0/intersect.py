@@ -20,6 +20,7 @@ from math import factorial
 import numpy as np
 
 from .keelring import RingElement, mul
+from .linalg import densify
 from .trees import Tree, a_value_masks, enumerate_stable_trees, orbit, orbit_reps
 
 
@@ -142,16 +143,15 @@ def _check_complementary(m1: Tree, m2: Tree) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def pairing_matrix_int(n: int, r: int) -> np.ndarray:
-    """Dense integer pairing matrix, degree r rows against n-3-r columns."""
-    rows = enumerate_stable_trees(n, r)
-    cols = enumerate_stable_trees(n, n - 3 - r)
-    out = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for i, a in enumerate(rows):
-        for j, b in enumerate(cols):
-            out[i, j] = int(pair_kaufmann(a, b))
-    return out
+    """Dense integer pairing matrix, degree r rows against n-3-r columns.
+
+    The sparse pairing rows of `cohft._sp_rows`, densified.
+    """
+    from .cohft import _sp_rows
+
+    width = len(enumerate_stable_trees(n, n - 3 - r))
+    return densify(_sp_rows(n, r), width, np.int64)
 
 
 @dataclass(frozen=True)

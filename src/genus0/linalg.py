@@ -107,9 +107,9 @@ def rows_mod(rows, p: int) -> np.ndarray:
     return np.array(data, dtype=np.float64)
 
 
-def densify(rows, width: int) -> np.ndarray:
-    """Dense float64 block of sparse (column indices, values) rows."""
-    block = np.zeros((len(rows), width))
+def densify(rows, width: int, dtype=np.float64) -> np.ndarray:
+    """Dense block of sparse (column indices, values) rows."""
+    block = np.zeros((len(rows), width), dtype=dtype)
     for i, (cols, vals) in enumerate(rows):
         if len(cols):
             block[i, cols] = vals

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 def full_mask(n: int) -> int:
@@ -349,6 +352,12 @@ def stable_splits(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _split_index(n: int) -> dict[int, int]:
+    """Position of each canonical side in stable_splits(n)."""
+    return {m: i for i, m in enumerate(stable_splits(n))}
+
+
+@lru_cache(maxsize=None)
 def _compat_graph(n: int) -> tuple[int, ...]:
     """Adjacency bitsets of the compatibility graph on stable_splits(n)."""
     sp = stable_splits(n)
@@ -526,28 +535,59 @@ def relabel(tree: Tree, perm: tuple[int, ...]) -> Tree:
 
 
 @lru_cache(maxsize=None)
-def _transpositions(n: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for i in range(1, n):
+def _split_transpositions(n: int) -> np.ndarray:
+    """Row k: the permutation of stable_splits(n) ids induced by swapping
+    labels k+1 and k+2."""
+    sid = _split_index(n)
+    rows = []
+    for k in range(1, n):
         perm = list(range(1, n + 1))
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        out.append(tuple(perm))
-    return tuple(out)
+        perm[k - 1], perm[k] = k + 1, k
+        rows.append(
+            [sid[canonical_side(n, apply_perm_mask(m, perm))] for m in stable_splits(n)]
+        )
+    table = np.array(rows, dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def orbit_walk(
+    n: int, ids: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """Breadth-first walk over the relabelling orbit of a tree.
+
+    The tree is given by the sorted ids of its edge partitions in
+    stable_splits(n).  Every tree of its orbit is yielded once in the same
+    form, the start first, together with a permutation ``perm`` of all
+    split ids: for some relabelling sigma that carries the start to the
+    yielded tree, perm[s] is the id of sigma applied to split s.  The walk
+    applies adjacent transpositions, so a newly reached tree's ``perm`` is
+    the transposition's row indexed by the ``perm`` of the tree it was
+    reached from (first the old relabelling, then the transposition).
+    """
+    gens = _split_transpositions(n)
+    lists = gens.tolist()
+    seen = {ids}
+    frontier = deque([(ids, np.arange(gens.shape[1]))])
+    while frontier:
+        t, perm = frontier.popleft()
+        yield t, perm
+        for g, row in zip(lists, gens):
+            u = tuple(sorted([g[i] for i in t]))
+            if u not in seen:
+                seen.add(u)
+                frontier.append((u, row[perm]))
 
 
 def orbit(tree: Tree) -> frozenset[Tree]:
     """The symmetric-group orbit, generated by adjacent transpositions."""
-    seen = {tree}
-    frontier = [tree]
-    gens = _transpositions(tree.n)
-    while frontier:
-        t = frontier.pop()
-        for perm in gens:
-            u = relabel(t, perm)
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return frozenset(seen)
+    sp = stable_splits(tree.n)
+    sid = _split_index(tree.n)
+    start = tuple(sid[p] for p in tree.parts)
+    return frozenset(
+        Tree(tree.n, tuple(sp[i] for i in ids))
+        for ids, _ in orbit_walk(tree.n, start)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -199,6 +199,33 @@ class TestPotentialPipeline:
         assert lines[0] == "rank 4  order 6"
         assert lines[1].split() == ["0", "0", "3", "1"]
 
+    def test_tensor_order_three(self, p1_file, capsys):
+        # Below order 4 there is no associativity constraint to check, so
+        # the product truncated at 3 points is the order-4 product's
+        # 3-point part.
+        def product(order):
+            status, out = run_main(
+                capsys,
+                "tensor",
+                "--left",
+                p1_file,
+                "--right",
+                p1_file,
+                "--order",
+                order,
+                "--format",
+                "json",
+            )
+            assert status == 0
+            return json.loads(out)
+
+        three, four = product("3"), product("4")
+        assert three["order"] == 3 and three["gram"] == four["gram"]
+        assert three["terms"] == [
+            t for t in four["terms"] if len(t["multi_index"]) == 3
+        ]
+        assert three["terms"]
+
     def test_p1xp1(self, capsys):
         status, out = run_main(capsys, "p1xp1", "--order", "5", "--format", "json")
         data = json.loads(out)

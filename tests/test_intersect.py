@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genus0 import cohft, linalg
 from genus0.intersect import (
@@ -17,13 +18,31 @@ from genus0.intersect import (
     pairing_matrix_int,
 )
 from genus0.keelring import RingElement, betti
-from genus0.trees import Split, Tree, enumerate_stable_trees
+from genus0.trees import (
+    Split,
+    Tree,
+    enumerate_stable_trees,
+    orbit,
+    orbit_reps,
+    relabel,
+)
 
-from conftest import stable_trees
+from conftest import permutations_of, stable_trees
 
 
 def T(*texts):
     return Tree.from_splits([Split.parse("{" + t + "}") for t in texts])
+
+
+def dense_pairings(n, r):
+    """Pair-by-pair dense pairing matrix, the reference for the sparse rows."""
+    rows = enumerate_stable_trees(n, r)
+    cols = enumerate_stable_trees(n, n - 3 - r)
+    out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            out[i, j] = int(pair_kaufmann(a, b))
+    return out
 
 
 class TestIntegrate:
@@ -255,7 +274,7 @@ class TestPairingMatrix:
     def test_symmetry(self):
         for n, r in ((5, 1), (6, 1), (6, 2)):
             a = pairing_matrix_int(n, r)
-            b = pairing_matrix_int(n, n - 3 - r)
+            b = dense_pairings(n, n - 3 - r)
             assert np.array_equal(a, b.T)
 
     def test_rank_matches_betti(self):
@@ -266,20 +285,55 @@ class TestPairingMatrix:
                 assert rank == betti(n, r)
 
     def test_sparse_rows_match_dense(self):
-        # The sparse builder (compatibility-graph filter, transposed
-        # orientation for the larger degree) against the dense reference,
-        # and the greedy basis selection against the plain rank.
+        # The sparse builder (one evaluated row per relabelling orbit,
+        # transposed orientation for the larger degree) against the
+        # pair-by-pair reference, and the greedy basis selection against
+        # the plain rank.
         p = linalg.PRIMES[0]
-        for n in (4, 5, 6):
+        for n in (3, 4, 5, 6, 7):
             for d in range(n - 2):
-                dense = pairing_matrix_int(n, d)
+                if 2 * d > n - 3:
+                    dense = dense_pairings(n, n - 3 - d).T
+                else:
+                    dense = dense_pairings(n, d)
                 width = dense.shape[1]
                 sparse = cohft._sp_rows(n, d)
+                assert len(sparse) == dense.shape[0]
                 assert np.array_equal(linalg.densify(sparse, width), dense)
+                assert np.array_equal(pairing_matrix_int(n, d), dense)
+                if n > 6:
+                    continue
                 chosen = cohft._greedy_rows(sparse, width, p)
                 rank = linalg.rank_mod(dense, width, p)
                 assert len(chosen) == rank
                 assert linalg.rank_mod(dense[list(chosen)], width, p) == rank
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_sparse_columns_ascend(self, n):
+        for d in range(n - 2):
+            for cols, vals in cohft._sp_rows(n, d):
+                assert cols.dtype == vals.dtype == np.int64
+                assert np.all(np.diff(cols) > 0) and np.all(vals != 0)
+
+    def test_sampled_rows_at_eight(self, rng):
+        # At n = 8 the full reference is too slow for tier-1: check every
+        # orbit representative, one other member of every orbit and a few
+        # random rows per degree against pair-by-pair evaluation.
+        n = 8
+        for d in range(n - 2):
+            trees = enumerate_stable_trees(n, d)
+            position = {t: i for i, t in enumerate(trees)}
+            picks = set(rng.sample(range(len(trees)), min(4, len(trees))))
+            for rep, _ in orbit_reps(n, d):
+                picks.add(position[rep])
+                picks.add(position[rng.choice(sorted(orbit(rep)))])
+            cols_trees = enumerate_stable_trees(n, n - 3 - d)
+            sparse = cohft._sp_rows(n, d)
+            for i in sorted(picks):
+                want = [int(pair_kaufmann(trees[i], b)) for b in cols_trees]
+                got = np.zeros(len(cols_trees), dtype=np.int64)
+                got[sparse[i][0]] = sparse[i][1]
+                assert got.tolist() == want
 
     def test_structured_output(self):
         pm = pairing_matrix(5, 1)
@@ -299,8 +353,6 @@ class TestPairingMatrix:
         # three-element sides).  Columns: the two orbits of two-edge
         # trees.  Each entry weights one representative's pairings over
         # the whole column orbit by the row orbit's size.
-        from genus0.trees import orbit
-
         pm = pairing_matrix(6, 1, invariant=True)
         assert len(pm.row_basis) == 2
         assert len(pm.col_basis) == 2
@@ -318,3 +370,22 @@ class TestAgainstBettiDuality:
         if t1.n != t2.n or t1.degree + t2.degree != t1.n - 3:
             return
         assert pair_kaufmann(t1, t2) == pair_kaufmann(t2, t1)
+
+
+@st.composite
+def complementary_pairs(draw, max_n=7):
+    n = draw(st.integers(4, max_n))
+    d = draw(st.integers(0, n - 3))
+    rows = enumerate_stable_trees(n, d)
+    cols = enumerate_stable_trees(n, n - 3 - d)
+    a = rows[draw(st.integers(0, len(rows) - 1))]
+    b = cols[draw(st.integers(0, len(cols) - 1))]
+    return a, b, draw(permutations_of(n))
+
+
+@given(complementary_pairs())
+@settings(max_examples=200, deadline=None)
+def test_pairing_is_relabelling_invariant(pair):
+    # the symmetry that lets _sp_rows derive a whole orbit from one row
+    a, b, perm = pair
+    assert pair_kaufmann(relabel(a, perm), relabel(b, perm)) == pair_kaufmann(a, b)

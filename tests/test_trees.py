@@ -342,3 +342,53 @@ class TestCanonical:
         t, perm = tp
         u = T.relabel(t, perm)
         assert u in set(T.enumerate_stable_trees(t.n, t.degree))
+
+
+def reference_orbit(tree):
+    """The orbit by breadth-first relabelling with adjacent transpositions."""
+    gens = []
+    for i in range(1, tree.n):
+        perm = list(range(1, tree.n + 1))
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        gens.append(tuple(perm))
+    seen = {tree}
+    frontier = [tree]
+    while frontier:
+        t = frontier.pop()
+        for perm in gens:
+            u = T.relabel(t, perm)
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return frozenset(seen)
+
+
+class TestOrbitWalk:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_reference(self, n, rng):
+        for r in range(n - 2):
+            reps, seen = [], set()
+            for t in T.enumerate_stable_trees(n, r):
+                if t in seen:
+                    continue
+                orb = reference_orbit(t)
+                seen |= orb
+                reps.append((min(orb), len(orb)))
+                assert T.orbit(t) == orb
+                assert T.orbit(rng.choice(sorted(orb))) == orb
+            assert T.orbit_reps(n, r) == tuple(reps)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_permutation_carries_start(self, n):
+        # perm maps each split of the start to a split of the yielded tree,
+        # so the start's ids pushed through perm are the tree's ids
+        sid = T._split_index(n)
+        for r in range(n - 2):
+            for rep, size in T.orbit_reps(n, r):
+                start = tuple(sid[p] for p in rep.parts)
+                walked = list(T.orbit_walk(n, start))
+                assert walked[0][0] == start
+                assert len({ids for ids, _ in walked}) == len(walked) == size
+                for ids, perm in walked:
+                    assert sorted(perm.tolist()) == list(range(len(sid)))
+                    assert tuple(sorted(perm[list(start)].tolist())) == ids
