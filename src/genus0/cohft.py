@@ -575,9 +575,16 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
     `orbit_walk` yields, looked up by their packed split ids, and sorted
     back into ascending column order.  The integer values are copied, so
     every row equals its pair-by-pair evaluation entry for entry.
+
+    For lo = 0 the one row is the unit against every trivalent tree.
+    Each such stratum is a point, which integrates to 1, so that row is
+    all ones and needs no evaluation.
     """
     rows_trees = enumerate_stable_trees(n, lo)
     cols_trees = enumerate_stable_trees(n, hi)
+    if lo == 0:
+        ones = np.ones(len(cols_trees), dtype=np.int64)
+        return [(np.arange(len(cols_trees), dtype=np.int64), ones)]
     sid = _split_index(n)
     nsplit = len(sid)
     # one int64 key per column tree: its sorted split ids in radix nsplit,

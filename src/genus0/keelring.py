@@ -18,6 +18,7 @@ the complementary degree (see `class_vector`).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -377,16 +378,63 @@ class Relation:
     foursome: tuple[Flag, Flag, Flag, Flag]
 
 
-def _insertion_sum(tree: Tree, v: int, pair: tuple[Flag, Flag], rest: list[Flag]):
-    """All one-edge refinements at v grouping the pair plus any subset of rest."""
-    n = tree.n
-    base = pair[0].branch | pair[1].branch
-    for k in range(len(rest) + 1):
-        for extra in combinations(rest, k):
-            side = base
-            for fl in extra:
-                side |= fl.branch
-            yield Tree(n, tuple(sorted(tree.parts + (canonical_side(n, side),))))
+def _relation_terms(n: int, parts: tuple, fi: int, fj: int, fk: int, rest: list):
+    """Edge tuples of the two insertion sums of one canonical relation.
+
+    ``fi``, ``fj`` and ``fk`` are the branch masks of three flags of a
+    foursome at one vertex of the tree with edges ``parts``, and ``rest``
+    those of the flags outside it.  Returns (plus, minus): the one-edge
+    refinements grouping fi with fj, and fk with fj, each together with
+    every subset of rest in `combinations` order.  A new edge keeps both
+    sides of the vertex at valency 3 or more, so every refinement is
+    stable.  No refinement is in both lists: a plus side holds fi and fj,
+    while a minus side holds fj without fi and its complement lacks fj.
+    """
+    sums = [sum(extra) for k in range(len(rest) + 1) for extra in combinations(rest, k)]
+
+    def refine(side: int) -> tuple:
+        side = canonical_side(n, side)
+        i = bisect_left(parts, side)
+        return parts[:i] + (side,) + parts[i:]
+
+    return [refine(fi | fj | s) for s in sums], [refine(fk | fj | s) for s in sums]
+
+
+def _relations(n: int, d: int):
+    """Every canonical relation among degree-d good monomials.
+
+    Yields (tree, vertex, foursome, plus, minus): a degree-(d-1) tree, a
+    fat vertex, the positions among its flags of the four flags (i, j, k,
+    l), and the edge tuples of the terms with coefficient +1 and -1 (see
+    `_relation_terms`).  Both independent flag pairings are taken for
+    each foursome at each fat vertex; the redundancy is harmless for rank
+    purposes and needed for the spanning property at small n.
+    """
+    if d < 1:
+        return
+    for tree in enumerate_stable_trees(n, d - 1):
+        for v, flags in enumerate(tree.model.flags):
+            if len(flags) < 4:
+                continue
+            branch = [fl.branch for fl in flags]
+            for quad in combinations(range(len(flags)), 4):
+                a, b, c, e = quad
+                rest = [m for i, m in enumerate(branch) if i not in quad]
+                # grouping a flag set and its complement insert the same
+                # edge, so each foursome has three distinct pair sums; two
+                # differences with a common middle term span all of them
+                for four in ((a, b, c, e), (a, c, b, e)):
+                    i, j, k, _ = four
+                    plus, minus = _relation_terms(
+                        n, tree.parts, branch[i], branch[j], branch[k], rest
+                    )
+                    yield tree, v, four, plus, minus
+
+
+def _as_relation(tree: Tree, v: int, foursome: tuple, plus: list, minus: list):
+    terms = {Tree(tree.n, parts): 1 for parts in plus}
+    terms.update((Tree(tree.n, parts), -1) for parts in minus)
+    return Relation(RingElement(tree.n, terms), tree, v, foursome)
 
 
 def relation(tree: Tree, v: int, foursome: tuple[Flag, ...]) -> Relation:
@@ -402,39 +450,20 @@ def relation(tree: Tree, v: int, foursome: tuple[Flag, ...]) -> Relation:
         raise ValueError("flags must sit at the given vertex")
     if len(tree.flags_at(v)) < 4:
         raise ValueError("vertex valency must be at least 4")
-    fi, fj, fk, fl = foursome
-    rest = [f for f in tree.flags_at(v) if f not in foursome]
-    terms: dict[Tree, Fraction] = {}
-    for t in _insertion_sum(tree, v, (fi, fj), rest):
-        terms[t] = terms.get(t, 0) + 1
-    for t in _insertion_sum(tree, v, (fk, fj), rest):
-        terms[t] = terms.get(t, 0) - 1
-    return Relation(RingElement(tree.n, terms), tree, v, tuple(foursome))
+    fi, fj, fk, _ = foursome
+    rest = [f.branch for f in tree.flags_at(v) if f not in foursome]
+    plus, minus = _relation_terms(
+        tree.n, tree.parts, fi.branch, fj.branch, fk.branch, rest
+    )
+    return _as_relation(tree, v, tuple(foursome), plus, minus)
 
 
 def relations_of_degree(n: int, d: int) -> list[Relation]:
-    """Every canonical relation among degree-d good monomials.
-
-    Both independent flag pairings are taken for each foursome at each
-    fat vertex of each degree-(d-1) tree; the redundancy is harmless for
-    rank purposes and needed for the spanning property at small n.
-    """
-    if d < 1:
-        return []
-    out = []
-    for tree in enumerate_stable_trees(n, d - 1):
-        for v in range(tree.degree + 1):
-            flags = tree.flags_at(v)
-            if len(flags) < 4:
-                continue
-            for foursome in combinations(flags, 4):
-                a, b, c, e = foursome
-                # grouping a flag set and its complement insert the same
-                # edge, so each foursome has three distinct pair sums; two
-                # differences with a common middle term span all of them
-                out.append(relation(tree, v, (a, b, c, e)))
-                out.append(relation(tree, v, (a, c, b, e)))
-    return out
+    """Every canonical relation among degree-d good monomials, as elements."""
+    return [
+        _as_relation(tree, v, tuple(tree.flags_at(v)[i] for i in quad), plus, minus)
+        for tree, v, quad, plus, minus in _relations(n, d)
+    ]
 
 
 def keel_relation(n: int, i: int, j: int, k: int, l: int) -> RingElement:
@@ -517,40 +546,52 @@ def equal_mod_relations(x: RingElement, y: RingElement) -> bool:
 def _relation_rows(n: int, d: int) -> list:
     """Canonical degree-d relations as sparse (cols, vals) rows."""
     index = _positions(n, d)
-    return [
-        (
-            [index[t.parts] for t in rel.element.terms],
-            [int(c) for c in rel.element.terms.values()],
-        )
-        for rel in relations_of_degree(n, d)
-    ]
+    rows = []
+    for _, _, _, plus, minus in _relations(n, d):
+        cols = [index[parts] for parts in plus]
+        cols += [index[parts] for parts in minus]
+        rows.append((cols, [1] * len(plus) + [-1] * len(minus)))
+    return rows
 
 
 def betti(n: int, r: int | None = None):
     """Exact Betti numbers of the even cohomology, doubly certified.
 
-    For each degree the count of good monomials minus the rank of the
-    relation span must equal the rank of the intersection pairing against
-    the complementary degree.  Working mod p both ranks are only lower
-    bounds of the rational ones, but relations pair to zero with
-    everything, so the two bounds squeeze the same number from both sides:
-    when they meet, both are exact.  A failure to meet triggers a retry
-    with a fresh prime; persistent failure is an engine bug worth a crash.
+    In degree d the ngood good monomials span the cohomology and the
+    pairing with the complementary degree is perfect, so the Betti number
+    is the rank of the pairing matrix P.  The canonical relations vanish
+    in cohomology, so they pair to zero with everything: their span R
+    lies in the kernel of P, and dim R + rank P <= ngood.  Mod p the rank
+    of P, and the rank of any subset of the relation rows, can only fall
+    short of the rational ones.  So once rank_p(P) + rank_p(subset) =
+    ngood, every inequality is an equality and rank_p(P) is exact.  The
+    pairing rank comes first, and the relation sweep stops as soon as its
+    rank reaches ngood - rank_p(P).  A bad prime leaves the squeeze open
+    and triggers a retry with a fresh prime; persistent failure is an
+    engine bug worth a crash.
 
     Returns the full vector, or a single number when r is given.
     """
     from .cohft import _sp_rows
 
     degrees = range(n - 2) if r is None else [r]
+    pairranks: dict = {}
     out = []
     for d in degrees:
+        c = n - 3 - d
         ngood = len(enumerate_stable_trees(n, d))
-        ncomp = len(enumerate_stable_trees(n, n - 3 - d))
+        ncomp = len(enumerate_stable_trees(n, c))
+        # the pairing matrices of d and c are transposes with one rank,
+        # taken once per prime; the narrower one keeps the dense sweep
+        # small (167 against 293 MB peak for betti(8), in the same time)
+        side, width = (d, ncomp) if ncomp <= ngood else (c, ngood)
         relations = _relation_rows(n, d)
-        pairings = _sp_rows(n, d)
         for p in linalg.PRIMES[:3]:
-            relrank = linalg.rank_mod(relations, ngood, p)
-            pairrank = linalg.rank_mod(pairings, ncomp, p)
+            key = (min(d, c), p)
+            if key not in pairranks:
+                pairranks[key] = linalg.rank_mod(_sp_rows(n, side), width, p)
+            pairrank = pairranks[key]
+            relrank = linalg.rank_mod(relations, ngood, p, target=ngood - pairrank)
             if relrank + pairrank == ngood:
                 out.append(pairrank)
                 break

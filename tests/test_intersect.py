@@ -308,6 +308,15 @@ class TestPairingMatrix:
                 assert len(chosen) == rank
                 assert linalg.rank_mod(dense[list(chosen)], width, p) == rank
 
+    def test_point_class_row(self):
+        # the unit against every trivalent tree: each pairing is the
+        # integral of a point, and the row is filled with ones unevaluated
+        for n in (3, 4, 5, 6, 7):
+            row = cohft._build_sp(n, 0, n - 3)
+            want = dense_pairings(n, 0)
+            assert len(row) == 1 and np.all(want == 1)
+            assert np.array_equal(linalg.densify(row, want.shape[1]), want)
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_sparse_columns_ascend(self, n):
         for d in range(n - 2):

@@ -3,6 +3,7 @@
 import functools
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,13 @@ from genus0.keelring import (
     tensor_unit,
 )
 from genus0.taut import kappa, psi
-from genus0.trees import Split, Tree, enumerate_stable_trees, stable_splits
+from genus0.trees import (
+    Split,
+    Tree,
+    enumerate_stable_trees,
+    insert_edge,
+    stable_splits,
+)
 
 from conftest import stable_trees
 
@@ -322,6 +329,28 @@ class TestAveragedSquare:
             ), str(s)
 
 
+def ref_relation_rows(n, d):
+    """Canonical relations as sparse rows, each term one insert_edge call."""
+    index = {t.parts: i for i, t in enumerate(enumerate_stable_trees(n, d))}
+    rows = []
+    for tree in enumerate_stable_trees(n, d - 1):
+        for v in range(tree.degree + 1):
+            flags = tree.flags_at(v)
+            for quad in itertools.combinations(flags, 4):
+                a, b, c, _ = quad
+                rest = [f for f in flags if f not in quad]
+                for fi, fj, fk in ((a, b, c), (a, c, b)):
+                    cols, vals = [], []
+                    for pair, sign in (((fi, fj), 1), ((fk, fj), -1)):
+                        for k in range(len(rest) + 1):
+                            for extra in itertools.combinations(rest, k):
+                                t = insert_edge(tree, v, pair + extra)
+                                cols.append(index[t.parts])
+                                vals.append(sign)
+                    rows.append((cols, vals))
+    return rows
+
+
 class TestRelations:
     def test_four_labels(self):
         t = Tree.one_vertex(4)
@@ -345,6 +374,24 @@ class TestRelations:
             for r in range(n - 3):
                 for rel in relations_of_degree(n, r + 1):
                     assert is_zero_class(rel.element), (n, str(rel.tree))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_rows_match_edge_insertion(self, n):
+        # The bitmask generator against relations built flag by flag with
+        # insert_edge, and the Relation elements against the rows, entry
+        # for entry and in order.
+        for d in range(1, n - 2):
+            rows = keelring._relation_rows(n, d)
+            assert rows == ref_relation_rows(n, d)
+            index = {t.parts: i for i, t in enumerate(enumerate_stable_trees(n, d))}
+            rels = relations_of_degree(n, d)
+            assert len(rels) == len(rows)
+            for rel, (cols, vals) in zip(rels, rows):
+                terms = rel.element.terms
+                assert [index[t.parts] for t in terms] == cols
+                assert list(terms.values()) == vals
+                if n < 7:
+                    assert relation(rel.tree, rel.vertex, rel.foursome) == rel
 
     @pytest.mark.slow
     def test_relations_vanish_n7(self):
@@ -418,7 +465,41 @@ class TestClassVector:
                 )
 
 
+def keel_poincare(n):
+    """Betti numbers of M̄₀,ₙ by Keel's recursion (Keel 1992).
+
+    P_3 = 1 and P_{m+1} = (1 + q) P_m + (q / 2) sum_{j=2}^{m-2} C(m, j)
+    P_{j+1} P_{m-j+1}; the sum is even, as terms j and m - j agree.
+    """
+    poly = {3: [1]}
+    for m in range(3, n):
+        nxt = [0] + poly[m]
+        for i, c in enumerate(poly[m]):
+            nxt[i] += c
+        twice = [0] * len(nxt)
+        for j in range(2, m - 1):
+            for a, x in enumerate(poly[j + 1]):
+                for b, y in enumerate(poly[m - j + 1]):
+                    twice[a + b + 1] += comb(m, j) * x * y
+        assert all(t % 2 == 0 for t in twice)
+        poly[m + 1] = [c + t // 2 for c, t in zip(nxt, twice)]
+    return poly[n]
+
+
 class TestBetti:
+    def test_keel_recursion(self):
+        assert keel_poincare(5) == [1, 5, 1]
+        assert keel_poincare(8) == [1, 99, 715, 715, 99, 1]
+        assert keel_poincare(9) == [1, 219, 3292, 7723, 3292, 219, 1]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_keel(self, n):
+        assert betti(n) == keel_poincare(n)
+
+    def test_low_degrees_n8_match_keel(self):
+        want = keel_poincare(8)
+        assert [betti(8, 1), betti(8, 2)] == want[1:3]
+
     def test_frozen_vectors(self):
         assert betti(4) == [1, 1]
         assert betti(5) == [1, 5, 1]

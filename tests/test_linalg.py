@@ -94,6 +94,70 @@ class TestEliminator:
         assert la.rank_mod(sparse, 9) == la.rank_mod(m, 9)
 
 
+@st.composite
+def sparse_systems(draw):
+    """Sparse integer rows with zero, repeated, dependent and heavy rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    ncols = draw(st.integers(1, 60))
+    rows = []
+    for _ in range(draw(st.integers(0, 80))):
+        kind = rng.integers(0, 6) if rows else rng.integers(0, 3)
+        if kind == 3:
+            rows.append(rows[rng.integers(len(rows))])  # a repeat
+        elif kind == 4:  # a combination of earlier rows
+            acc = {}
+            for i in rng.integers(len(rows), size=3):
+                f = int(rng.integers(-3, 4))
+                for c, v in zip(*rows[i]):
+                    acc[c] = acc.get(c, 0) + f * v
+            acc = {c: v for c, v in acc.items() if v}
+            rows.append((list(acc), list(acc.values())))
+        else:
+            if kind == 0:
+                k = 0  # a zero row
+            elif kind == 1:
+                k = int(rng.integers(ncols // 2, ncols + 1))  # a heavy row
+            else:
+                k = int(rng.integers(1, min(ncols, 4) + 1))
+            cols = rng.choice(ncols, size=k, replace=False).tolist()
+            vals = [int(v) or 1 for v in rng.integers(-5, 6, size=k)]
+            rows.append((cols, vals))
+    return rows, ncols
+
+
+def plain_rank(rows, ncols, p):
+    elim = la.ModEliminator(ncols, p)
+    elim.feed_all(rows)
+    return elim.rank
+
+
+class TestSparseRank:
+    # The sparse phase with the dense sweep on its Schur complement must
+    # give the rank of the plain dense sweep, at every hand-off point: the
+    # bounds are shrunk so that systems of 60 columns mix both phases.
+    @given(
+        sparse_systems(),
+        st.sampled_from([7, 101, la.PRIMES[0]]),
+        st.sampled_from([1, 8, la._HEAVY]),
+        st.sampled_from([1, 4, la._FILL]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_sweep(self, system, p, heavy, fill):
+        rows, ncols = system
+        want = plain_rank(rows, ncols, p)
+        with patch.object(la, "_HEAVY", heavy), patch.object(la, "_FILL", fill):
+            assert la.rank_mod(rows, ncols, p) == want
+            for target in range(want + 3):
+                assert la.rank_mod(rows, ncols, p, target) == min(target, want)
+
+    def test_dense_and_sparse_input_agree(self):
+        m = np.array([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])
+        sparse = [(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in m]
+        for heavy in (1, la._HEAVY):
+            with patch.object(la, "_HEAVY", heavy):
+                assert la.rank_mod(m, 3) == la.rank_mod(sparse, 3) == 2
+
+
 class RefEliminator(la.ModEliminator):
     """The row-by-row engine that reduces after every update."""
 
