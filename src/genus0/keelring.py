@@ -12,7 +12,9 @@ Good monomials span but are not a basis; the canonical linear relations
 among them are generated here as well, for the Betti numbers.  Equality
 of classes needs no basis: the intersection pairing is perfect, so a
 class is zero exactly when it pairs to zero with every good monomial of
-the complementary degree (see `class_vector`).
+the complementary degree (see `class_vector`).  The same pairings decide
+the splitting law of a class on the boundary divisors without computing
+a restriction (see `splitting_failures`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .trees import (
     Split,
     Tree,
     _compat_graph,
+    _families,
     _integer,
     a_value_masks,
     canonical_side,
@@ -252,18 +255,7 @@ class Ring:
         out: dict[int, int] = {}
         # the endpoint nearer label 1 first; its branches cover parts[e]
         for here in (parts[e], f ^ parts[e]):
-            # The edge sides form a laminar family, so the branches at this
-            # endpoint are the maximal sides inside `here` plus the labels
-            # no such side covers.
-            inside = [q for q in sides if q & here == q]
-            branches = [q for q in inside if not any(q & r == q != r for r in inside)]
-            covered = 0
-            for q in branches:
-                covered |= q
-            rest = here & ~covered
-            while rest:
-                branches.append(rest & -rest)
-                rest &= rest - 1
+            branches = _branches(sides, here)
             branches.sort(key=lambda q: q & -q)
             movable = branches[2:]
             for k in range(1, len(movable) + 1):
@@ -336,6 +328,26 @@ class Ring:
         xs, dx = _numerators(x.terms)
         ys, dy = _numerators(y.terms)
         return self._element(self._product(xs, ys.items()), dx * dy)
+
+
+def _branches(sides: list, here: int) -> list:
+    """Branch masks at the tree vertex whose branches cover ``here``.
+
+    ``sides`` holds sides of the tree's edges, in either orientation, but
+    not ``here`` itself.  They form a laminar family, so the branches are
+    the maximal sides inside ``here``, in the order of ``sides``, then the
+    labels no such side covers, ascending.
+    """
+    inside = [q for q in sides if q & here == q]
+    branches = [q for q in inside if not any(q & r == q != r for r in inside)]
+    covered = 0
+    for q in branches:
+        covered |= q
+    rest = here & ~covered
+    while rest:
+        branches.append(rest & -rest)
+        rest &= rest - 1
+    return branches
 
 
 def _numerators(terms: dict) -> tuple[dict, int]:
@@ -412,12 +424,20 @@ def _relations(n: int, d: int):
     """
     if d < 1:
         return
+    f = full_mask(n)
     for tree in enumerate_stable_trees(n, d - 1):
-        for v, flags in enumerate(tree.model.flags):
-            if len(flags) < 4:
+        below = [f ^ p for p in tree.parts]
+        # flags in `trees._tree_model` order: vertex 0 carries label 1 and
+        # vertex e+1 is edge e's far end, whose edge to label 1 sorts
+        # before the edges below it (their sides contain parts[e])
+        flag_sets = [_branches(below, f)] + [
+            [tree.parts[e]] + _branches(below[:e] + below[e + 1 :], below[e])
+            for e in range(len(below))
+        ]
+        for v, branch in enumerate(flag_sets):
+            if len(branch) < 4:
                 continue
-            branch = [fl.branch for fl in flags]
-            for quad in combinations(range(len(flags)), 4):
+            for quad in combinations(range(len(branch)), 4):
                 a, b, c, e = quad
                 rest = [m for i, m in enumerate(branch) if i not in quad]
                 # grouping a flag set and its complement insert the same
@@ -784,3 +804,105 @@ def pullback_to_divisor(sigma: Split, x: RingElement) -> TensorElement:
     return TensorElement.make(
         geo.n1, geo.n2, {key: Fraction(c, den) for key, c in total.items()}
     )
+
+
+def _pairings_by_tree(x: RingElement) -> tuple[dict, int]:
+    """x's class vector keyed by the complementary trees' edge tuples.
+
+    Returns (integer pairings, denominator); complementary trees of
+    different degrees have edge tuples of different lengths, so the keys
+    never collide.
+    """
+    nums, den = _numerators(x.terms)
+    vec = {
+        _families(x.n, x.n - 3 - d)[j]: v for (d, j), v in _pairings(x.n, nums).items()
+    }
+    return vec, den
+
+
+def _factor_products(pairs, shift: int) -> tuple[dict, int]:
+    """Pairings of sum(y1 ⊗ y2) with every product m1 ⊗ m2 of good monomials.
+
+    Each is <y1, m1> * <y2, m2>, so the vector is a sum of outer products
+    of the factors' class vectors.  A product is keyed by the sorted codes
+    of its edges: a side of the first factor is its own code, a side of
+    the second is tagged by ``1 << shift``.  Returns (integer values,
+    common denominator).
+    """
+    outers = []
+    for y1, y2 in pairs:
+        (v1, d1), (v2, d2) = _pairings_by_tree(y1), _pairings_by_tree(y2)
+        v2 = {tuple(q | 1 << shift for q in m2): b for m2, b in v2.items()}
+        outers.append((v1, v2, d1 * d2))
+    den = lcm(*(d for _, _, d in outers))
+    out: dict = {}
+    for v1, v2, d in outers:
+        scale = den // d
+        for m1, a in v1.items():
+            a *= scale
+            for m2, b in v2.items():
+                out[m1 + m2] = out.get(m1 + m2, 0) + a * b
+    return {key: v for key, v in out.items() if v}, den
+
+
+def _cut_codes(n: int, sigma: int) -> dict:
+    """The edges that can share a tree with σ, coded on the factors of D_σ.
+
+    Every such edge restricts to one divisor on one factor, with
+    coefficient 1; its code is that divisor's side, tagged by ``1 << n``
+    on the second factor (see `_factor_products`).
+    """
+    geo = DivisorGeometry(Split(n, sigma))
+    out = {}
+    for p in stable_splits(n):
+        rules = geo.restrict_divisor(p) if p != sigma else None
+        if rules is not None:
+            ((which, side, _),) = rules
+            out[p] = side | which << n
+    return out
+
+
+def splitting_failures(x: RingElement, pairs) -> list[int]:
+    """Sides of the boundary divisors where x breaks a splitting law.
+
+    ``pairs(n1, n2)`` lists the pairs (y1, y2) of classes on the factors
+    of a divisor D_σ whose sides hold n1 - 1 and n2 - 1 labels; the law
+    says x restricts to D_σ as the sum of the y1 ⊗ y2.  No restriction is
+    computed.  For good monomials m1, m2 on the factors, the projection
+    formula gives <ι^*x, m1 ⊗ m2> = <x, m_T>, T the tree glued from m1,
+    the edge σ and m2; and the pairing on the product is the product of
+    the factors' pairings, <y1 ⊗ y2, m1 ⊗ m2> = <y1, m1> * <y2, m2>.  By
+    Künneth the pairing on D_σ is perfect and the products m1 ⊗ m2 span,
+    so the law holds at σ exactly when x's class vector on the trees
+    through σ, each cut at σ into (m1, m2), equals the factors' products.
+    Both sides are compared as sparse integer vectors, so only pairs
+    where one of them is nonzero are visited.  Sides are returned in the
+    order of `stable_splits`.
+    """
+    n = x.n
+    vec, den = _pairings_by_tree(x)
+    sides = stable_splits(n)
+    expected: dict = {}
+    laws = {}  # σ -> its cut map, and the factor vector of its sizes
+    for s in sides:
+        k = s.bit_count()
+        sizes = (k + 1, n - k + 1)
+        if sizes not in expected:
+            expected[sizes] = _factor_products(pairs(*sizes), n)
+        laws[s] = (_cut_codes(n, s), *expected[sizes])
+    # Cutting T at σ is injective, so σ passes when every pairing of x
+    # through it matches and the matches number as many as the factor
+    # vector's terms.
+    matched = dict.fromkeys(sides, 0)
+    failed = set()
+    for parts, v in vec.items():
+        for s in parts:
+            if s in failed:
+                continue
+            cut, want, wden = laws[s]
+            key = tuple(sorted([cut[p] for p in parts if p != s]))
+            if v * wden == want.get(key, 0) * den:
+                matched[s] += 1
+            else:
+                failed.add(s)
+    return [s for s in sides if s in failed or matched[s] != len(laws[s][1])]

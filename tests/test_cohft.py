@@ -582,6 +582,26 @@ class TestRankOne:
         for n in (4, 5, 6):
             assert th.verify_splitting(n)
 
+    def test_splitting_law_against_pullbacks(self):
+        def ref_verify(th, n):
+            for side in stable_splits(n):
+                k = side.bit_count()
+                got = pullback_to_divisor(Split(n, side), th.c(n))
+                want = tensor_of_factors(th.c(k + 1), th.c(n - k + 1))
+                if not (got - want).is_zero_class():
+                    return False
+            return True
+
+        th = RankOneTheory.from_kappa([Fraction(1, 2), Fraction(-1, 3)], 7)
+        # move one degree of c_5: its own law breaks, and so do those of
+        # c_6 and c_7, which have divisors with a four-label side
+        c5 = th.c(5)
+        bent = c5 + c5.component(1).scale(Fraction(1, 4))
+        bad = RankOneTheory(th.classes[:2] + (bent,) + th.classes[3:])
+        for n in range(4, 8):
+            assert th.verify_splitting(n) and ref_verify(th, n)
+            assert bad.verify_splitting(n) == ref_verify(bad, n) == (n == 4)
+
     def test_coordinates_triangular_in_kappa_data(self):
         # moving the top kappa coefficient moves the top coordinate
         # linearly, with slope the top omega integral

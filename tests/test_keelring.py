@@ -24,6 +24,7 @@ from genus0.keelring import (
     reduce_product,
     relation,
     relations_of_degree,
+    splitting_failures,
     TensorElement,
     tensor_of_factors,
     tensor_unit,
@@ -894,3 +895,47 @@ class TestPairingAgainstRelationReduction:
         assert (pulled + zero - pulled).is_zero_class()
         for te in (pulled, pulled + zero, pulled - zero.scale(Fraction(1, 2))):
             assert te.is_zero_class() == ref_tensor_is_zero(te)
+
+
+class TestSplittingAgainstPullbacks:
+    @given(element_pairs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts(self, xy, data):
+        # The law asked of x at one size of divisor is x's own pullback to
+        # a divisor of that size, split into factor pairs, plus a zero
+        # tensor and, sometimes, a drawn perturbation; other sizes ask for
+        # drawn pairs.  Each divisor's verdict must be the pullback route's.
+        x, _ = xy
+        n = x.n
+        pool = [p for t in x.terms for p in t.parts] + list(stable_splits(n))
+        sigma = Split(n, data.draw(st.sampled_from(pool)))
+        target = pullback_to_divisor(sigma, x)
+        n1, n2 = target.n1, target.n2
+        target = target + data.draw(zero_tensors(n1, n2))
+        if data.draw(st.booleans()):
+            target = target + tensor_of_factors(
+                data.draw(elements(n1)), data.draw(elements(n2))
+            )
+        asked = {
+            (n1, n2): [
+                (RingElement.monomial(Tree(n1, p1), c), RingElement.monomial(Tree(n2, p2)))
+                for (p1, p2), c in target.terms
+            ]
+        }
+
+        def pairs(k1, k2):
+            if (k1, k2) not in asked:
+                asked[k1, k2] = [(data.draw(elements(k1)), data.draw(elements(k2)))]
+            return asked[k1, k2]
+
+        got = splitting_failures(x, pairs)
+        want = []
+        for side in stable_splits(n):
+            k = side.bit_count()
+            rhs = TensorElement.make(k + 1, n - k + 1, {})
+            for y1, y2 in pairs(k + 1, n - k + 1):
+                rhs = rhs + tensor_of_factors(y1, y2)
+            if not (pullback_to_divisor(Split(n, side), x) - rhs).is_zero_class():
+                want.append(side)
+        assert got == want
+        assert (sigma.side in got) == (not (target - pullback_to_divisor(sigma, x)).is_zero_class())

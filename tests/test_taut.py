@@ -13,8 +13,12 @@ from genus0.keelring import (
     equal_mod_relations,
     is_zero_class,
     mul,
+    pullback_to_divisor,
+    tensor_of_factors,
 )
 from genus0.taut import (
+    LogReport,
+    TautClass,
     check_logarithmic,
     kappa,
     omega_direct,
@@ -23,7 +27,7 @@ from genus0.taut import (
     pushforward_forget,
     z,
 )
-from genus0.trees import Split, Tree, enumerate_stable_trees
+from genus0.trees import Split, Tree, enumerate_stable_trees, stable_splits
 
 
 def boundary_sum(n, coeff):
@@ -224,6 +228,85 @@ class TestLogarithmic:
         rep = check_logarithmic(lambda n: kappa(n, 3), 7)
         assert rep.passed
         assert rep.checked == 3 + 10 + 25 + 56
+
+    def test_family_off_its_label_count_is_refused(self):
+        with pytest.raises(ValueError, match=r"family\(4\)"):
+            check_logarithmic(lambda n: kappa(n + 1, 1), 5)
+        with pytest.raises(ValueError, match=r"family\(4\)"):
+            check_logarithmic(lambda n: 3, 5)
+
+
+def ref_check_logarithmic(family, nmax):
+    """The splitting audit through explicit pullbacks and Künneth zero tests."""
+
+    def element_of(n):
+        got = family(n)
+        return got.element if isinstance(got, TautClass) else got
+
+    checked = 0
+    failures = []
+    for n in range(4, nmax + 1):
+        for side in stable_splits(n):
+            sigma = Split(n, side)
+            geo = DivisorGeometry(sigma)
+            lhs = pullback_to_divisor(sigma, element_of(n))
+            rhs = tensor_of_factors(
+                element_of(geo.n1), RingElement.unit(geo.n2)
+            ) + tensor_of_factors(RingElement.unit(geo.n1), element_of(geo.n2))
+            checked += 1
+            if not (lhs - rhs).is_zero_class():
+                failures.append((n, str(sigma)))
+    return LogReport(nmax, checked, tuple(failures))
+
+
+def kappa_0_scaled_at_3(n):
+    # kappa_0 is n - 2 times the unit; moving its n = 3 member breaks the
+    # law exactly on the divisors with a two-label side
+    x = kappa(n, 0).element
+    return x.scale(5) if n == 3 else x
+
+
+class TestLogarithmicAgainstPullbacks:
+    """check_logarithmic agrees with the pullback route, failure by failure."""
+
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    def test_kappa(self, a):
+        family = lambda n: kappa(n, a)
+        for nmax in (3, 6, 7):
+            rep = check_logarithmic(family, nmax)
+            assert rep.passed
+            assert rep == ref_check_logarithmic(family, nmax)
+
+    @pytest.mark.parametrize("nmax, count", [(5, 4), (7, 60)])
+    def test_psi(self, nmax, count):
+        family = lambda n: psi(n, 1)
+        rep = check_logarithmic(family, nmax)
+        assert len(rep.failures) == count
+        assert rep == ref_check_logarithmic(family, nmax)
+
+    def test_nonzero_at_three_labels(self):
+        rep = check_logarithmic(kappa_0_scaled_at_3, 6)
+        assert rep == ref_check_logarithmic(kappa_0_scaled_at_3, 6)
+        assert rep.failures and all(
+            3 in (geo.n1, geo.n2)
+            for geo in (DivisorGeometry(Split.parse(name)) for _, name in rep.failures)
+        )
+        # a family living only on three labels fails on every divisor that
+        # has a two-label side, though no class above n = 3 is nonzero
+        only_three = lambda n: RingElement.unit(n) if n == 3 else RingElement(n, {})
+        rep = check_logarithmic(only_three, 5)
+        assert rep == ref_check_logarithmic(only_three, 5)
+        assert rep.checked == 13 and len(rep.failures) == 3 + 10
+
+    def test_inhomogeneous(self):
+        family = lambda n: kappa(n, 1).element + kappa(n, 2).element
+        rep = check_logarithmic(family, 7)
+        assert rep.passed
+        assert rep == ref_check_logarithmic(family, 7)
+        mixed = lambda n: kappa(n, 1).element + psi(n, 2).element
+        rep = check_logarithmic(mixed, 6)
+        assert rep.failures
+        assert rep == ref_check_logarithmic(mixed, 6)
 
 
 class TestIntegrals:
