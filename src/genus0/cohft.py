@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, product
-from math import comb, factorial
+from itertools import combinations, combinations_with_replacement, groupby, product
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -44,11 +44,14 @@ from .taut import kappa, z
 from .trees import (
     Tree,
     _compat_graph,
+    _families,
     _integer,
     _split_index,
+    _split_keys,
+    _tree_ids,
     enumerate_stable_trees,
-    iter_all_trees,
     orbit,
+    orbit_labels,
     orbit_reps,
     orbit_walk,
 )
@@ -548,7 +551,39 @@ def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fractio
     if any(not 0 <= i < phi.metric.rank for i in idx):
         raise ValueError("basis index out of range")
     memo: dict = {}
-    return {tree: _stratum_value(phi, tree, idx, memo) for tree in iter_all_trees(n)}
+    out: dict[Tree, Fraction] = {}
+    for d in range(n - 2):
+        nums, den = _stratum_column(phi, n, d, idx, memo)
+        trees = enumerate_stable_trees(n, d)
+        out.update((tree, Fraction(v, den)) for tree, v in zip(trees, nums))
+    return out
+
+
+def _stratum_column(
+    phi: Potential, n: int, d: int, idx: tuple[int, ...], memo: dict
+) -> tuple[list[int], int]:
+    """Stratum integrals at one multi-index against every d-edge tree.
+
+    Returns integer numerators, one per tree in enumeration order, over
+    one common denominator.  `_stratum_value` runs on the first tree of
+    each orbit of the relabellings that permute labels within runs of
+    equal consecutive indices, and its value is copied to the rest of the
+    orbit.  Such a relabelling sigma fixes the index at every label, so
+    the vertices of sigma(T) carry the same multisets of tail indices
+    and branches as those of T; the values are looked up under sorted
+    multi-indices, and callers require an even metric, so no Koszul sign
+    arises either: the integral over sigma(T) is the one over T.
+    """
+    blocks = tuple(len(list(run)) for _, run in groupby(idx))
+    labels = orbit_labels(n, d, blocks)
+    reps = np.flatnonzero(labels == np.arange(len(labels)))
+    fams = _families(n, d)
+    vals = [_stratum_value(phi, Tree(n, fams[i]), idx, memo) for i in reps.tolist()]
+    den = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (den // v.denominator) for v in vals]
+    slot = np.zeros(len(labels), dtype=np.int64)
+    slot[reps] = np.arange(len(reps))
+    return [nums[k] for k in slot[labels].tolist()], den
 
 
 # ---------------------------------------------------------------------------
@@ -584,16 +619,8 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
         return [(np.arange(len(cols_trees), dtype=np.int64), ones)]
     sid = _split_index(n)
     nsplit = len(sid)
-    # one int64 key per column tree: its sorted split ids in radix nsplit,
-    # which fits through n = 10.  Checked rather than asserted so that it
-    # also holds under ``python -O``.
-    if nsplit**hi >= 2**63:
-        raise RuntimeError(f"packed column keys overflow int64 at n={n}")
-    radix = np.array([nsplit**k for k in reversed(range(hi))], dtype=np.int64)
-    col_ids = np.array(
-        [[sid[part] for part in t.parts] for t in cols_trees], dtype=np.int64
-    ).reshape(len(cols_trees), hi)
-    col_keys = col_ids @ radix
+    col_ids = _tree_ids(n, hi)
+    col_keys = _split_keys(n, col_ids)
     lanes = (nsplit + 63) // 64
     full = (1 << nsplit) - 1
     lane_mask = (1 << 64) - 1
@@ -634,7 +661,7 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
         walk = orbit_walk(n, row_ids[i])
         next(walk)  # the representative itself
         for ids, perm in walk:
-            keys = np.sort(perm[rep_ids], axis=1) @ radix
+            keys = _split_keys(n, np.sort(perm[rep_ids], axis=1))
             image = np.searchsorted(col_keys, keys)
             if not np.array_equal(col_keys[image], keys):
                 raise AssertionError("unreachable: relabelling maps columns to columns")
@@ -769,6 +796,21 @@ _RECON_MEMO: dict = {}
 
 
 def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], RingElement]:
+    """The n-point classes at every sorted multi-index, degree by degree.
+
+    The right-hand side of multi-index m in degree r is the column of its
+    integrals against every stratum of the complementary degree, from
+    `_stratum_column`: evaluated once per orbit of the stabiliser of m,
+    S_k x S_{n-k} on the line, and copied along the orbit.  The copy is
+    exact: m is sorted, so a relabelling inside a run of equal indices
+    keeps the sorted index multiset at every vertex, which is all the
+    lookup sees, and the metric is even, so no Koszul sign depends on the
+    labels.  The column holds integer numerators over one denominator;
+    the solve runs on the numerators and the solution is divided by it.
+    Every stratum keeps its own row, so the residual certificate of
+    `solve_certified` still proves the pairing equation against every
+    complementary stratum, not just the orbit representatives.
+    """
     memo_key = (phi, n)
     got = _RECON_MEMO.get(memo_key)
     if got is not None:
@@ -781,18 +823,14 @@ def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], RingElemen
     parts: dict[tuple[int, ...], dict[Tree, Fraction]] = {m: {} for m in midxs}
     memo: dict = {}
     for r in range(n - 2):
-        c = n - 3 - r
-        trees_c = enumerate_stable_trees(n, c)
-        rhs_cols = [
-            [_stratum_value(phi, t, m, memo) for t in trees_c] for m in midxs
-        ]
-        basis, sols = _solve_full_rank(n, r, rhs_cols)
+        cols = [_stratum_column(phi, n, n - 3 - r, m, memo) for m in midxs]
+        basis, sols = _solve_full_rank(n, r, [nums for nums, _ in cols])
         trees_r = enumerate_stable_trees(n, r)
-        for mi, m in enumerate(midxs):
+        for m, (_, den), sol in zip(midxs, cols, sols):
             for pos, tree_idx in enumerate(basis):
-                v = sols[mi][pos]
+                v = sol[pos]
                 if v:
-                    parts[m][trees_r[tree_idx]] = v
+                    parts[m][trees_r[tree_idx]] = v / den
     got = {m: RingElement(n, terms) for m, terms in parts.items()}
     _RECON_MEMO[memo_key] = got
     return got

@@ -336,13 +336,19 @@ def _branches(sides: list, here: int) -> list:
     ``sides`` holds sides of the tree's edges, in either orientation, but
     not ``here`` itself.  They form a laminar family, so the branches are
     the maximal sides inside ``here``, in the order of ``sides``, then the
-    labels no such side covers, ascending.
+    labels no such side covers, ascending.  Taken largest first, a side
+    that meets the union of the sides kept so far lies inside one of them
+    (laminar, and no larger), so it is maximal exactly when it misses
+    that union.
     """
     inside = [q for q in sides if q & here == q]
-    branches = [q for q in inside if not any(q & r == q != r for r in inside)]
+    kept = set()
     covered = 0
-    for q in branches:
-        covered |= q
+    for q in sorted(inside, key=int.bit_count, reverse=True):
+        if not q & covered:
+            kept.add(q)
+            covered |= q
+    branches = [q for q in inside if q in kept]
     rest = here & ~covered
     while rest:
         branches.append(rest & -rest)

@@ -34,6 +34,7 @@ computes.
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
@@ -436,59 +437,99 @@ def crt_combine(a1: int, m1: int, a2: int, m2: int) -> int:
 # exact dense solving of big integer/rational systems
 
 
-def _scale_rows_integral(rows, rhs_cols):
-    """Clear denominators row by row; rescales rhs entries to match.
+def _int_array(values) -> np.ndarray:
+    """Python ints as an int64 array when every one fits, else as objects.
 
-    Scaling equation i by a nonzero integer leaves the solution set
+    numpy refuses an int outside int64 with OverflowError instead of
+    wrapping it, and -2^63 goes to objects too, so that `np.abs` cannot
+    wrap either.  Both checks hold under ``python -O``.
+    """
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    if arr.size and arr.min() == np.iinfo(np.int64).min:
+        return np.array(values, dtype=object)
+    return arr
+
+
+def _integer_columns(rhs_cols) -> tuple[list[list[int]], list[int]]:
+    """Each right-hand column as integer numerators over one denominator.
+
+    A column of ints is taken as it is, over 1, with no `Fraction` built.
+    Any other exact rational goes through `Fraction` once; a float is
+    refused, since it is not an exact value.
+    """
+    nums, dens = [], []
+    for col in rhs_cols:
+        col = list(col)
+        kinds = set(map(type, col))
+        if kinds <= {int}:
+            nums.append(col)
+            dens.append(1)
+            continue
+        fr = []
+        for x in col:
+            if isinstance(x, numbers.Integral):
+                fr.append(Fraction(int(x)))
+            elif isinstance(x, numbers.Rational):
+                fr.append(Fraction(x))
+            else:
+                raise TypeError(f"right-hand entry {x!r} is not an exact rational")
+        den = lcm(*(f.denominator for f in fr))
+        nums.append([f.numerator * (den // f.denominator) for f in fr])
+        dens.append(den)
+    return nums, dens
+
+
+def _scale_rows_integral(rows):
+    """Clear denominators row by row.
+
+    Returns the integer rows and the factor each row was scaled by, or
+    None when every entry was already an integer.  Scaling equation i and
+    its right-hand entries by one nonzero integer leaves the solution set
     unchanged and lets the residual certificate work over the integers.
     ndarray input is assumed integral already.
     """
     if isinstance(rows, np.ndarray):
-        return rows, rhs_cols
+        return rows, None
     rows = [list(r) for r in rows]
     if not any(
         isinstance(x, Fraction) and x.denominator != 1 for r in rows for x in r
     ):
-        return [[int(x) for x in r] for r in rows], rhs_cols
-    rhs_cols = [list(col) for col in rhs_cols]
-    out = []
-    for i, row in enumerate(rows):
+        return [[int(x) for x in r] for r in rows], None
+    out, scales = [], []
+    for row in rows:
         fr = [Fraction(x) for x in row]
-        d = lcm(*(f.denominator for f in fr)) if fr else 1
+        d = lcm(*(f.denominator for f in fr))
         out.append([int(f * d) for f in fr])
-        if d != 1:
-            for col in rhs_cols:
-                col[i] = Fraction(col[i]) * d
-    return out, rhs_cols
+        scales.append(d)
+    return out, scales
 
 
-def _certify_residual(rows, sol_cols: list[list[Fraction]], rhs_cols) -> bool:
-    """Prove A @ x == b exactly via enough independent small primes.
+def _certify_residual(rows: np.ndarray, sol_cols: list[list[Fraction]], b) -> bool:
+    """Prove A @ x_j == b[:, j] exactly for every solution column j.
 
-    The absolute bound on any entry of A@x - b is computed from the actual
-    data, and primes are drawn until their product exceeds twice it, which
+    ``rows`` and ``b`` hold integers.  Column j is scaled by the lcm d_j
+    of its denominators, so the claim is A @ (d_j x_j) - d_j b[:, j] = 0
+    over the integers.  Every entry of that residual is at most
+    ncols * max|A| * max|d x| + max d * max|b| in absolute value, and
+    primes are drawn until their product exceeds twice that bound, which
     turns the modular checks into a proof of integer equality.
     """
-    nrhs = len(sol_cols)
-    scaled_x, scaled_b, scales = [], [], []
-    for j in range(nrhs):
-        d = lcm(
-            *(f.denominator for f in sol_cols[j]),
-            *(Fraction(x).denominator for x in rhs_cols[j]),
-        )
-        scaled_x.append([int(f * d) for f in sol_cols[j]])
-        scaled_b.append([int(Fraction(x) * d) for x in rhs_cols[j]])
-        scales.append(d)
-
-    if isinstance(rows, np.ndarray):
-        amax = int(np.abs(rows).max()) if rows.size else 0
-        nrows, ncols = rows.shape
-    else:
-        amax = max((abs(int(x)) for row in rows for x in row), default=0)
-        nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    xmax = max((abs(v) for col in scaled_x for v in col), default=0)
-    bmax = max((abs(v) for col in scaled_b for v in col), default=0)
-    bound = 2 * (ncols * amax * xmax + bmax) + 1
+    scales = [lcm(*(f.denominator for f in col)) for col in sol_cols]
+    x = _int_array(
+        [
+            [f.numerator * (d // f.denominator) for f in col]
+            for col, d in zip(sol_cols, scales)
+        ]
+    ).T
+    d = _int_array(scales)
+    nrows, ncols = rows.shape
+    amax = int(np.abs(rows).max()) if rows.size else 0
+    xmax = int(np.abs(x).max()) if x.size else 0
+    bmax = int(np.abs(b).max()) if b.size else 0
+    bound = 2 * (ncols * amax * xmax + max(scales) * bmax) + 1
 
     prod = 1
     primes = []
@@ -501,15 +542,11 @@ def _certify_residual(rows, sol_cols: list[list[Fraction]], rhs_cols) -> bool:
         raise RuntimeError("prime pool exhausted for residual certificate")
 
     for p in primes:
-        a_p = rows_mod(rows, p)
-        x_p = np.array(
-            [[v % p for v in col] for col in scaled_x], dtype=np.float64
-        ).T
-        prod_p = mod_matmul(a_p, x_p, p)
-        for j in range(nrhs):
-            b_p = np.array([v % p for v in scaled_b[j]], dtype=np.float64)
-            if np.any(np.mod(prod_p[:, j] - b_p, p)):
-                return False
+        lhs = mod_matmul(rows_mod(rows, p), np.mod(x, p).astype(np.float64), p)
+        # both factors lie in [0, p), so their float64 product is exact
+        rhs = np.mod(b, p).astype(np.float64) * np.mod(d, p).astype(np.float64)
+        if np.any(lhs != np.mod(rhs, p)):
+            return False
     return True
 
 
@@ -518,25 +555,30 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
 
     A may be rectangular and rank-deficient; any exact solution is
     acceptable and the returned one has support in the pivot columns of
-    the reduced form.  Rows are eliminated mod one or more primes, each
-    time only until the rank fills every column; the solutions are lifted
-    by rational reconstruction across the primes and only returned once
-    the exact residual over every row, fed or not, vanishes.  Raises
-    Inconsistent when fed rows contradict each other mod two primes, or
-    when the pivots fill every column and the lifted solution satisfies
-    the pivot rows exactly but not the rest: those rows are then
-    invertible over the rationals, so their one solution is the only
-    candidate left and the system has none.
+    the reduced form.  Each column is first written once as integer
+    numerators over one denominator (ints need no `Fraction`), and A x =
+    numerators is solved: rows are eliminated mod one or more primes,
+    each time only until the rank fills every column; the solutions are
+    lifted by rational reconstruction across the primes and only
+    returned, divided by the denominators, once the exact residual over
+    every row, fed or not, vanishes.  Raises Inconsistent when fed rows
+    contradict each other mod two primes, or when the pivots fill every
+    column and the lifted solution satisfies the pivot rows exactly but
+    not the rest: those rows are then invertible over the rationals, so
+    their one solution is the only candidate left and the system has
+    none.
     """
     rhs_cols = list(rhs_cols)
     nrhs = len(rhs_cols)
     if nrhs == 0:
         return []
-    rows, rhs_cols = _scale_rows_integral(rows, rhs_cols)
-    if isinstance(rows, np.ndarray):
-        nrows, ncols = rows.shape
-    else:
-        nrows, ncols = len(rows), len(rows[0])
+    nums, dens = _integer_columns(rhs_cols)
+    rows, scales = _scale_rows_integral(rows)
+    if scales is not None:
+        nums = [[v * s for v, s in zip(col, scales)] for col in nums]
+    rows = _int_array(rows)
+    b = _int_array(nums).T
+    nrows, ncols = rows.shape
 
     acc: np.ndarray | None = None  # integer solutions mod `modulus`
     modulus = 1
@@ -548,12 +590,9 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
             elim = ModEliminator(ncols, p, nsolve=nrhs)
             block = np.zeros((nrows, ncols + nrhs))
             block[:, :ncols] = rows_mod(rows, p)
-            for j, col in enumerate(rhs_cols):
-                block[:, ncols + j] = [entry_mod(x, p) for x in col]
+            block[:, ncols:] = np.mod(b, p)
             elim.feed_all(block)
             x_p, pivots = elim.solutions()
-        except BadPrime:
-            continue
         except Inconsistent:
             inconsistent_seen += 1
             if inconsistent_seen >= 2:
@@ -585,14 +624,13 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
                 continue
             break
         else:
-            if _certify_residual(rows, sol_cols, rhs_cols):
-                return sol_cols
-            src = elim.sources
-            if len(src) == ncols and _certify_residual(
-                rows[src] if isinstance(rows, np.ndarray) else [rows[i] for i in src],
-                sol_cols,
-                [[col[i] for i in src] for col in rhs_cols],
-            ):
+            if _certify_residual(rows, sol_cols, b):
+                return [
+                    col if den == 1 else [y / den for y in col]
+                    for col, den in zip(sol_cols, dens)
+                ]
+            src = list(elim.sources)
+            if len(src) == ncols and _certify_residual(rows[src], sol_cols, b[src]):
                 raise Inconsistent("the pivot rows' one solution fails the rest")
     raise RuntimeError("failed to certify a solution with the prime pool")
 

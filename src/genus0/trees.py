@@ -590,18 +590,93 @@ def orbit(tree: Tree) -> frozenset[Tree]:
     )
 
 
+def _split_keys(n: int, ids: np.ndarray) -> np.ndarray:
+    """One int64 key per row of sorted split ids in stable_splits(n).
+
+    The key is the row in radix len(stable_splits(n)), its first id the
+    most significant, so distinct rows get distinct keys and the keys of
+    `enumerate_stable_trees` ascend with it.  That fits through n = 10,
+    and is checked rather than asserted so that it also holds under
+    ``python -O``.
+    """
+    nsplit = len(stable_splits(n))
+    d = ids.shape[1]
+    if nsplit**d >= 2**63:
+        raise RuntimeError(f"packed split keys overflow int64 at n={n}")
+    radix = np.array([nsplit**k for k in reversed(range(d))], dtype=np.int64)
+    return ids @ radix
+
+
+@lru_cache(maxsize=None)
+def _tree_ids(n: int, d: int) -> np.ndarray:
+    """The sorted split ids of the d-edge trees, one row per tree."""
+    sid = _split_index(n)
+    fams = _families(n, d)
+    ids = np.array(
+        [[sid[part] for part in parts] for parts in fams], dtype=np.int64
+    ).reshape(len(fams), d)
+    ids.flags.writeable = False
+    return ids
+
+
+@lru_cache(maxsize=None)
+def _tree_transpositions(n: int, d: int) -> np.ndarray:
+    """Row k: the position in enumerate_stable_trees(n, d) of each tree
+    with labels k+1 and k+2 swapped."""
+    ids = _tree_ids(n, d)
+    keys = _split_keys(n, ids)
+    table = np.empty((n - 1, len(ids)), dtype=np.int64)
+    for k, row in enumerate(_split_transpositions(n)):
+        image = _split_keys(n, np.sort(row[ids], axis=1))
+        table[k] = np.searchsorted(keys, image)
+        if not np.array_equal(keys[table[k]], image):
+            raise AssertionError("unreachable: relabelling maps trees to trees")
+    table.flags.writeable = False
+    return table
+
+
+def orbit_labels(n: int, d: int, blocks: tuple[int, ...]) -> np.ndarray:
+    """Orbits of the d-edge trees under relabelling within blocks.
+
+    ``blocks`` cuts 1..n into runs of consecutive labels by their sizes:
+    (2, 3) stands for {1, 2} and {3, 4, 5}.  The group permutes labels
+    within each block, so it is generated by the adjacent transpositions
+    inside the blocks.  Entry t is the position, in
+    enumerate_stable_trees(n, d), of the first tree of tree t's orbit.
+
+    Each tree starts with its own position as label.  A round takes the
+    least label over the tree and its images under the generators, then
+    jumps once through the labels (label of the label).  Every label is
+    always a tree of the same orbit at or before the tree, and a round
+    that changes nothing leaves the label constant across every
+    generator, so on each orbit it is the orbit's least position.
+    """
+    if any(b < 1 for b in blocks) or sum(blocks) != n:
+        raise ValueError(f"blocks {blocks} do not cut 1..{n} into runs")
+    table = _tree_transpositions(n, d)
+    gens, first = [], 0
+    for b in blocks:
+        gens.extend(range(first, first + b - 1))
+        first += b
+    moves = table[gens]
+    label = np.arange(table.shape[1])
+    while True:
+        low = np.minimum(label, label[moves].min(axis=0)) if gens else label
+        low = low[low]
+        if np.array_equal(low, label):
+            return label
+        label = low
+
+
 @lru_cache(maxsize=None)
 def orbit_reps(n: int, r: int) -> tuple[tuple[Tree, int], ...]:
-    """One representative per relabelling orbit of r-edge trees, with sizes."""
-    reps = []
-    seen: set[Tree] = set()
-    for t in enumerate_stable_trees(n, r):
-        if t in seen:
-            continue
-        orb = orbit(t)
-        seen |= orb
-        reps.append((min(orb), len(orb)))
-    return tuple(reps)
+    """One representative per relabelling orbit of r-edge trees, with sizes.
+
+    The representative is the orbit's first tree in enumeration order.
+    """
+    trees = enumerate_stable_trees(n, r)
+    sizes = np.bincount(orbit_labels(n, r, (n,)), minlength=len(trees))
+    return tuple((trees[i], int(sizes[i])) for i in np.flatnonzero(sizes).tolist())
 
 
 def iter_all_trees(n: int) -> Iterator[Tree]:

@@ -32,6 +32,7 @@ from genus0.cohft import (
     wp_volumes,
 )
 from genus0.intersect import integrate
+from genus0.linalg import solve_fraction
 from genus0.keelring import (
     RingElement,
     is_zero_class,
@@ -368,6 +369,45 @@ class TestStrataIntegrals:
                 want = {t: cohft._stratum_value(phi, t, m) for t in iter_all_trees(n)}
                 assert strata_integrals(phi, n, m) == want
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: p1_potential(6),
+            lambda: direct_sum(
+                [Fraction(3, 2), -1, Fraction(1, 3), 2],
+                [2, Fraction(-5, 7), 4, Fraction(1, 9)],
+                6,
+            ),
+            random_rank_four,
+        ],
+        ids=["line", "direct_sum", "random_rank_four"],
+    )
+    def test_orbit_columns_match_every_tree(self, make):
+        # a column is evaluated on one tree per stabiliser orbit and copied
+        # along it; every tree must still get its own direct value
+        phi = make()
+        memo: dict = {}
+        for n in range(3, 7):
+            for m in itertools.combinations_with_replacement(range(phi.metric.rank), n):
+                for d in range(n - 2):
+                    nums, den = cohft._stratum_column(phi, n, d, m, {})
+                    assert all(type(v) is int for v in nums)
+                    want = [
+                        cohft._stratum_value(phi, t, m, memo)
+                        for t in enumerate_stable_trees(n, d)
+                    ]
+                    assert [Fraction(v, den) for v in nums] == want, (n, m, d)
+
+    def test_unsorted_indices(self):
+        # only runs of equal neighbouring indices are permuted then
+        phi = random_rank_four()
+        rnd = random.Random(11)
+        for n in (4, 5, 6):
+            for _ in range(8):
+                m = tuple(rnd.randrange(4) for _ in range(n))
+                want = {t: cohft._stratum_value(phi, t, m) for t in iter_all_trees(n)}
+                assert strata_integrals(phi, n, m) == want, m
+
     def test_validation(self):
         phi = p1_potential(6)
         with pytest.raises(ValueError):
@@ -404,6 +444,39 @@ class TestReconstruction:
             vals = strata_integrals(phi, 5, m)
             for tree, want in vals.items():
                 assert integrate(mul(cls, RingElement.monomial(tree))) == want
+
+    def test_coefficients_past_int64(self):
+        # numerators above 2^70 take the exact object path through the
+        # columns, the solve and the residual; the classes must equal the
+        # pure-Fraction solution of the same system, and the tensor
+        # products the ring products of the classes
+        big = direct_sum(
+            [2**72 + 1, Fraction(3, 2**71), -(2**80)],
+            [Fraction(-(2**75), 7), 5, 2**66],
+        )
+        brute = brute_strata(big)
+        for n in (3, 4, 5):
+            classes = reconstruct_classes(big, n)
+            for r in range(n - 2):
+                basis = cohft._monomial_basis(n, r)
+                rows = cohft._restricted_dense(n, r, basis).tolist()
+                trees_c = enumerate_stable_trees(n, n - 3 - r)
+                trees_r = enumerate_stable_trees(n, r)
+                for m, cls in classes.items():
+                    x = solve_fraction(rows, [brute(t, m) for t in trees_c])
+                    want = {trees_r[i]: v for i, v in zip(basis, x) if v}
+                    got = {t: c for t, c in cls.terms.items() if t.degree == r}
+                    assert got == want, (n, m, r)
+        assert max(abs(c.numerator) for c in classes[(0,) * 5].terms.values()) > 2**70
+        line = p1_potential(5)
+        for left, right in ((big, line), (line, big)):
+            out = tensor_potential(left, right)
+            for n in (3, 4, 5):
+                cl, cr = reconstruct_classes(left, n), reconstruct_classes(right, n)
+                for m in itertools.combinations_with_replacement(range(4), n):
+                    a = assignment_class(cl, [b // 2 for b in m])
+                    c = assignment_class(cr, [b % 2 for b in m])
+                    assert out.y(m) == integrate(mul(a, c)), (left, right, m)
 
     def test_gate_on_broken_potential(self):
         coeffs = dict(p1_potential(6).terms)

@@ -379,6 +379,42 @@ class TestSolveCertified:
         assert a == [frac(-2), frac(3, 2)]
         assert b == [frac(1), frac(-1, 2)]
 
+    def test_int_fraction_and_mixed_columns(self):
+        # every exact form of a column gives the same answer; ints skip
+        # Fraction, and numerators past int64 stay exact as objects
+        rows = [[2, 1, 0], [1, 3, 1], [0, 1, 4], [3, 4, 1]]
+
+        def times(x):
+            return [sum(a * v for a, v in zip(row, x)) for row in rows]
+
+        cases = [
+            [1, -2, 2**70],
+            [Fraction(1, 3), 5, -7],
+            [Fraction(-(2**80), 9), 0, Fraction(7, 2**66)],
+            [4, -1, 3],
+        ]
+        ints = times(cases[0])
+        small = times(cases[3])
+        mixed = [int(v) if v.denominator == 1 else v for v in times(cases[1])]
+        assert {type(v) for v in mixed} == {int, Fraction}
+        columns = [
+            ints,
+            [frac(v) for v in ints],
+            mixed,
+            times(cases[2]),
+            np.array(small, dtype=np.int64),
+            [frac(v) for v in small[:2]] + small[2:],
+        ]
+        want = [cases[0], cases[0], cases[1], cases[2], cases[3], cases[3]]
+        got = la.solve_certified(rows, columns)
+        assert got == want
+        assert all(type(v) is Fraction for col in got for v in col)
+        for col, x in zip(columns, want):
+            assert la.solve_certified(rows, [col]) == [x]
+            assert la.solve_fraction(rows, list(col)) == x
+        with pytest.raises(TypeError):
+            la.solve_certified(rows, [[1.0, 2, 3, 4]])
+
     def test_big_denominators(self):
         # Hilbert-style matrix forces serious CRT widening
         size = 7

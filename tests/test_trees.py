@@ -2,6 +2,7 @@ import json
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -392,3 +393,74 @@ class TestOrbitWalk:
                 for ids, perm in walked:
                     assert sorted(perm.tolist()) == list(range(len(sid)))
                     assert tuple(sorted(perm[list(start)].tolist())) == ids
+
+
+def compositions(n):
+    """Every way to cut 1..n into runs of consecutive labels, by sizes."""
+    for cuts in range(2 ** (n - 1)):
+        sizes, run = [], 1
+        for i in range(n - 1):
+            if cuts >> i & 1:
+                sizes.append(run)
+                run = 1
+            else:
+                run += 1
+        yield tuple(sizes + [run])
+
+
+def reference_labels(n, d, blocks, images):
+    """Orbit labels by breadth-first search over the allowed swaps.
+
+    ``images[k]`` maps each tree to its relabelling by the swap of labels
+    k+1 and k+2; only swaps inside a block are followed.
+    """
+    starts = [sum(blocks[:i]) for i in range(len(blocks))]
+    allowed = [k for s, b in zip(starts, blocks) for k in range(s, s + b - 1)]
+    pool = T.enumerate_stable_trees(n, d)
+    pos = {t: i for i, t in enumerate(pool)}
+    label = [None] * len(pool)
+    for i, t in enumerate(pool):
+        if label[i] is not None:
+            continue
+        label[i] = i
+        frontier = [t]
+        while frontier:
+            u = frontier.pop()
+            for k in allowed:
+                v = images[k][u]
+                if label[pos[v]] is None:
+                    label[pos[v]] = i
+                    frontier.append(v)
+    return label
+
+
+class TestOrbitLabels:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_every_block_pattern(self, n):
+        for d in range(n - 2):
+            pool = T.enumerate_stable_trees(n, d)
+            images = []
+            for k in range(n - 1):
+                perm = list(range(1, n + 1))
+                perm[k], perm[k + 1] = perm[k + 1], perm[k]
+                images.append({t: T.relabel(t, tuple(perm)) for t in pool})
+            for blocks in compositions(n):
+                got = T.orbit_labels(n, d, blocks)
+                assert got.tolist() == reference_labels(n, d, blocks, images), blocks
+
+    def test_pattern_sizes(self):
+        # one block is the whole symmetric group; singletons fix every tree
+        assert T.orbit_labels(6, 3, (1,) * 6).tolist() == list(range(105))
+        assert len(set(T.orbit_labels(6, 3, (6,)).tolist())) == 2
+        assert T.orbit_labels(5, 3, (5,)).size == 0  # no tree of degree 3
+
+    @pytest.mark.parametrize("blocks", [(3, 2), (2, 2, 3), (0, 6), (7, -1)])
+    def test_refuses_a_bad_pattern(self, blocks):
+        with pytest.raises(ValueError):
+            T.orbit_labels(6, 2, blocks)
+
+    def test_split_keys_refuse_overflow(self):
+        # 1,012 splits at n = 11: seven ids in that radix need 70 bits
+        ids = np.zeros((1, 7), dtype=np.int64)
+        with pytest.raises(RuntimeError, match="overflow"):
+            T._split_keys(11, ids)
