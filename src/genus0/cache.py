@@ -1,11 +1,11 @@
-"""Optional on-disk cache for per-n bases and pairing structures.
+"""Optional on-disk cache for per-n pairing structures.
 
 Caching is off unless the environment variable GENUS0_CACHE_DIR names a
 directory.  Each label count n gets one JSON file holding named sections
-(good-monomial bases, sparse pairing rows); writers merge their section
-into the existing file and replace it atomically, so a crash mid-write
-never leaves a truncated file behind.  Payloads are keyed by a format
-version; stale files are ignored rather than migrated.
+(the sparse pairing rows); writers merge their section into the existing
+file and replace it atomically, so a crash mid-write never leaves a
+truncated file behind.  Payloads are keyed by a format version; stale
+files are ignored rather than migrated.
 """
 
 from __future__ import annotations

@@ -16,14 +16,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement, groupby, product
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import numpy as np
 
 from . import cache
-from .intersect import _pair_parts, integrate, pair_kaufmann
+from .intersect import _pair_parts, integrate
 from .keelring import (
     RingElement,
     _exact,
@@ -32,14 +32,7 @@ from .keelring import (
     mul,
     splitting_failures,
 )
-from .linalg import (
-    PRIMES,
-    FractionRREF,
-    Inconsistent,
-    ModEliminator,
-    solve_certified,
-    solve_fraction,
-)
+from .linalg import FractionRREF, ModEliminator, solve_certified, solve_fraction
 from .taut import kappa, z
 from .trees import (
     Tree,
@@ -53,6 +46,7 @@ from .trees import (
     orbit,
     orbit_labels,
     orbit_reps,
+    orbit_sizes,
     orbit_walk,
 )
 
@@ -550,48 +544,45 @@ def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fractio
         raise ValueError("need one basis index per label")
     if any(not 0 <= i < phi.metric.rank for i in idx):
         raise ValueError("basis index out of range")
+    blocks = _runs(idx)
     memo: dict = {}
     out: dict[Tree, Fraction] = {}
     for d in range(n - 2):
-        nums, den = _stratum_column(phi, n, d, idx, memo)
-        trees = enumerate_stable_trees(n, d)
-        out.update((tree, Fraction(v, den)) for tree, v in zip(trees, nums))
+        vals = _stratum_column(phi, n, d, idx, memo)
+        _, slot = np.unique(orbit_labels(n, d, blocks), return_inverse=True)
+        out.update(zip(enumerate_stable_trees(n, d), [vals[k] for k in slot.tolist()]))
     return out
+
+
+def _runs(idx: tuple[int, ...]) -> tuple[int, ...]:
+    """The lengths of the runs of equal consecutive entries of idx."""
+    return tuple(len(list(run)) for _, run in groupby(idx))
 
 
 def _stratum_column(
     phi: Potential, n: int, d: int, idx: tuple[int, ...], memo: dict
-) -> tuple[list[int], int]:
-    """Stratum integrals at one multi-index against every d-edge tree.
+) -> list[Fraction]:
+    """Stratum integrals at one multi-index, one per orbit of d-edge trees.
 
-    Returns integer numerators, one per tree in enumeration order, over
-    one common denominator.  `_stratum_value` runs on the first tree of
-    each orbit of the relabellings that permute labels within runs of
-    equal consecutive indices, and its value is copied to the rest of the
-    orbit.  Such a relabelling sigma fixes the index at every label, so
-    the vertices of sigma(T) carry the same multisets of tail indices
+    The orbits are those of the relabellings that permute labels within
+    runs of equal consecutive indices, and each value is that of the
+    orbit's first tree (`orbit_sizes`).  It is the value of every tree of
+    the orbit: such a relabelling sigma fixes the index at every label,
+    so the vertices of sigma(T) carry the same multisets of tail indices
     and branches as those of T; the values are looked up under sorted
     multi-indices, and callers require an even metric, so no Koszul sign
     arises either: the integral over sigma(T) is the one over T.
     """
-    blocks = tuple(len(list(run)) for _, run in groupby(idx))
-    labels = orbit_labels(n, d, blocks)
-    reps = np.flatnonzero(labels == np.arange(len(labels)))
+    firsts, _ = orbit_sizes(n, d, _runs(idx))
     fams = _families(n, d)
-    vals = [_stratum_value(phi, Tree(n, fams[i]), idx, memo) for i in reps.tolist()]
-    den = lcm(*(v.denominator for v in vals))
-    nums = [v.numerator * (den // v.denominator) for v in vals]
-    slot = np.zeros(len(labels), dtype=np.int64)
-    slot[reps] = np.arange(len(reps))
-    return [nums[k] for k in slot[labels].tolist()], den
+    return [_stratum_value(phi, Tree(n, fams[i]), idx, memo) for i in firsts.tolist()]
 
 
 # ---------------------------------------------------------------------------
-# sparse pairing structures and monomial bases
+# sparse pairing structures
 
 
 _SP: dict[tuple[int, int], list] = {}
-_BASIS: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
 
 def _build_sp(n: int, lo: int, hi: int) -> list:
@@ -730,62 +721,58 @@ def _greedy_rows(rows: list, width: int, p: int) -> tuple[int, ...]:
     return tuple(sorted(elim.sources))
 
 
-def _monomial_basis(n: int, r: int, attempt: int = 0) -> tuple[int, ...]:
-    """A degree-r monomial basis, as indices into the tree enumeration.
+@lru_cache(maxsize=None)
+def _invariant_block(
+    n: int, r: int, blocks: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairings of degree-r orbit sums with complementary representatives.
 
-    Chosen greedily so that the selected trees have independent pairing
-    rows against the complementary degree.
+    G permutes labels within ``blocks``, as in `orbit_labels`.  The
+    unknowns are the orbit sums s_o = sum of [T] over the G-orbit o of
+    degree-r trees; the equations pair them with R_q, the first tree of
+    each G-orbit q of the complementary degree.  Returns (slot, M), where
+    slot[t] numbers the orbit of degree-r tree t in the order of the
+    orbits' first trees, and M[q, o] = sum over T in o of <R_q, T>.
+
+    Relabelling preserves the pairing, so M[q, o] is the same for every
+    tree of q in place of R_q, and |q| M[q, o] = <s_q, s_o> = |o| M'[o, q]
+    for the block M' of the complementary degree.  So only the block
+    whose rows have the lower degree is built, from R_q's sparse row
+    (`_sp_rows`, as `_build_sp` evaluates it) summed by orbit; its entries
+    are at most the row's length times its largest |value|, checked to
+    fit int64.  The other comes back to int64 from Python ints, which
+    raises rather than wraps.
     """
-    key = (n, r, attempt)
-    got = _BASIS.get(key)
-    if got is not None:
-        return got
-    if attempt == 0:
-        disk = cache.load(n, "bases", str(r))
-        if disk is not None:
-            got = tuple(int(i) for i in disk)
-            _BASIS[key] = got
-            return got
-    rows = _sp_rows(n, r)
-    width = len(enumerate_stable_trees(n, n - 3 - r))
-    got = _greedy_rows(rows, width, PRIMES[attempt])
-    if attempt == 0:
-        cache.store(n, "bases", str(r), list(got))
-    _BASIS[key] = got
-    return got
-
-
-def _restricted_dense(n: int, r: int, basis: tuple[int, ...]) -> np.ndarray:
-    """Dense pairing block: complementary-degree rows, basis columns."""
     c = n - 3 - r
-    rows = _sp_rows(n, c)
-    ncols = len(enumerate_stable_trees(n, r))
-    posmap = np.full(ncols, -1, dtype=np.int64)
-    posmap[list(basis)] = np.arange(len(basis))
-    a = np.zeros((len(rows), len(basis)), dtype=np.int64)
-    for i, (cols, vals) in enumerate(rows):
-        if cols.size:
-            pos = posmap[cols]
-            keep = pos >= 0
-            a[i, pos[keep]] = vals[keep]
-    return a
+    _, slot, sizes = np.unique(
+        orbit_labels(n, r, blocks), return_inverse=True, return_counts=True
+    )
+    firsts, qsizes = orbit_sizes(n, c, blocks)
+    if r < c:
+        whole = _invariant_block(n, c, blocks)[1].T.astype(object) * sizes
+        block = (whole // qsizes[:, None]).astype(np.int64)
+    else:
+        rows = _sp_rows(n, c)
+        block = np.zeros((len(firsts), len(sizes)), dtype=np.int64)
+        for q, i in enumerate(firsts.tolist()):
+            cols, vals = rows[i]
+            if len(vals) * int(np.abs(vals).max(initial=0)) >= 2**63:
+                raise RuntimeError(f"orbit sums of pairings overflow int64 at n={n}")
+            np.add.at(block[q], slot[cols], vals)
+    slot.flags.writeable = block.flags.writeable = False
+    return slot, block
 
 
-def _solve_full_rank(n: int, r: int, rhs_cols: list[list[Fraction]]):
-    """Degree-r coordinates, in a monomial basis, of classes with the
-    given pairings against the complementary degree.
+def _solve_full_rank(
+    n: int, r: int, m: tuple[int, ...], rhs: list[Fraction]
+) -> tuple[Fraction, ...]:
+    """Orbit-sum coefficients of a degree-r class invariant under G_m.
 
-    A thin basis from an unlucky prime cannot span, so the selection is
-    retried with a fresh prime before giving up.  Returns the basis and
-    one certified solution per right-hand column.
+    ``rhs`` holds its pairings with the complementary representatives of
+    `_invariant_block`, which goes to `solve_certified` as it is:
+    rank-deficient where the orbit sums are dependent in cohomology.
     """
-    for attempt in range(3):
-        basis = _monomial_basis(n, r, attempt)
-        try:
-            return basis, solve_certified(_restricted_dense(n, r, basis), rhs_cols)
-        except (Inconsistent, RuntimeError):
-            if attempt == 2:
-                raise
+    return tuple(solve_certified(_invariant_block(n, r, _runs(m))[1], [rhs])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -795,21 +782,25 @@ def _solve_full_rank(n: int, r: int, rhs_cols: list[list[Fraction]]):
 _RECON_MEMO: dict = {}
 
 
-def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], RingElement]:
-    """The n-point classes at every sorted multi-index, degree by degree.
+def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], tuple]:
+    """The n-point classes at every sorted multi-index, in orbit sums.
 
-    The right-hand side of multi-index m in degree r is the column of its
-    integrals against every stratum of the complementary degree, from
-    `_stratum_column`: evaluated once per orbit of the stabiliser of m,
-    S_k x S_{n-k} on the line, and copied along the orbit.  The copy is
-    exact: m is sorted, so a relabelling inside a run of equal indices
-    keeps the sorted index multiset at every vertex, which is all the
-    lookup sees, and the metric is even, so no Koszul sign depends on the
-    labels.  The column holds integer numerators over one denominator;
-    the solve runs on the numerators and the solution is divided by it.
-    Every stratum keeps its own row, so the residual certificate of
-    `solve_certified` still proves the pairing equation against every
-    complementary stratum, not just the orbit representatives.
+    The class c_n(m) is invariant under the stabiliser G_m of m, which
+    permutes labels within runs of equal indices, and so it is a
+    combination of G_m-orbit sums: averaging any representative over G_m
+    gives one.  Entry m holds, per degree r, the coefficients y_o of
+    c_n(m) = sum of y_o s_o (`_invariant_block`).  They solve the pairing
+    equations at the first tree R_q of each G_m-orbit q of complementary
+    strata, whose right-hand sides v(R_q, m) come from `_stratum_column`,
+    and `solve_certified` proves the residual on those rows.
+
+    That residual is the residual on every complementary stratum.  A
+    stratum g.R_q with g in G_m is in the orbit of R_q; the solution x is
+    G_m-invariant, and relabelling preserves the pairing, so
+    <x, g.R_q> = <g^-1.x, R_q> = <x, R_q> = v(R_q, m) = v(g.R_q, m), the
+    last step by the orbit argument of `_stratum_column`.  So x pairs
+    with every complementary stratum as c_n(m) does, and since the
+    pairing is perfect, x is c_n(m).
     """
     memo_key = (phi, n)
     got = _RECON_MEMO.get(memo_key)
@@ -818,20 +809,14 @@ def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], RingElemen
     _require_even(phi.metric, "class reconstruction")
     if not 3 <= n <= phi.order:
         raise ValueError("label count must lie between 3 and the order")
-    rank = phi.metric.rank
-    midxs = list(combinations_with_replacement(range(rank), n))
-    parts: dict[tuple[int, ...], dict[Tree, Fraction]] = {m: {} for m in midxs}
     memo: dict = {}
-    for r in range(n - 2):
-        cols = [_stratum_column(phi, n, n - 3 - r, m, memo) for m in midxs]
-        basis, sols = _solve_full_rank(n, r, [nums for nums, _ in cols])
-        trees_r = enumerate_stable_trees(n, r)
-        for m, (_, den), sol in zip(midxs, cols, sols):
-            for pos, tree_idx in enumerate(basis):
-                v = sol[pos]
-                if v:
-                    parts[m][trees_r[tree_idx]] = v / den
-    got = {m: RingElement(n, terms) for m, terms in parts.items()}
+    got = {
+        m: tuple(
+            _solve_full_rank(n, r, m, _stratum_column(phi, n, n - 3 - r, m, memo))
+            for r in range(n - 2)
+        )
+        for m in combinations_with_replacement(range(phi.metric.rank), n)
+    }
     _RECON_MEMO[memo_key] = got
     return got
 
@@ -842,10 +827,19 @@ def reconstruct_classes(phi: Potential, n: int) -> dict[tuple[int, ...], RingEle
     Each class is the unique solution of the pairing equations against
     all complementary boundary monomials, with right-hand sides given by
     the stratum integrals; the potential must satisfy the associativity
-    constraints for those equations to be consistent.
+    constraints for those equations to be consistent.  Each tree carries
+    the coefficient of its orbit sum in `_reconstruct_all`.
     """
     _require_associative(phi)
-    return dict(_reconstruct_all(phi, n))
+    out = {}
+    for m, ys in _reconstruct_all(phi, n).items():
+        terms: dict[Tree, Fraction] = {}
+        for r, y in enumerate(ys):
+            slot, _ = _invariant_block(n, r, _runs(m))
+            trees = enumerate_stable_trees(n, r)
+            terms.update((t, y[o]) for t, o in zip(trees, slot.tolist()) if y[o])
+        out[m] = RingElement(n, terms)
+    return out
 
 
 def _require_associative(phi: Potential, order: int | None = None) -> None:
@@ -889,8 +883,13 @@ def tensor_potential(
 
     The n-point value at a product insertion splits as an integral of a
     first-factor class against the second factor; expanding the first
-    factor in boundary monomials reduces everything to stratum integrals
-    of the second.  Both factors must satisfy the associativity
+    factor in orbit sums (`_reconstruct_all`) reduces everything to
+    stratum integrals of the second, summed over orbits.  Those integrals
+    are constant on the orbits of H, the stabiliser of the product index,
+    by the argument of `_stratum_column`.  H lies inside the first
+    factor's stabiliser, so each orbit sum is a sum over H-orbits of size
+    times the value at the first tree, evaluated only under a nonzero
+    coefficient.  Both factors must satisfy the associativity
     constraints through the order (ValueError otherwise), and the output
     is checked against them before it is returned.  Below order 4 there
     are no constraints to check.
@@ -906,18 +905,22 @@ def tensor_potential(
     coeffs: dict[tuple[int, ...], Fraction] = {}
     if order >= 4:
         _require_associative(phi2, order)
+    _require_associative(phi1)
     memo2: dict = {}  # branches of phi2 only; phi1's never enter it
     for n in range(3, order + 1):
-        rec1 = reconstruct_classes(phi1, n)
+        rec1 = _reconstruct_all(phi1, n)
         for midx in combinations_with_replacement(range(met.rank), n):
             aseq = tuple(b // r2 for b in midx)
             cseq = tuple(b % r2 for b in midx)
-            x1 = rec1[aseq]
             tot = Fraction(0)
-            for tree, cf in x1.terms.items():
-                v = _stratum_value(phi2, tree, cseq, memo2)
-                if v:
-                    tot += cf * v
+            for r, y in enumerate(rec1[aseq]):
+                slot, _ = _invariant_block(n, r, _runs(aseq))
+                firsts, sizes = orbit_sizes(n, r, _runs(midx))
+                fams = _families(n, r)
+                for i, size in zip(firsts.tolist(), sizes.tolist()):
+                    if y[slot[i]]:
+                        v = _stratum_value(phi2, Tree(n, fams[i]), cseq, memo2)
+                        tot += y[slot[i]] * size * v
             if tot:
                 coeffs[midx] = tot
     out = Potential.build(met, coeffs, order)
@@ -1253,7 +1256,11 @@ def a_coefficients(n: int, a: int) -> ACoefficients:
 
     The defining equations pair a symmetric degree-a boundary sum
     against every complementary monomial; the right-hand side is 1
-    exactly when the monomial's tree has a vertex of valency a + 3.
+    exactly when the monomial's tree has a vertex of valency a + 3.  By
+    symmetry one equation per orbit suffices: the matrix M is
+    `_invariant_block` for the whole symmetric group.  The canonical
+    solution y = M^T w lies in the row space; w solves the integer normal
+    equations M M^T w = rhs, and M y = rhs is checked exactly.
     """
     if not 1 <= a <= n - 3:
         raise ValueError("need 1 <= a <= n - 3")
@@ -1261,38 +1268,21 @@ def a_coefficients(n: int, a: int) -> ACoefficients:
     if got is not None:
         return got
     unknowns = orbit_reps(n, a)
-    equations = orbit_reps(n, n - 3 - a)
-    m_rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for t, _ in equations:
-        row = []
-        for rep, _ in unknowns:
-            s = Fraction(0)
-            for sigma in orbit(rep):
-                s += pair_kaufmann(sigma, t)
-            row.append(s)
-        m_rows.append(row)
-        rhs.append(Fraction(int(any(v == a + 3 for v in t.valencies()))))
+    _, block = _invariant_block(n, a, (n,))
+    rhs = [
+        int(any(v == a + 3 for v in t.valencies()))
+        for t, _ in orbit_reps(n, n - 3 - a)
+    ]
     rref = FractionRREF()
-    for row in m_rows:
+    for row in block.tolist():
         rref.add({j: x for j, x in enumerate(row) if x})
     kernel_dim = len(unknowns) - rref.rank
-    ne, nu = len(m_rows), len(unknowns)
-    mmt = [
-        [
-            sum(m_rows[i][k] * m_rows[j][k] for k in range(nu))
-            for j in range(ne)
-        ]
-        for i in range(ne)
-    ]
-    w = solve_fraction(mmt, rhs)
-    y = [sum(m_rows[i][k] * w[i] for i in range(ne)) for k in range(nu)]
-    for i in range(ne):
-        if sum(m_rows[i][k] * y[k] for k in range(nu)) != rhs[i]:
-            raise ArithmeticError("row-space solution failed verification")
-    entries = tuple(
-        (rep, size, y[k]) for k, (rep, size) in enumerate(unknowns)
-    )
+    m = block.astype(object)
+    (w,) = solve_certified((m @ m.T).tolist(), [rhs])
+    y = [Fraction(v) for v in m.T @ np.array(w, dtype=object)]
+    if (m @ np.array(y, dtype=object)).tolist() != rhs:
+        raise ArithmeticError("row-space solution failed verification")
+    entries = tuple((rep, size, y[k]) for k, (rep, size) in enumerate(unknowns))
     got = ACoefficients(n=n, a=a, entries=entries, kernel_dim=kernel_dim)
     _ACOEFF_MEMO[(n, a)] = got
     return got

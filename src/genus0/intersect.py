@@ -21,7 +21,7 @@ import numpy as np
 
 from .keelring import RingElement, mul
 from .linalg import densify
-from .trees import Tree, a_value_masks, enumerate_stable_trees, orbit, orbit_reps
+from .trees import Tree, a_value_masks, enumerate_stable_trees, orbit_reps
 
 
 def integrate(x: RingElement) -> Fraction:
@@ -192,20 +192,14 @@ def pairing_matrix(n: int, r: int, invariant: bool = False) -> PairingMatrix:
             tuple(Fraction(int(v)) for v in row) for row in pairing_matrix_int(n, r)
         )
         return PairingMatrix(n, r, False, rows, cols, entries)
+    from .cohft import _invariant_block
+
     row_reps = orbit_reps(n, r)
-    col_reps = orbit_reps(n, s)
-    entries = []
-    for rep_r, size_r in row_reps:
-        row = []
-        for rep_c, _ in col_reps:
-            total = sum(pair_kaufmann(rep_r, m) for m in orbit(rep_c))
-            row.append(Fraction(size_r * total))
-        entries.append(tuple(row))
-    return PairingMatrix(
-        n,
-        r,
-        True,
-        tuple(t for t, _ in row_reps),
-        tuple(t for t, _ in col_reps),
-        tuple(entries),
+    _, block = _invariant_block(n, s, (n,))
+    entries = tuple(
+        tuple(Fraction(size * v) for v in row)
+        for (_, size), row in zip(row_reps, block.tolist())
     )
+    rows = tuple(t for t, _ in row_reps)
+    cols = tuple(t for t, _ in orbit_reps(n, s))
+    return PairingMatrix(n, r, True, rows, cols, entries)

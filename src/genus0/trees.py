@@ -669,14 +669,28 @@ def orbit_labels(n: int, d: int, blocks: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def orbit_sizes(
+    n: int, d: int, blocks: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of `orbit_labels(n, d, blocks)`, in enumeration order.
+
+    Returns the position of each orbit's first tree, ascending, and the
+    orbit's size.
+    """
+    firsts, sizes = np.unique(orbit_labels(n, d, blocks), return_counts=True)
+    firsts.flags.writeable = sizes.flags.writeable = False
+    return firsts, sizes
+
+
+@lru_cache(maxsize=None)
 def orbit_reps(n: int, r: int) -> tuple[tuple[Tree, int], ...]:
     """One representative per relabelling orbit of r-edge trees, with sizes.
 
     The representative is the orbit's first tree in enumeration order.
     """
     trees = enumerate_stable_trees(n, r)
-    sizes = np.bincount(orbit_labels(n, r, (n,)), minlength=len(trees))
-    return tuple((trees[i], int(sizes[i])) for i in np.flatnonzero(sizes).tolist())
+    firsts, sizes = orbit_sizes(n, r, (n,))
+    return tuple((trees[i], s) for i, s in zip(firsts.tolist(), sizes.tolist()))
 
 
 def iter_all_trees(n: int) -> Iterator[Tree]:

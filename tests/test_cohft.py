@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,10 +32,11 @@ from genus0.cohft import (
     wdvv_check,
     wp_volumes,
 )
-from genus0.intersect import integrate
+from genus0.intersect import integrate, pair_kaufmann
 from genus0.linalg import solve_fraction
 from genus0.keelring import (
     RingElement,
+    class_vector,
     is_zero_class,
     mul,
     pullback_to_divisor,
@@ -389,14 +391,11 @@ class TestStrataIntegrals:
         memo: dict = {}
         for n in range(3, 7):
             for m in itertools.combinations_with_replacement(range(phi.metric.rank), n):
+                got = strata_integrals(phi, n, m)
                 for d in range(n - 2):
-                    nums, den = cohft._stratum_column(phi, n, d, m, {})
-                    assert all(type(v) is int for v in nums)
-                    want = [
-                        cohft._stratum_value(phi, t, m, memo)
-                        for t in enumerate_stable_trees(n, d)
-                    ]
-                    assert [Fraction(v, den) for v in nums] == want, (n, m, d)
+                    trees = enumerate_stable_trees(n, d)
+                    want = [cohft._stratum_value(phi, t, m, memo) for t in trees]
+                    assert [got[t] for t in trees] == want, (n, m, d)
 
     def test_unsorted_indices(self):
         # only runs of equal neighbouring indices are permuted then
@@ -438,18 +437,29 @@ class TestReconstruction:
                 assert integrate(cls) == phi.y(m)
 
     def test_pairing_against_every_stratum(self):
-        # the defining system, re-checked through ring multiplication
-        phi = p1_potential(5)
-        for m, cls in reconstruct_classes(phi, 5).items():
-            vals = strata_integrals(phi, 5, m)
-            for tree, want in vals.items():
-                assert integrate(mul(cls, RingElement.monomial(tree))) == want
+        # the defining system, re-checked on every stratum through each
+        # class's pairing vector; the quadric's multi-indices have up to
+        # four runs, so its stabilisers have up to four factors
+        for phi in (p1_potential(7), p1xp1_potential(7)):
+            for n in (5, 6, 7):
+                pos = {
+                    t: j
+                    for d in range(n - 2)
+                    for j, t in enumerate(enumerate_stable_trees(n, d))
+                }
+                for m, cls in reconstruct_classes(phi, n).items():
+                    want: dict = {}
+                    for t, v in strata_integrals(phi, n, m).items():
+                        if v:
+                            want.setdefault(n - 3 - t.degree, []).append((pos[t], v))
+                    got = {d: list(piece) for d, piece in class_vector(cls)}
+                    assert got == want, (n, m)
 
     def test_coefficients_past_int64(self):
         # numerators above 2^70 take the exact object path through the
         # columns, the solve and the residual; the classes must equal the
-        # pure-Fraction solution of the same system, and the tensor
-        # products the ring products of the classes
+        # pure-Fraction solution of the full system over all degree-r
+        # trees, and the tensor products the ring products of the classes
         big = direct_sum(
             [2**72 + 1, Fraction(3, 2**71), -(2**80)],
             [Fraction(-(2**75), 7), 5, 2**66],
@@ -457,16 +467,18 @@ class TestReconstruction:
         brute = brute_strata(big)
         for n in (3, 4, 5):
             classes = reconstruct_classes(big, n)
+            want = {m: RingElement(n, {}) for m in classes}
             for r in range(n - 2):
-                basis = cohft._monomial_basis(n, r)
-                rows = cohft._restricted_dense(n, r, basis).tolist()
                 trees_c = enumerate_stable_trees(n, n - 3 - r)
                 trees_r = enumerate_stable_trees(n, r)
-                for m, cls in classes.items():
+                rows = [[pair_kaufmann(t, u) for u in trees_r] for t in trees_c]
+                for m in classes:
                     x = solve_fraction(rows, [brute(t, m) for t in trees_c])
-                    want = {trees_r[i]: v for i, v in zip(basis, x) if v}
-                    got = {t: c for t, c in cls.terms.items() if t.degree == r}
-                    assert got == want, (n, m, r)
+                    want[m] = want[m] + RingElement(
+                        n, {t: v for t, v in zip(trees_r, x) if v}
+                    )
+            for m, cls in classes.items():
+                assert is_zero_class(cls - want[m]), (n, m)
         assert max(abs(c.numerator) for c in classes[(0,) * 5].terms.values()) > 2**70
         line = p1_potential(5)
         for left, right in ((big, line), (line, big)):
@@ -888,18 +900,18 @@ class TestDiskCache:
         assert cache.load(4, "bases", "1") is None
         assert list(tmp_path.iterdir()) == []
 
-    def test_basis_served_from_disk(self, tmp_path, monkeypatch):
+    def test_pairings_served_from_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GENUS0_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cohft, "_SP", {})
-        monkeypatch.setattr(cohft, "_BASIS", {})
-        first = cohft._monomial_basis(5, 1)
+        first = cohft._sp_rows(5, 1)
         assert (tmp_path / "n5.json").exists()
 
         def refuse(*a, **k):
             raise AssertionError("expected a cache hit")
 
         monkeypatch.setattr(cohft, "_SP", {})
-        monkeypatch.setattr(cohft, "_BASIS", {})
-        monkeypatch.setattr(cohft, "_greedy_rows", refuse)
         monkeypatch.setattr(cohft, "_build_sp", refuse)
-        assert cohft._monomial_basis(5, 1) == first
+        again = cohft._sp_rows(5, 1)
+        assert len(again) == len(first)
+        for (c1, v1), (c2, v2) in zip(first, again):
+            assert np.array_equal(c1, c2) and np.array_equal(v1, v2)

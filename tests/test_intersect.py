@@ -361,15 +361,18 @@ class TestPairingMatrix:
         # Rows: the two relabelling orbits of divisors (two-element vs
         # three-element sides).  Columns: the two orbits of two-edge
         # trees.  Each entry weights one representative's pairings over
-        # the whole column orbit by the row orbit's size.
+        # the whole column orbit by the row orbit's size; every degree is
+        # checked that way.
         pm = pairing_matrix(6, 1, invariant=True)
         assert len(pm.row_basis) == 2
         assert len(pm.col_basis) == 2
-        for i, r_rep in enumerate(pm.row_basis):
-            size = len(orbit(r_rep))
-            for j, c_rep in enumerate(pm.col_basis):
-                want = size * sum(pair_kaufmann(r_rep, m) for m in orbit(c_rep))
-                assert pm.entries[i][j] == want
+        for r in range(4):
+            pm = pairing_matrix(6, r, invariant=True)
+            for i, r_rep in enumerate(pm.row_basis):
+                size = len(orbit(r_rep))
+                for j, c_rep in enumerate(pm.col_basis):
+                    want = size * sum(pair_kaufmann(r_rep, m) for m in orbit(c_rep))
+                    assert pm.entries[i][j] == want, (r, i, j)
 
 
 class TestAgainstBettiDuality:
