@@ -32,7 +32,13 @@ from .keelring import (
     mul,
     splitting_failures,
 )
-from .linalg import FractionRREF, ModEliminator, solve_certified, solve_fraction
+from .linalg import (
+    FractionRREF,
+    Inconsistent,
+    ModEliminator,
+    solve_certified,
+    solve_fraction,
+)
 from .taut import kappa, z
 from .trees import (
     Tree,
@@ -40,14 +46,11 @@ from .trees import (
     _families,
     _integer,
     _split_index,
-    _split_keys,
-    _tree_ids,
+    _tree_transpositions,
     enumerate_stable_trees,
-    orbit,
     orbit_labels,
     orbit_reps,
     orbit_sizes,
-    orbit_walk,
 )
 
 
@@ -118,22 +121,14 @@ class Metric:
     @cached_property
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         r = self.rank
-        work = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(r)]
-            for i, row in enumerate(self.gram)
-        ]
-        for col in range(r):
-            piv = next((i for i in range(col, r) if work[i][col]), None)
-            if piv is None:
-                raise ValueError("pairing matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [x * inv for x in work[col]]
-            for i in range(r):
-                if i != col and work[i][col]:
-                    f = work[i][col]
-                    work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-        return tuple(tuple(row[r:]) for row in work)
+        try:
+            cols = [
+                solve_fraction(self.gram, [int(i == j) for i in range(r)])
+                for j in range(r)
+            ]
+        except Inconsistent:
+            raise ValueError("pairing matrix is singular") from None
+        return tuple(zip(*cols))
 
     @cached_property
     def casimir(self) -> tuple[tuple[int, int, Fraction], ...]:
@@ -344,6 +339,8 @@ def _submultiset_splits(nu: tuple[int, ...]):
     return out
 
 
+# Keyed after order=None is resolved to phi.order, so that both spellings
+# of one check share an entry; an lru_cache would key them apart.
 _WDVV_MEMO: dict = {}
 
 
@@ -352,8 +349,8 @@ def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
 
     For each quadruple (a, b, c, d) and each spectator multiset, the sum
     over splittings of one-loop contractions through the inverse pairing
-    must be invariant under swapping b and c (up to the parity sign).
-    The report carries the first violated instance, if any.
+    must be invariant under swapping b and c; bases with odd vectors are
+    refused.  The report carries the first violated instance, if any.
     """
     if order is None:
         order = phi.order
@@ -365,7 +362,6 @@ def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
         return hit
     _require_even(phi.metric, "constraint checking")
     rank = phi.metric.rank
-    parities = phi.metric.parities
     cas = phi.metric.casimir
 
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
@@ -416,8 +412,6 @@ def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
                 rhs = contracted(
                     tuple(sorted((a, c))), tuple(sorted((b, d))), splits, fcache
                 )
-                if parities[a] and (parities[b] + parities[c]) % 2:
-                    rhs = -rhs
                 checked += 1
                 if lhs != rhs:
                     failure = (quad, nu, lhs, rhs)
@@ -433,28 +427,22 @@ def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
 # integrals over boundary strata
 
 
-_PLANS: dict[Tree, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _plan(tree: Tree):
-    got = _PLANS.get(tree)
-    if got is None:
-        model = tree.model
-        nv = len(model.flags)
-        kids: list[list[int]] = [[] for _ in range(nv)]
-        for outer, inner in model.edges:
-            kids[outer].append(inner)
-        tails = tuple(
-            tuple(f.ref - 1 for f in fl if f.kind == "tail") for fl in model.flags
-        )
-        order = [0]
-        i = 0
-        while i < len(order):
-            order.extend(kids[order[i]])
-            i += 1
-        got = (tuple(tuple(k) for k in kids), tails, tuple(reversed(order)))
-        _PLANS[tree] = got
-    return got
+    model = tree.model
+    nv = len(model.flags)
+    kids: list[list[int]] = [[] for _ in range(nv)]
+    for outer, inner in model.edges:
+        kids[outer].append(inner)
+    tails = tuple(
+        tuple(f.ref - 1 for f in fl if f.kind == "tail") for fl in model.flags
+    )
+    order = [0]
+    i = 0
+    while i < len(order):
+        order.extend(kids[order[i]])
+        i += 1
+    return (tuple(tuple(k) for k in kids), tails, tuple(reversed(order)))
 
 
 def _stratum_value(phi: Potential, tree: Tree, idx, memo=None) -> Fraction:
@@ -582,22 +570,19 @@ def _stratum_column(
 # sparse pairing structures
 
 
-_SP: dict[tuple[int, int], list] = {}
-
-
 def _build_sp(n: int, lo: int, hi: int) -> list:
     """Sparse pairing rows of the degree-lo trees against degree hi.
 
     Only the first row of each relabelling orbit is evaluated, pair by
-    pair, over the columns the compatibility graph allows.  Relabelling
-    by sigma maps stable splits to stable splits and good monomials to
-    good monomials, and it preserves every pairing, so the row of
-    sigma(T) holds the values of the row of T at the columns sigma(C).
-    The other rows of the orbit are filled that way: the representative's
-    column trees are mapped through the split permutation that
-    `orbit_walk` yields, looked up by their packed split ids, and sorted
-    back into ascending column order.  The integer values are copied, so
-    every row equals its pair-by-pair evaluation entry for entry.
+    pair, over the columns the compatibility graph allows.  The other rows
+    of the orbit are filled from rows already filled, one adjacent
+    transposition at a time.  Swapping labels k+1 and k+2 carries the tree
+    at row position s to `_tree_transpositions(n, lo)[k, s]` and each
+    column tree at position j to `_tree_transpositions(n, hi)[k, j]`, and
+    relabelling preserves the pairing; so that row holds the values of row
+    s at the mapped columns, sorted back into ascending order.  The
+    integer values are copied, so every row equals its pair-by-pair
+    evaluation entry for entry.
 
     For lo = 0 the one row is the unit against every trivalent tree.
     Each such stratum is a point, which integrates to 1, so that row is
@@ -610,8 +595,6 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
         return [(np.arange(len(cols_trees), dtype=np.int64), ones)]
     sid = _split_index(n)
     nsplit = len(sid)
-    col_ids = _tree_ids(n, hi)
-    col_keys = _split_keys(n, col_ids)
     lanes = (nsplit + 63) // 64
     full = (1 << nsplit) - 1
     lane_mask = (1 << 64) - 1
@@ -624,8 +607,8 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
             colbits[j, lane] = (m >> (64 * lane)) & lane_mask
     adj = _compat_graph(n)
     pair_raw = _pair_parts.__wrapped__
-    row_ids = [tuple(sid[part] for part in t.parts) for t in rows_trees]
-    row_of = {ids: i for i, ids in enumerate(row_ids)}
+    row_moves = _tree_transpositions(n, lo).tolist()
+    col_moves = _tree_transpositions(n, hi)
     out: list = [None] * len(rows_trees)
     for i, t in enumerate(rows_trees):
         if out[i] is not None:
@@ -645,39 +628,34 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
             if v:
                 cs.append(j)
                 vs.append(int(v))
-        cols = np.asarray(cs, dtype=np.int64)
-        vals = np.asarray(vs, dtype=np.int64)
-        rep_ids = col_ids[cols]
-        out[i] = (cols, vals)
-        walk = orbit_walk(n, row_ids[i])
-        next(walk)  # the representative itself
-        for ids, perm in walk:
-            keys = _split_keys(n, np.sort(perm[rep_ids], axis=1))
-            image = np.searchsorted(col_keys, keys)
-            if not np.array_equal(col_keys[image], keys):
-                raise AssertionError("unreachable: relabelling maps columns to columns")
-            order = np.argsort(image)
-            out[row_of[ids]] = (image[order], vals[order])
+        out[i] = (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
+        filled = [i]
+        while filled:
+            s = filled.pop()
+            cols, vals = out[s]
+            for moves, col_move in zip(row_moves, col_moves):
+                u = moves[s]
+                if out[u] is None:
+                    image = col_move[cols]
+                    order = np.argsort(image)
+                    out[u] = (image[order], vals[order])
+                    filled.append(u)
     return out
 
 
+@lru_cache(maxsize=None)
 def _sp_rows(n: int, d: int) -> list:
     """Sparse pairing rows: degree-d monomials against the complement.
 
     Row i lists the complementary-degree trees its tree pairs nonzero
     with, as (column indices, values), the columns strictly ascending.
-    Built once per complementary pair of degrees; the flipped orientation
-    is a transpose.  `_build_sp` evaluates one row per relabelling orbit
-    and derives the rest, which is exact: relabelling preserves the
-    pairing and permutes the good monomials, and the values are copied,
-    never recomputed.
+    Built once per complementary pair of degrees, by `_build_sp` or from
+    the disk cache, with the lower degree's trees as rows; the flipped
+    orientation is its transpose.
     """
     c = n - 3 - d
     if d < 0 or c < 0:
         raise ValueError("degree out of range")
-    got = _SP.get((n, d))
-    if got is not None:
-        return got
     lo, hi = min(d, c), max(d, c)
     if d != lo:
         base = _sp_rows(n, lo)
@@ -688,24 +666,20 @@ def _sp_rows(n: int, d: int) -> list:
             for j, v in zip(cols.tolist(), vals.tolist()):
                 acc[j][0].append(i)
                 acc[j][1].append(v)
-        got = [
+        return [
             (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
             for cs, vs in acc
         ]
-        _SP[(n, d)] = got
-        return got
     disk = cache.load(n, "pairings", str(lo))
     if disk is not None:
-        got = [
+        return [
             (np.asarray(cl, dtype=np.int64), np.asarray(vl, dtype=np.int64))
             for cl, vl in disk
         ]
-    else:
-        got = _build_sp(n, lo, hi)
-        cache.store(
-            n, "pairings", str(lo), [[r[0].tolist(), r[1].tolist()] for r in got]
-        )
-    _SP[(n, lo)] = got
+    got = _build_sp(n, lo, hi)
+    cache.store(
+        n, "pairings", str(lo), [[r[0].tolist(), r[1].tolist()] for r in got]
+    )
     return got
 
 
@@ -779,9 +753,7 @@ def _solve_full_rank(
 # reconstruction of the n-point classes
 
 
-_RECON_MEMO: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], tuple]:
     """The n-point classes at every sorted multi-index, in orbit sums.
 
@@ -802,23 +774,17 @@ def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], tuple]:
     with every complementary stratum as c_n(m) does, and since the
     pairing is perfect, x is c_n(m).
     """
-    memo_key = (phi, n)
-    got = _RECON_MEMO.get(memo_key)
-    if got is not None:
-        return got
     _require_even(phi.metric, "class reconstruction")
     if not 3 <= n <= phi.order:
         raise ValueError("label count must lie between 3 and the order")
     memo: dict = {}
-    got = {
+    return {
         m: tuple(
             _solve_full_rank(n, r, m, _stratum_column(phi, n, n - 3 - r, m, memo))
             for r in range(n - 2)
         )
         for m in combinations_with_replacement(range(phi.metric.rank), n)
     }
-    _RECON_MEMO[memo_key] = got
-    return got
 
 
 def reconstruct_classes(phi: Potential, n: int) -> dict[tuple[int, ...], RingElement]:
@@ -1225,11 +1191,12 @@ class ACoefficients:
 
     @cached_property
     def _lookup(self) -> dict[Tree, Fraction]:
-        out = {}
-        for rep, _, val in self.entries:
-            for t in orbit(rep):
-                out[t] = val
-        return out
+        # each representative is its orbit's first tree, which is the
+        # label orbit_labels gives every tree of the orbit
+        first = {rep: val for rep, _, val in self.entries}
+        trees = enumerate_stable_trees(self.n, self.a)
+        label = orbit_labels(self.n, self.a, (self.n,))
+        return {t: first[trees[i]] for t, i in zip(trees, label.tolist())}
 
     def value(self, tree: Tree) -> Fraction:
         if tree.degree != self.a or tree.n != self.n:
@@ -1248,9 +1215,7 @@ class ACoefficients:
         }
 
 
-_ACOEFF_MEMO: dict[tuple[int, int], ACoefficients] = {}
-
-
+@lru_cache(maxsize=None)
 def a_coefficients(n: int, a: int) -> ACoefficients:
     """Solve for the stratum expansion coefficients of kappa_a at n.
 
@@ -1264,9 +1229,6 @@ def a_coefficients(n: int, a: int) -> ACoefficients:
     """
     if not 1 <= a <= n - 3:
         raise ValueError("need 1 <= a <= n - 3")
-    got = _ACOEFF_MEMO.get((n, a))
-    if got is not None:
-        return got
     unknowns = orbit_reps(n, a)
     _, block = _invariant_block(n, a, (n,))
     rhs = [
@@ -1283,18 +1245,14 @@ def a_coefficients(n: int, a: int) -> ACoefficients:
     if (m @ np.array(y, dtype=object)).tolist() != rhs:
         raise ArithmeticError("row-space solution failed verification")
     entries = tuple((rep, size, y[k]) for k, (rep, size) in enumerate(unknowns))
-    got = ACoefficients(n=n, a=a, entries=entries, kernel_dim=kernel_dim)
-    _ACOEFF_MEMO[(n, a)] = got
-    return got
+    return ACoefficients(n=n, a=a, entries=entries, kernel_dim=kernel_dim)
 
 
 # ---------------------------------------------------------------------------
 # the generalized volume recursion
 
 
-_OMEGA_MEMO: dict[tuple[int, int], Fraction] = {}
-
-
+@lru_cache(maxsize=None)
 def omega_recursion(n: int, a: int) -> Fraction:
     """Integral of the exponentiated kappa_a class via the recursion.
 
@@ -1313,9 +1271,6 @@ def omega_recursion(n: int, a: int) -> Fraction:
         return Fraction(1)
     if n == a + 3:
         return z(a + 3)
-    got = _OMEGA_MEMO.get((n, a))
-    if got is not None:
-        return got
     coeffs = a_coefficients(n, a)
     slots = (n - 3) // a
     tot = Fraction(0)
@@ -1330,9 +1285,7 @@ def omega_recursion(n: int, a: int) -> Fraction:
         for v in vals:
             prod_part *= omega_recursion(v, a)
         tot += size * coeffs.value(rep) * weight * prod_part
-    got = z(a + 3) * tot
-    _OMEGA_MEMO[(n, a)] = got
-    return got
+    return z(a + 3) * tot
 
 
 # ---------------------------------------------------------------------------

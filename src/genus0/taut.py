@@ -9,6 +9,7 @@ check and the omega integrals used by the recursion layer.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .intersect import integrate
@@ -42,10 +43,7 @@ class TautClass:
         return out
 
 
-_PSI: dict = {}
-_KAPPA: dict = {}
-
-
+@lru_cache(maxsize=None)
 def psi(n: int, i: int) -> TautClass:
     """The cotangent-line class at label i, as a sum of divisors.
 
@@ -57,10 +55,6 @@ def psi(n: int, i: int) -> TautClass:
         raise ValueError("need at least three labels")
     if not 1 <= i <= n:
         raise ValueError(f"label {i} out of range for n={n}")
-    key = (n, i)
-    hit = _PSI.get(key)
-    if hit is not None:
-        return hit
     terms: dict[Tree, Fraction] = {}
     if n >= 4:
         bit = 1 << (i - 1)
@@ -71,29 +65,19 @@ def psi(n: int, i: int) -> TautClass:
             w = Fraction((n - size) * (n - size - 1), denom)
             if w:
                 terms[tree] = w
-    out = TautClass(n, f"psi({i})", RingElement(n, terms))
-    _PSI[key] = out
-    return out
+    return TautClass(n, f"psi({i})", RingElement(n, terms))
 
 
-_PSI_PARTIAL: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _psi_prefix(n: int, exps: tuple[int, ...]) -> RingElement:
     # Partial products psi_1^{e_1} ... psi_k^{e_k} share prefixes across
     # the whole exponent lattice, so build them by peeling the last
     # nonzero exponent and memoizing every stage.
-    hit = _PSI_PARTIAL.get((n, exps))
-    if hit is not None:
-        return hit
     last = max((idx for idx, e in enumerate(exps) if e), default=None)
     if last is None:
-        out = RingElement.unit(n)
-    else:
-        prev = exps[:last] + (exps[last] - 1,) + exps[last + 1 :]
-        out = mul(_psi_prefix(n, prev), psi(n, last + 1).element)
-    _PSI_PARTIAL[(n, exps)] = out
-    return out
+        return RingElement.unit(n)
+    prev = exps[:last] + (exps[last] - 1,) + exps[last + 1 :]
+    return mul(_psi_prefix(n, prev), psi(n, last + 1).element)
 
 
 def psi_monomial(n: int, exponents: Sequence[int]) -> Fraction:
@@ -128,6 +112,7 @@ def pushforward_forget(x: RingElement, label: int | None = None) -> RingElement:
     return RingElement(x.n - 1, out)
 
 
+@lru_cache(maxsize=None)
 def kappa(n: int, a: int) -> TautClass:
     """The degree-a kappa class on n labels.
 
@@ -139,19 +124,13 @@ def kappa(n: int, a: int) -> TautClass:
         raise ValueError("need at least three labels")
     if a < 0:
         raise ValueError("negative degree")
-    key = (n, a)
-    hit = _KAPPA.get(key)
-    if hit is not None:
-        return hit
     if a > n - 3:
         element = RingElement(n, {})
     else:
         # psi^(a+1) at the extra label sits on the psi_monomial prefix
         # chain, so kappa_1, kappa_2, ... share their lower powers
         element = pushforward_forget(_psi_prefix(n + 1, (0,) * n + (a + 1,)))
-    out = TautClass(n, f"kappa({a})", element)
-    _KAPPA[key] = out
-    return out
+    return TautClass(n, f"kappa({a})", element)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -551,45 +551,6 @@ def _split_transpositions(n: int) -> np.ndarray:
     return table
 
 
-def orbit_walk(
-    n: int, ids: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Breadth-first walk over the relabelling orbit of a tree.
-
-    The tree is given by the sorted ids of its edge partitions in
-    stable_splits(n).  Every tree of its orbit is yielded once in the same
-    form, the start first, together with a permutation ``perm`` of all
-    split ids: for some relabelling sigma that carries the start to the
-    yielded tree, perm[s] is the id of sigma applied to split s.  The walk
-    applies adjacent transpositions, so a newly reached tree's ``perm`` is
-    the transposition's row indexed by the ``perm`` of the tree it was
-    reached from (first the old relabelling, then the transposition).
-    """
-    gens = _split_transpositions(n)
-    lists = gens.tolist()
-    seen = {ids}
-    frontier = deque([(ids, np.arange(gens.shape[1]))])
-    while frontier:
-        t, perm = frontier.popleft()
-        yield t, perm
-        for g, row in zip(lists, gens):
-            u = tuple(sorted([g[i] for i in t]))
-            if u not in seen:
-                seen.add(u)
-                frontier.append((u, row[perm]))
-
-
-def orbit(tree: Tree) -> frozenset[Tree]:
-    """The symmetric-group orbit, generated by adjacent transpositions."""
-    sp = stable_splits(tree.n)
-    sid = _split_index(tree.n)
-    start = tuple(sid[p] for p in tree.parts)
-    return frozenset(
-        Tree(tree.n, tuple(sp[i] for i in ids))
-        for ids, _ in orbit_walk(tree.n, start)
-    )
-
-
 def _split_keys(n: int, ids: np.ndarray) -> np.ndarray:
     """One int64 key per row of sorted split ids in stable_splits(n).
 
@@ -666,6 +627,23 @@ def orbit_labels(n: int, d: int, blocks: tuple[int, ...]) -> np.ndarray:
         if np.array_equal(low, label):
             return label
         label = low
+
+
+def orbit(tree: Tree) -> frozenset[Tree]:
+    """The trees that relabelling carries tree to.
+
+    They are the trees of its degree in its class under
+    `orbit_labels(n, d, (n,))`, the whole symmetric group.
+    """
+    n, d = tree.n, tree.degree
+    fams = _families(n, d)
+    pos = bisect_left(fams, tree.parts)
+    if pos == len(fams) or fams[pos] != tree.parts:
+        raise ValueError(f"{tree} is not a stable tree on {n} labels")
+    label = orbit_labels(n, d, (n,))
+    return frozenset(
+        Tree(n, fams[i]) for i in np.flatnonzero(label == label[pos]).tolist()
+    )
 
 
 @lru_cache(maxsize=None)

@@ -902,14 +902,14 @@ class TestDiskCache:
 
     def test_pairings_served_from_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GENUS0_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(cohft, "_SP", {})
+        cohft._sp_rows.cache_clear()
         first = cohft._sp_rows(5, 1)
         assert (tmp_path / "n5.json").exists()
 
         def refuse(*a, **k):
             raise AssertionError("expected a cache hit")
 
-        monkeypatch.setattr(cohft, "_SP", {})
+        cohft._sp_rows.cache_clear()
         monkeypatch.setattr(cohft, "_build_sp", refuse)
         again = cohft._sp_rows(5, 1)
         assert len(again) == len(first)

@@ -379,21 +379,6 @@ class TestOrbitWalk:
                 assert T.orbit(rng.choice(sorted(orb))) == orb
             assert T.orbit_reps(n, r) == tuple(reps)
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
-    def test_permutation_carries_start(self, n):
-        # perm maps each split of the start to a split of the yielded tree,
-        # so the start's ids pushed through perm are the tree's ids
-        sid = T._split_index(n)
-        for r in range(n - 2):
-            for rep, size in T.orbit_reps(n, r):
-                start = tuple(sid[p] for p in rep.parts)
-                walked = list(T.orbit_walk(n, start))
-                assert walked[0][0] == start
-                assert len({ids for ids, _ in walked}) == len(walked) == size
-                for ids, perm in walked:
-                    assert sorted(perm.tolist()) == list(range(len(sid)))
-                    assert tuple(sorted(perm[list(start)].tolist())) == ids
-
 
 def compositions(n):
     """Every way to cut 1..n into runs of consecutive labels, by sizes."""
@@ -435,6 +420,21 @@ def reference_labels(n, d, blocks, images):
 
 
 class TestOrbitLabels:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_transposition_table(self, n):
+        # orbit labels and the pairing rows of cohft._build_sp both read
+        # this table, so check it against relabel tree by tree
+        for d in range(n - 2):
+            pool = T.enumerate_stable_trees(n, d)
+            pos = {t: i for i, t in enumerate(pool)}
+            table = T._tree_transpositions(n, d)
+            assert table.shape == (n - 1, len(pool))
+            for k in range(n - 1):
+                perm = list(range(1, n + 1))
+                perm[k], perm[k + 1] = perm[k + 1], perm[k]
+                want = [pos[T.relabel(t, tuple(perm))] for t in pool]
+                assert table[k].tolist() == want
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_every_block_pattern(self, n):
         for d in range(n - 2):
