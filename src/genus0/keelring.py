@@ -186,17 +186,18 @@ class RingElement:
 
 
 class Ring:
-    """Multiplication context for one label count, with product memoing.
+    """Multiplication context for one label count, with a square memo.
 
     Every product runs through one kernel, `_product`: a combination of
-    good monomials times words of boundary divisors.  A divisor whose split
-    crosses an edge of a monomial multiplies it to zero.  So each monomial
-    carries one compatibility bitmask over `stable_splits(n)`, the AND of
-    its edges' rows of `trees._compat_graph(n)` (each row with its own bit
-    set), and a crossing product is rejected by a single AND: it never
-    reaches `mul_divisor_raw`, builds no tree and does no `Fraction`
-    arithmetic.  Coefficients stay integers over one common denominator
-    until the result is built.
+    good monomials times words of boundary divisors, one pass per
+    monomial.  A monomial is keyed by a bitset over `stable_splits(n)`,
+    and carries one compatibility bitmask, the AND of its edges' rows of
+    `trees._compat_graph(n)` (each row with its own bit set).  A divisor
+    whose split crosses an edge multiplies the monomial to zero and is
+    dropped by that AND; a new compatible divisor extends it by one OR.
+    Neither builds a tree or does `Fraction` arithmetic: only a divisor
+    that is already an edge reaches `mul_divisor_raw`.  Coefficients stay
+    integers over one common denominator until the result is built.
     """
 
     def __init__(self, n: int):
@@ -206,21 +207,22 @@ class Ring:
         sides = stable_splits(n)
         graph = _compat_graph(n)
         self._bit = {s: 1 << i for i, s in enumerate(sides)}
+        self._side = {1 << i: s for i, s in enumerate(sides)}
         self._row = {s: graph[i] | 1 << i for i, s in enumerate(sides)}
-        self._everything = (1 << len(sides)) - 1
-        # The memo holds products that survived the crossing test.  On the
-        # psi_monomial lattice at n = 7 they repeat across elements: 1.97 M
-        # asked, 13,356 distinct (hit ratio 0.993), and the memo cuts the
-        # time to a third.  The psi powers behind kappa never repeat one
-        # (hit ratio 0 at n = 7 and at n = 8, where a memo costs 131k
-        # entries and 70 % more time), and n = 8 lattices are out of reach.
+        # The memo holds square rewrites, the only products that reach
+        # mul_divisor_raw.  On the psi_monomial lattice at n = 7 they
+        # repeat across elements: 856k asked, 4,816 distinct (hit ratio
+        # 0.994), and the memo halves the time.  The psi powers behind
+        # kappa never repeat one (31k asked at n = 8, hit ratio 0, where
+        # a memo costs 7 MB and saves nothing), and n = 8 lattices are out
+        # of reach.
         self._mul_cache: dict | None = {} if n <= 7 else None
 
     def mul_divisor_raw(self, side: int, parts: tuple[int, ...]) -> tuple:
-        """D_side times the monomial with these edges, none crossing side.
+        """D_side times the monomial with edges ``parts``, side among them.
 
-        Every term of such a product is the monomial with one more edge,
-        so the answer lists (edges of the term, new edge, coefficient).
+        The doubled edge is traded for refinements with one more edge, so
+        the answer lists (new edge, coefficient) pairs.
         """
         cache = self._mul_cache
         if cache is not None:
@@ -233,14 +235,7 @@ class Ring:
         return out
 
     def _mul_divisor_compute(self, side: int, parts: tuple[int, ...]) -> tuple:
-        if side in parts:
-            terms = self._square_rewrite(parts, parts.index(side))
-        else:
-            terms = ((side, 1),)
-        return tuple((tuple(sorted(parts + (new,))), new, c) for new, c in terms)
-
-    def _square_rewrite(self, parts: tuple[int, ...], e: int) -> tuple:
-        """Trade the doubled edge e for refinements with one extra edge.
+        """The square rewrite of the edge ``side`` of ``parts``.
 
         At each endpoint the two branches with the smallest labels stay
         put; every nonempty subset of the remaining branches moves onto
@@ -248,63 +243,111 @@ class Ring:
         The choice of the fixed pair does not affect the class (tested
         exhaustively), only the representative.
         """
-        n = self.n
-        f = full_mask(n)
-        # the sides of the other edges, seen from either end
-        sides = [q for g, p in enumerate(parts) if g != e for q in (p, f ^ p)]
-        out: dict[int, int] = {}
-        # the endpoint nearer label 1 first; its branches cover parts[e]
-        for here in (parts[e], f ^ parts[e]):
-            branches = _branches(sides, here)
+        f = full_mask(self.n)
+        # each other edge has one side inside the cover of one endpoint
+        low, high = [], []  # the sides inside side, and inside f ^ side
+        for p in parts:
+            if p == side:
+                continue
+            if p & side == side:
+                high.append(f ^ p)
+            else:
+                low.append(p if p & side == p else f ^ p)
+        out = []
+        for here, inside in ((side, low), (f ^ side, high)):
+            branches = _branches(inside, here)
             branches.sort(key=lambda q: q & -q)
-            movable = branches[2:]
-            for k in range(1, len(movable) + 1):
-                for chosen in combinations(movable, k):
-                    moved = 0
-                    for q in chosen:
-                        moved |= q
-                    new = canonical_side(n, (f ^ here) | moved)
-                    out[new] = out.get(new, 0) - 1
-        return tuple(out.items())
+            # the new edge's far side: the other end's, plus a nonempty
+            # union of the movable branches
+            unions = [f ^ here]
+            for q in branches[2:]:
+                unions += [u | q for u in unions]
+            out += [(u if u & 1 else f ^ u, -1) for u in unions[1:]]
+        return tuple(out)
+
+    def _edges(self, key: int) -> tuple:
+        """A monomial key's edges, ascending (`stable_splits` is sorted)."""
+        parts = []
+        while key:
+            parts.append(self._side[key & -key])
+            key &= key - 1
+        return tuple(parts)
+
+    def _mask(self, parts) -> int:
+        """The splits compatible with every edge of ``parts``."""
+        mask = -1
+        for p in parts:
+            mask &= self._row[p]
+        return mask
+
+    def _times(self, key, parts, c, weight, singles, out) -> None:
+        """Add c * m * sum(weight[b] * D_b), b over the bits of singles, to out.
+
+        m is the monomial with this key and these edges; ``out`` maps keys
+        to integers.  Divisors crossing an edge of m fall out of the AND
+        with its mask, new ones are one OR each, and m's own edges are
+        squared through `mul_divisor_raw`.
+        """
+        new = self._mask(parts) & singles & ~key
+        while new:
+            b = new & -new
+            new ^= b
+            out[key | b] = out.get(key | b, 0) + c * weight[b]
+        old = key & singles
+        while old:
+            b = old & -old
+            old ^= b
+            cw = c * weight[b]
+            for side, k in self.mul_divisor_raw(self._side[b], parts):
+                got = key | self._bit[side]
+                out[got] = out.get(got, 0) + cw * k
 
     def _product(self, terms: dict, words) -> dict:
         """Sum of c * w * m * D_s1 * ... * D_sk, with integer coefficients.
 
         ``terms`` maps edge tuples m to c; ``words`` yields ((s1, ..., sk),
-        w).  Each word is applied divisor by divisor to the whole
-        combination, so like terms merge after every step.  Returns edge
-        tuples -> nonzero integers.
+        w).  One pass per monomial: all one-divisor words at once, then
+        each other word that its mask admits.  A word of distinct,
+        pairwise compatible divisors, none of them an edge of the
+        monomial, only appends, so it is one OR; any other word goes
+        divisor by divisor.  Keys become edge tuples once, at the end.
+        Returns edge tuples -> nonzero integers.
         """
-        bit, row = self._bit, self._row
-        # a monomial's mask: the splits compatible with all of its edges
-        masks = {}
-        for parts in terms:
-            mask = self._everything
-            for p in parts:
-                mask &= row[p]
-            masks[parts] = mask
-        start = [(m, c, masks[m]) for m, c in terms.items()]
-        out: dict = {}
+        bit = self._bit
+        weight: dict = {}  # the bit of each one-divisor word -> its summed w
+        longer = []  # the other words, as (bits, w, OR of the bits, a tree?)
         for word, w in words:
-            need = 0
-            for s in word:
-                need |= bit[s]
-            cur = {m: c for m, c, mask in start if mask & need == need}
-            for s in word:
-                b = bit[s]
-                nxt: dict = {}
-                for parts, c in cur.items():
-                    mask = masks[parts]
-                    if not mask & b:  # s crosses an edge added on the way
-                        continue
-                    for key, new, k in self.mul_divisor_raw(s, parts):
-                        nxt[key] = nxt.get(key, 0) + c * k
-                        if key not in masks:
-                            masks[key] = mask & row[new]
-                cur = nxt
-            for parts, c in cur.items():
-                out[parts] = out.get(parts, 0) + w * c
-        return {m: c for m, c in out.items() if c}
+            bits = [bit[s] for s in word]
+            if len(bits) == 1:
+                weight[bits[0]] = weight.get(bits[0], 0) + w
+            else:
+                need = sum(set(bits))
+                tree = len(set(bits)) == len(bits)
+                tree = tree and all(self._row[s] & need == need for s in word)
+                longer.append((bits, w, need, tree))
+        singles = sum(weight)  # distinct bits, so the sum is their OR
+        out: dict = {}
+        for parts, c in terms.items():
+            key = sum(bit[p] for p in parts)
+            self._times(key, parts, c, weight, singles, out)
+            mask = self._mask(parts)
+            for bits, w, need, tree in longer:
+                if mask & need != need:
+                    continue
+                if tree and not key & need:
+                    out[key | need] = out.get(key | need, 0) + c * w
+                    continue
+                cur = {key: c * w}
+                for b in bits:
+                    nxt: dict = {}
+                    for k, v in cur.items():
+                        # only the first divisor meets the monomial itself
+                        edges = parts if k == key else self._edges(k)
+                        self._times(k, edges, v, {b: 1}, b, nxt)
+                    cur = nxt
+                for k, v in cur.items():
+                    out[k] = out.get(k, 0) + v
+        return {self._edges(k): v for k, v in out.items() if v}
 
     def _element(self, terms: dict, den: int = 1) -> RingElement:
         n = self.n

@@ -95,10 +95,13 @@ def pushforward_forget(x: RingElement, label: int | None = None) -> RingElement:
 
     A good monomial survives exactly when stabilizing contracts one
     edge; its image is the stabilized monomial.  With no contraction
-    the stratum maps with positive-dimensional fibers and dies.
+    the stratum maps with positive-dimensional fibers and dies.  The
+    label count and the label are checked even when x has no terms.
     """
     if label is None:
         label = x.n
+    if x.n < 4 or not 1 <= label <= x.n:
+        raise ValueError(f"cannot forget label {label} of {x.n} (need n >= 4)")
     out: dict[Tree, Fraction] = {}
     for tree, coeff in x.terms.items():
         smaller, contracted = forget_and_stabilize(tree, label)

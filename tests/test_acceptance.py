@@ -34,7 +34,8 @@ from genus0.keelring import (
     mul_divisor,
 )
 from genus0.taut import check_logarithmic, kappa, omega_direct, psi_monomial
-from genus0.trees import Split, enumerate_stable_trees, transplant
+from genus0.trees import Split, enumerate_stable_trees
+from surgery import transplant
 
 
 def check_01_volume_numbers():

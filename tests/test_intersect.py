@@ -192,7 +192,7 @@ def exhaustive_orientations(tau, edges):
 
 
 def _union(m1, m2):
-    from genus0.trees import tree_product
+    from surgery import tree_product
 
     return tree_product(m1, m2)
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -34,11 +35,11 @@ from genus0.trees import (
     Split,
     Tree,
     enumerate_stable_trees,
-    insert_edge,
     stable_splits,
 )
 
 from conftest import stable_trees
+from surgery import insert_edge, transplant
 
 
 def D(n, text):
@@ -224,7 +225,7 @@ def case_c_variants(tree, e):
                 for k in range(1, len(movable) + 1):
                     for grp in itertools.combinations(movable, k):
                         acc = acc + RingElement.monomial(
-                            trees.transplant(tree, e, grp)
+                            transplant(tree, e, grp)
                         ).scale(-1)
             out.append(acc)
     return out
@@ -637,7 +638,7 @@ def ref_divisor_times(side, m):
             )
             for k in range(1, len(flags) - 1):
                 for grp in itertools.combinations(flags[2:], k):
-                    t = trees.transplant(m, e, grp)
+                    t = transplant(m, e, grp)
                     out[t] = out.get(t, 0) - 1
         return out
     if any(trees.a_value_masks(n, side, p) == 4 for p in m.parts):
@@ -767,6 +768,38 @@ class TestKernelAgainstReference:
         p = psi(8, 8).element
         got = mul(p, p)
         assert got.terms and got.terms == ref_mul(p, p).terms
+
+    def test_psi_cube_n8(self):
+        # n = 8 runs without the square memo; the cube squares edges of
+        # degree-2 monomials against divisors of psi
+        assert keelring.ring(8)._mul_cache is None
+        p = psi(8, 8).element
+        got = mul(mul(p, p), p)
+        assert got.terms and got.terms == ref_mul(ref_mul(p, p), p).terms
+
+    def test_reduce_three_divisor_words_n7(self):
+        # the `genus0 mul` path: long words, divisor by divisor, memo on
+        n = 7
+        sides = stable_splits(n)
+        rnd = random.Random(7)
+        words = [tuple(rnd.choice(sides) for _ in range(3)) for _ in range(150)]
+        s, t = Split.parse("{12|34567}").side, Split.parse("{123|4567}").side
+        u = Split.parse("{13|24567}").side  # crosses t, not s
+        words += [(s, s, s), (s, t, s), (t, s, s), (s, t, u), (u, s, t)]
+        repeats = crossing_later = 0
+        for word in words:
+            want = {Tree.one_vertex(n): Fraction(1)}
+            for side in word:
+                want = ref_times_divisor(want, side)
+            got = keelring.ring(n).reduce(Split(n, side) for side in word)
+            assert got.terms == want, word
+            repeats += len(set(word)) < 3
+            a, b, c = word
+            crossing_later += (
+                trees.compatible_masks(n, a, c) and not trees.compatible_masks(n, b, c)
+            )
+        assert keelring.ring(n)._mul_cache is not None
+        assert repeats >= 5 and crossing_later >= 10
 
     def test_crossing_pairs_never_reach_mul_divisor_raw(self, monkeypatch):
         asked = []

@@ -1,5 +1,6 @@
 """Psi and kappa classes, forgetful pushforward, omega integrals."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -142,6 +143,21 @@ class TestPushforward:
             x = RingElement(n, {t: Fraction(rng.randint(-4, 4)) for t in picks})
             assert integrate(pushforward_forget(x)) == integrate(x)
 
+    @pytest.mark.parametrize(
+        "x, label",
+        [
+            (RingElement(3, {}), None),
+            (RingElement(5, {}), 9),
+            (RingElement(5, {}), 0),
+            (RingElement.unit(3), None),
+            (RingElement.divisor(Split.parse("{12|345}")), 9),
+        ],
+    )
+    def test_bad_label_count_or_label(self, x, label):
+        # refused whether or not the element has terms
+        with pytest.raises(ValueError):
+            pushforward_forget(x, label)
+
     def test_linear(self):
         a = RingElement.divisor(Split.parse("{45|123}"))
         b = RingElement.divisor(Split.parse("{35|124}"))
@@ -175,6 +191,20 @@ class TestKappa:
 
     def test_homogeneous(self):
         assert kappa(6, 2).element.degrees() == (2,)
+
+    @pytest.mark.parametrize(
+        "n, a, digest",
+        [
+            (6, 3, "ecdfe8f79c0928099832802bf9d7a03987026932ef928f0d8fd9f56f19ac0334"),
+            (7, 2, "efe41c74a3dd1ff0a3e1f519add47c474b12422b32d24dd07e90d7cd547fc846"),
+            (7, 3, "2d7d3aec01c1c2a453196799d7dda4a5fc79f91fad250661e776cd611bd5cac1"),
+        ],
+    )
+    def test_representative_is_pinned(self, n, a, digest):
+        # `genus0 kappa` prints this representative, term for term, so a
+        # change to the ring's rewriting must keep it or say so here
+        got = hashlib.sha256(kappa(n, a).element.to_json().encode()).hexdigest()
+        assert got == digest
 
     def test_symmetric_class_n5(self):
         k = kappa(5, 1).element

@@ -11,6 +11,7 @@ from genus0 import trees as T
 from genus0.trees import Split, Tree
 
 from conftest import stable_trees, trees_with_perm
+from surgery import a_value, contract_edge, insert_edge, transplant, tree_product
 
 # enumeration totals frozen from an independent brute-force pass: for each
 # degree, every r-subset of stable 2-partitions was tested for pairwise
@@ -52,13 +53,13 @@ class TestSplit:
 
     def test_a_value_equal_case(self):
         s = Split.of([1, 2], 5)
-        assert T.a_value(s, s) == 2
+        assert a_value(s, s) == 2
 
     def test_a_value_crossing(self):
-        assert T.a_value(Split.of([1, 2], 4), Split.of([1, 3], 4)) == 4
+        assert a_value(Split.of([1, 2], 4), Split.of([1, 3], 4)) == 4
 
     def test_a_value_nested(self):
-        assert T.a_value(Split.of([1, 2], 5), Split.of([1, 2, 3], 5)) == 3
+        assert a_value(Split.of([1, 2], 5), Split.of([1, 2, 3], 5)) == 3
 
     def test_a_value_exhaustive_n5(self):
         # cross-check the bitmask fast path against literal set algebra
@@ -72,7 +73,7 @@ class TestSplit:
                 for b in (set(T.labels_of(t.side)), universe - set(T.labels_of(t.side)))
                 if a & b
             )
-            assert T.a_value(s, t) == cuts
+            assert a_value(s, t) == cuts
 
 
 class TestEnumeration:
@@ -115,7 +116,7 @@ class TestEnumeration:
             for t in T.enumerate_stable_trees(n, r):
                 for e, g in combinations(range(r), 2):
                     assert (
-                        T.a_value(t.edge_partition(e), t.edge_partition(g)) == 3
+                        a_value(t.edge_partition(e), t.edge_partition(g)) == 3
                     )
 
 
@@ -165,25 +166,25 @@ class TestProduct:
     def test_product_of_compatible_edges(self):
         a = Tree.parse("{12|345}")
         b = Tree.parse("{123|45}")
-        assert T.tree_product(a, b) == Tree.parse("{12|345}{123|45}")
+        assert tree_product(a, b) == Tree.parse("{12|345}{123|45}")
 
     def test_product_crossing_is_none(self):
         a = Tree.parse("{12|34}")
         b = Tree.parse("{13|24}")
-        assert T.tree_product(a, b) is None
+        assert tree_product(a, b) is None
 
     def test_self_product(self):
         a = Tree.parse("{12|345}{123|45}")
-        assert T.tree_product(a, a) == a
+        assert tree_product(a, a) == a
 
     @given(stable_trees(max_n=6), stable_trees(max_n=6))
     def test_product_is_union_of_partitions(self, a, b):
         if a.n != b.n:
             return
-        p = T.tree_product(a, b)
+        p = tree_product(a, b)
         if p is not None:
             assert set(p.parts) == set(a.parts) | set(b.parts)
-            assert p == T.tree_product(b, a)
+            assert p == tree_product(b, a)
 
 
 class TestTransplant:
@@ -193,24 +194,24 @@ class TestTransplant:
             v for v in (0, 1) if any(f.ref == 3 and f.kind == "tail" for f in t.flags_at(v))
         )
         moved = [f for f in t.flags_at(v_345) if f.kind == "tail" and f.ref == 3]
-        assert T.transplant(t, 0, moved) == Tree.parse("{12|345}{123|45}")
+        assert transplant(t, 0, moved) == Tree.parse("{12|345}{123|45}")
 
     def test_contract_round_trip(self):
         t = Tree.parse("{12|345}")
         v = 1
         moved = [f for f in t.flags_at(v) if f.kind == "tail" and f.ref == 4]
-        bigger = T.transplant(t, 0, moved)
+        bigger = transplant(t, 0, moved)
         new_edge = next(
             e for e in range(bigger.degree) if bigger.parts[e] not in t.parts
         )
-        assert T.contract_edge(bigger, new_edge) == t
+        assert contract_edge(bigger, new_edge) == t
 
     def test_maximal_move_leaves_valency_three(self):
         # moving every movable flag but two must leave the old endpoint
         # with exactly three flags: the edge plus the two stragglers
         t = Tree.one_vertex(6)
         g = [f for f in t.flags_at(0) if f.ref in (1, 2)]
-        one_edge = T.insert_edge(t, 0, g)
+        one_edge = insert_edge(t, 0, g)
         v = next(
             v
             for v in (0, 1)
@@ -219,23 +220,23 @@ class TestTransplant:
         movable = [
             f for f in one_edge.flags_at(v) if f.kind == "tail" and f.ref in (3, 4)
         ]
-        out = T.transplant(one_edge, 0, movable)
+        out = transplant(one_edge, 0, movable)
         assert sorted(out.valencies()) == [3, 3, 4]
 
     def test_rejects_empty_and_oversized(self):
         t = Tree.parse("{12|345}")
         with pytest.raises(ValueError):
-            T.transplant(t, 0, [])
+            transplant(t, 0, [])
         v = 1
         all_tails = [f for f in t.flags_at(v) if f.kind == "tail"]
         with pytest.raises(ValueError):
-            T.transplant(t, 0, all_tails)  # endpoint would drop below valency 3
+            transplant(t, 0, all_tails)  # endpoint would drop below valency 3
 
     def test_rejects_moving_the_edge_itself(self):
         t = Tree.parse("{123|456}")
         flags = list(t.flags_at(0))
         with pytest.raises(ValueError):
-            T.transplant(t, 0, [f for f in flags if f.kind == "edge"])
+            transplant(t, 0, [f for f in flags if f.kind == "edge"])
 
 
 class TestForget:
