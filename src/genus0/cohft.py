@@ -46,6 +46,7 @@ from .trees import (
     _families,
     _integer,
     _split_index,
+    _tree_ids,
     _tree_transpositions,
     enumerate_stable_trees,
     orbit_labels,
@@ -339,11 +340,6 @@ def _submultiset_splits(nu: tuple[int, ...]):
     return out
 
 
-# Keyed after order=None is resolved to phi.order, so that both spellings
-# of one check share an entry; an lru_cache would key them apart.
-_WDVV_MEMO: dict = {}
-
-
 def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
     """Check every quadratic associativity constraint up to the order.
 
@@ -351,15 +347,18 @@ def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
     over splittings of one-loop contractions through the inverse pairing
     must be invariant under swapping b and c; bases with odd vectors are
     refused.  The report carries the first violated instance, if any.
+    ``order`` defaults to phi.order, and is resolved before the cached
+    `_wdvv` is asked, so that both spellings of one check share an entry.
     """
     if order is None:
         order = phi.order
     if not 4 <= order <= phi.order:
         raise ValueError("order must lie between 4 and the truncation order")
-    memo_key = (phi, order)
-    hit = _WDVV_MEMO.get(memo_key)
-    if hit is not None:
-        return hit
+    return _wdvv(phi, order)
+
+
+@lru_cache(maxsize=None)
+def _wdvv(phi: Potential, order: int) -> WdvvReport:
     _require_even(phi.metric, "constraint checking")
     rank = phi.metric.rank
     cas = phi.metric.casimir
@@ -418,9 +417,7 @@ def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
                     break
             if failure is not None:
                 break
-    report = WdvvReport(order=order, checked=checked, failure=failure)
-    _WDVV_MEMO[memo_key] = report
-    return report
+    return WdvvReport(order=order, checked=checked, failure=failure)
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +592,8 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
         return [(np.arange(len(cols_trees), dtype=np.int64), ones)]
     sid = _split_index(n)
     nsplit = len(sid)
-    lanes = (nsplit + 63) // 64
     full = (1 << nsplit) - 1
-    lane_mask = (1 << 64) - 1
-    colbits = np.zeros((len(cols_trees), lanes), dtype=np.uint64)
-    for j, t in enumerate(cols_trees):
-        m = 0
-        for part in t.parts:
-            m |= 1 << sid[part]
-        for lane in range(lanes):
-            colbits[j, lane] = (m >> (64 * lane)) & lane_mask
+    col_ids = _tree_ids(n, hi)
     adj = _compat_graph(n)
     pair_raw = _pair_parts.__wrapped__
     row_moves = _tree_transpositions(n, lo).tolist()
@@ -617,10 +606,8 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
         for part in t.parts:
             k = sid[part]
             sig &= adj[k] | 1 << k
-        bad = sig ^ full
-        ok = np.ones(len(cols_trees), dtype=bool)
-        for lane in range(lanes):
-            ok &= (colbits[:, lane] & np.uint64((bad >> (64 * lane)) & lane_mask)) == 0
+        allowed = np.array([sig >> k & 1 for k in range(nsplit)], dtype=bool)
+        ok = allowed[col_ids].all(axis=1)
         cs: list[int] = []
         vs: list[int] = []
         for j in np.nonzero(ok)[0].tolist():

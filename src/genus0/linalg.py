@@ -6,6 +6,13 @@ eliminated over GF(p) for word-sized primes using float64 matrix products
 Chinese-remainder widening, and certified by an exact residual check, so
 every answer returned by this module is provably correct, never "probably".
 
+The GF(p) layer takes integer matrices only: `rank_mod` refuses any other
+entry with TypeError, and `solve_certified` clears the denominators of
+exact rationals itself (`_integral`) and refuses a float, which is not an
+exact value.  A x = b is solved by eliminating the augmented matrix
+[A | b] with a plain `ModEliminator`: a pivot in a column of b means no
+solution mod p; otherwise the pivot rows' trailing entries are one.
+
 The GF(p) arithmetic reduces lazily.  A float64 holds every integer below
 2^53 exactly, and one update ``row - f * pivot_row`` with f and the pivot
 row in [0, p) moves an entry by less than (p - 1)^2 < 2^40.  So a row is
@@ -35,6 +42,7 @@ computes.
 from __future__ import annotations
 
 import numbers
+import operator
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
@@ -86,10 +94,6 @@ _HEAVY = 256
 _FILL = 16
 
 
-class BadPrime(Exception):
-    """A denominator vanished mod p; retry with another prime."""
-
-
 class Inconsistent(Exception):
     """The linear system has no solution."""
 
@@ -120,28 +124,12 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _reduce_mod(out, p)
 
 
-def entry_mod(x, p: int) -> int:
-    if isinstance(x, Fraction):
-        den = x.denominator % p
-        if den == 0:
-            raise BadPrime(p)
-        return x.numerator % p * pow(den, p - 2, p) % p
-    return int(x) % p
+def rows_mod(rows: np.ndarray, p: int) -> np.ndarray:
+    """Dense float64 matrix of an integer array reduced mod p.
 
-
-def rows_mod(rows, p: int) -> np.ndarray:
-    """Dense float64 matrix of the given rows reduced mod p.
-
-    Fast path for numeric ndarrays (entries must fit int64); anything
-    else is reduced entry by entry, Fractions via modular inverses.
+    ``rows`` is int64 or holds Python ints as objects (`_int_array`).
     """
-    if isinstance(rows, np.ndarray) and rows.dtype != object:
-        return np.mod(rows.astype(np.int64), p).astype(np.float64)
-    rows = list(rows)
-    if not rows:
-        return np.zeros((0, 0))
-    data = [[entry_mod(x, p) for x in row] for row in rows]
-    return np.array(data, dtype=np.float64)
+    return np.mod(rows, p).astype(np.float64)
 
 
 def densify(rows, width: int, dtype=np.float64) -> np.ndarray:
@@ -159,27 +147,26 @@ class ModEliminator:
     Rows are fed in blocks; each block is reduced against the pivots found
     so far with one matrix product, then swept row by row.  Keeping the
     stored rows fully reduced makes rank queries and solution extraction
-    trivial.  ``nsolve`` marks trailing columns as right-hand sides: pivots
-    are never chosen there, so those columns just carry along the reduction
-    of each attached vector.  ``sources`` records, for each pivot, the
-    position among all rows fed so far of the row that produced it.
+    trivial.  Any column can take a pivot: `solve_certified` feeds [A | b]
+    and reads a pivot in a column of b as no solution mod p.  ``sources``
+    records, for each pivot, the position among all rows fed so far of the
+    row that produced it.
 
-    Stored rows, ``dead_rows`` and the multipliers are always reduced into
-    [0, p); a row being swept is not.  It takes updates unreduced and is
-    reduced after at most `_LAZY` of them, whatever the block size, which
-    keeps its entries below _LAZY * (p - 1)^2 + p < 2^53 and exact.
+    The entries fed are integers, as an integer array or as float64 below
+    2^53 in magnitude, such as `rows_mod`'s residues.  Stored rows and the
+    multipliers are always reduced into [0, p); a row being swept is not.
+    It takes updates unreduced and is reduced after at most `_LAZY` of
+    them, whatever the block size, which keeps its entries below
+    _LAZY * (p - 1)^2 + p < 2^53 and exact.
     """
 
-    def __init__(self, ncols: int, p: int, nsolve: int = 0):
+    def __init__(self, ncols: int, p: int):
         self.p = p
         self.ncols = ncols
-        self.nsolve = nsolve
-        self.width = ncols + nsolve
-        self.rows = np.zeros((0, self.width))
+        self.rows = np.zeros((0, ncols))
         self.piv_cols: list[int] = []
         self.sources: list[int] = []
         self.fed = 0
-        self.dead_rows = np.zeros((0, self.width))  # zero A-part, nonzero rhs
 
     @property
     def rank(self) -> int:
@@ -210,10 +197,8 @@ class ModEliminator:
                         row = _reduce_mod(row, p)
                         pending = 0
             row = _reduce_mod(row, p)
-            nz = np.nonzero(row[: self.ncols])[0]
+            nz = np.nonzero(row)[0]
             if nz.size == 0:
-                if self.nsolve and np.any(row[self.ncols :]):
-                    self.dead_rows = np.vstack([self.dead_rows, row])
                 continue
             c = int(nz[0])
             inv = pow(int(row[c]), p - 2, p)
@@ -249,14 +234,6 @@ class ModEliminator:
             coeff = self.rows[:, new_cols]
             if np.any(coeff):
                 self.rows = _sub_mod(self.rows, mod_matmul(coeff, fresh, p), p)
-        if self.dead_rows.shape[0]:
-            coeff = self.dead_rows[:, new_cols]
-            if np.any(coeff):
-                self.dead_rows = _sub_mod(
-                    self.dead_rows, mod_matmul(coeff, fresh, p), p
-                )
-                keep = np.any(self.dead_rows, axis=1)
-                self.dead_rows = self.dead_rows[keep]
         self.rows = np.vstack([self.rows, fresh])
         self.piv_cols.extend(new_cols)
 
@@ -273,36 +250,21 @@ class ModEliminator:
         sparse = not isinstance(rows, np.ndarray)
         for lo in range(0, len(rows), block_size):
             block = rows[lo : lo + block_size]
-            self.feed(densify(block, self.width) if sparse else block)
+            self.feed(densify(block, self.ncols) if sparse else block)
             if self.rank >= target:
                 break
 
-    def solutions(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Pivot-supported solutions for the attached right-hand sides.
-
-        Returns (x, pivots) with x of shape (ncols, nsolve); raises
-        Inconsistent if any reduced row has zero coefficient part but a
-        nonzero right-hand side entry.
-        """
-        if self.dead_rows.shape[0]:
-            raise Inconsistent(
-                f"{self.dead_rows.shape[0]} incompatible rows mod {self.p}"
-            )
-        x = np.zeros((self.ncols, self.nsolve))
-        for c, row in zip(self.piv_cols, self.rows):
-            x[c] = row[self.ncols :]
-        return x, tuple(sorted(self.piv_cols))
-
 
 def _sparse_row(cols, vals, p: int) -> dict[int, int]:
-    """One sparse row as a dict column -> residue in [0, p), zeros dropped."""
+    """Integer sparse row as a dict column -> residue in [0, p), zeros
+    dropped; any other entry raises TypeError."""
     if isinstance(cols, np.ndarray):
         cols = cols.tolist()
-    if isinstance(vals, np.ndarray) and vals.dtype != object:
+    if isinstance(vals, np.ndarray):
         vals = vals.tolist()
     row = {}
     for c, v in zip(cols, vals):
-        v = entry_mod(v, p)
+        v = operator.index(v) % p
         if v:
             row[c] = v
     return row
@@ -368,9 +330,9 @@ def _reduce_sparse(row: dict, pivots: dict, p: int, limit: int | None = None):
 def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) -> int:
     """Rank over GF(p), or ``target`` once the rank reaches it.
 
-    Either is a lower bound for the rational rank.  ``rows`` is a matrix
-    or a list of sparse (column indices, values) rows with distinct
-    columns.  The sparse phase (module docstring) takes the rows shortest
+    Either is a lower bound for the rational rank.  ``rows`` is an integer
+    matrix or a list of sparse (column indices, integer values) rows with
+    distinct columns.  The sparse phase (module docstring) takes the rows shortest
     first; rows past the `_HEAVY` or `_FILL` bound wait, and their Schur
     complement on the columns the sparse pivots leave free goes to
     `ModEliminator.feed_all`.
@@ -453,58 +415,22 @@ def _int_array(values) -> np.ndarray:
     return arr
 
 
-def _integer_columns(rhs_cols) -> tuple[list[list[int]], list[int]]:
-    """Each right-hand column as integer numerators over one denominator.
+def _integral(vec) -> tuple[list[int], int]:
+    """Exact rationals as integer numerators over their least denominator.
 
-    A column of ints is taken as it is, over 1, with no `Fraction` built.
-    Any other exact rational goes through `Fraction` once; a float is
-    refused, since it is not an exact value.
+    A vector of Python ints is taken as it is, over 1, with no `Fraction`
+    built.  Any other integer or rational (a numpy integer, a `Fraction`)
+    is converted exactly; a float is refused, since it is not an exact
+    value.
     """
-    nums, dens = [], []
-    for col in rhs_cols:
-        col = list(col)
-        kinds = set(map(type, col))
-        if kinds <= {int}:
-            nums.append(col)
-            dens.append(1)
-            continue
-        fr = []
-        for x in col:
-            if isinstance(x, numbers.Integral):
-                fr.append(Fraction(int(x)))
-            elif isinstance(x, numbers.Rational):
-                fr.append(Fraction(x))
-            else:
-                raise TypeError(f"right-hand entry {x!r} is not an exact rational")
-        den = lcm(*(f.denominator for f in fr))
-        nums.append([f.numerator * (den // f.denominator) for f in fr])
-        dens.append(den)
-    return nums, dens
-
-
-def _scale_rows_integral(rows):
-    """Clear denominators row by row.
-
-    Returns the integer rows and the factor each row was scaled by, or
-    None when every entry was already an integer.  Scaling equation i and
-    its right-hand entries by one nonzero integer leaves the solution set
-    unchanged and lets the residual certificate work over the integers.
-    ndarray input is assumed integral already.
-    """
-    if isinstance(rows, np.ndarray):
-        return rows, None
-    rows = [list(r) for r in rows]
-    if not any(
-        isinstance(x, Fraction) and x.denominator != 1 for r in rows for x in r
-    ):
-        return [[int(x) for x in r] for r in rows], None
-    out, scales = [], []
-    for row in rows:
-        fr = [Fraction(x) for x in row]
-        d = lcm(*(f.denominator for f in fr))
-        out.append([int(f * d) for f in fr])
-        scales.append(d)
-    return out, scales
+    vec = list(vec)
+    if set(map(type, vec)) <= {int}:
+        return vec, 1
+    for x in vec:
+        if not isinstance(x, numbers.Rational):
+            raise TypeError(f"entry {x!r} is not an exact rational")
+    den = lcm(*(int(x.denominator) for x in vec))
+    return [int(x.numerator) * (den // int(x.denominator)) for x in vec], den
 
 
 def _certify_residual(rows: np.ndarray, sol_cols: list[list[Fraction]], b) -> bool:
@@ -555,26 +481,31 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
 
     A may be rectangular and rank-deficient; any exact solution is
     acceptable and the returned one has support in the pivot columns of
-    the reduced form.  Each column is first written once as integer
-    numerators over one denominator (ints need no `Fraction`), and A x =
-    numerators is solved: rows are eliminated mod one or more primes,
-    each time only until the rank fills every column; the solutions are
-    lifted by rational reconstruction across the primes and only
-    returned, divided by the denominators, once the exact residual over
-    every row, fed or not, vanishes.  Raises Inconsistent when fed rows
-    contradict each other mod two primes, or when the pivots fill every
-    column and the lifted solution satisfies the pivot rows exactly but
-    not the rest: those rows are then invertible over the rationals, so
-    their one solution is the only candidate left and the system has
-    none.
+    the reduced form.  Entries are exact rationals, one per row in each
+    column; a float raises TypeError, a column of another length
+    ValueError.  Each column b_j becomes integer numerators over one
+    denominator d_j, and each row of A (unless A is an integer ndarray)
+    integer numerators, its right-hand entries scaled alike.  Then [A | b]
+    is eliminated mod one or more primes, each time only until the rank
+    reaches A's width; a pivot in a column of b means no solution mod p,
+    else the pivot rows' trailing entries are one.  These are lifted by
+    rational reconstruction across the primes and only returned, divided
+    by the d_j, once the exact residual over every row, fed or not,
+    vanishes.  Raises Inconsistent when two primes find no solution, or
+    when the pivots fill every column of A and the lifted solution
+    satisfies the pivot rows exactly but not the rest: those rows are then
+    invertible over the rationals, so their one solution is the only
+    candidate left and the system has none.
     """
     rhs_cols = list(rhs_cols)
     nrhs = len(rhs_cols)
     if nrhs == 0:
         return []
-    nums, dens = _integer_columns(rhs_cols)
-    rows, scales = _scale_rows_integral(rows)
-    if scales is not None:
+    nums, dens = zip(*map(_integral, rhs_cols))
+    if {len(col) for col in nums} != {len(rows)}:
+        raise ValueError("each right-hand column needs one entry per row")
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "i"):
+        rows, scales = zip(*map(_integral, rows))
         nums = [[v * s for v, s in zip(col, scales)] for col in nums]
     rows = _int_array(rows)
     b = _int_array(nums).T
@@ -586,19 +517,20 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
     inconsistent_seen = 0
 
     for p in PRIMES:
-        try:
-            elim = ModEliminator(ncols, p, nsolve=nrhs)
-            block = np.zeros((nrows, ncols + nrhs))
-            block[:, :ncols] = rows_mod(rows, p)
-            block[:, ncols:] = np.mod(b, p)
-            elim.feed_all(block)
-            x_p, pivots = elim.solutions()
-        except Inconsistent:
+        elim = ModEliminator(ncols + nrhs, p)
+        block = np.zeros((nrows, ncols + nrhs))
+        block[:, :ncols] = rows_mod(rows, p)
+        block[:, ncols:] = np.mod(b, p)
+        elim.feed_all(block, target=ncols)
+        if any(c >= ncols for c in elim.piv_cols):
             inconsistent_seen += 1
             if inconsistent_seen >= 2:
-                raise
+                raise Inconsistent(f"no solution mod {p} and mod an earlier prime")
             continue
+        x_p = np.zeros((ncols, nrhs))
+        x_p[elim.piv_cols] = elim.rows[:, ncols:]
         x_int = x_p.astype(np.int64).astype(object)
+        pivots = tuple(sorted(elim.piv_cols))
         if pivots_ref is None or len(pivots) > len(pivots_ref):
             acc, modulus, pivots_ref = x_int, p, pivots
         elif pivots == pivots_ref:

@@ -184,6 +184,12 @@ class TestWdvv:
         rep = wdvv_check(p1_potential(10), order=4)
         assert rep.passed and rep.checked == 16
 
+    def test_both_spellings_share_one_report(self):
+        # tensor_potential checks the square of the line with an explicit
+        # order and with the default one: both must hit one cached report
+        phi = p1_potential(7)
+        assert wdvv_check(phi) is wdvv_check(phi, phi.order)
+
     def test_located_failure_rank_two(self):
         # an xz^2 term breaks associativity in the first quadruple that
         # mixes the two insertions
