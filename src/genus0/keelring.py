@@ -204,6 +204,7 @@ class Ring:
         if n < 3:
             raise ValueError("need at least three labels")
         self.n = n
+        self._full = full_mask(n)
         sides = stable_splits(n)
         graph = _compat_graph(n)
         self._bit = {s: 1 << i for i, s in enumerate(sides)}
@@ -241,21 +242,34 @@ class Ring:
         put; every nonempty subset of the remaining branches moves onto
         the subdivided edge, each resulting tree with coefficient -1.
         The choice of the fixed pair does not affect the class (tested
-        exhaustively), only the representative.
+        exhaustively), only the representative.  A trivalent endpoint has
+        nothing to move.
         """
-        f = full_mask(self.n)
+        f = self._full
         # each other edge has one side inside the cover of one endpoint
         low, high = [], []  # the sides inside side, and inside f ^ side
         for p in parts:
-            if p == side:
-                continue
             if p & side == side:
-                high.append(f ^ p)
+                if p != side:
+                    high.append(f ^ p)
+            elif p & side == p:
+                low.append(p)
             else:
-                low.append(p if p & side == p else f ^ p)
+                low.append(f ^ p)
         out = []
-        for here, inside in ((side, low), (f ^ side, high)):
-            branches = _branches(inside, here)
+        for here, branches in ((side, low), (f ^ side, high)):
+            # the branches: the maximal sides inside here, then the labels
+            # they miss
+            if len(branches) > 1:
+                branches, covered = _maximal(branches)
+            else:
+                covered = sum(branches)
+            rest = here & ~covered
+            if len(branches) + rest.bit_count() < 3:
+                continue
+            while rest:
+                branches.append(rest & -rest)
+                rest &= rest - 1
             branches.sort(key=lambda q: q & -q)
             # the new edge's far side: the other end's, plus a nonempty
             # union of the movable branches
@@ -349,10 +363,6 @@ class Ring:
                     out[k] = out.get(k, 0) + v
         return {self._edges(k): v for k, v in out.items() if v}
 
-    def _element(self, terms: dict, den: int = 1) -> RingElement:
-        n = self.n
-        return RingElement(n, {Tree(n, m): Fraction(c, den) for m, c in terms.items()})
-
     def reduce(self, sigmas: Iterable[Split]) -> RingElement:
         """Normal form of a product of boundary divisors."""
         word = []
@@ -360,17 +370,42 @@ class Ring:
             if s.n != self.n:
                 raise ValueError("partition over the wrong label set")
             word.append(s.side)
-        return self._element(self._product({(): 1}, [(tuple(word), 1)]))
+        return _element(self.n, self._product({(): 1}, [(tuple(word), 1)]))
 
     def mul(self, x: RingElement, y: RingElement) -> RingElement:
         if x.n != self.n or y.n != self.n:
             raise ValueError("elements over the wrong label set")
-        # take the divisor words from the element with fewer divisor factors
-        if sum(t.degree for t in y.terms) > sum(t.degree for t in x.terms):
-            x, y = y, x
         xs, dx = _numerators(x.terms)
         ys, dy = _numerators(y.terms)
-        return self._element(self._product(xs, ys.items()), dx * dy)
+        return _element(self.n, self.mul_numerators(xs, ys), dx * dy)
+
+    def mul_numerators(self, xs: dict, ys: dict) -> dict:
+        """The product of two integer combinations of good monomials.
+
+        Both factors and the result map edge tuples to integers, so a
+        chain of products stays in the integers over one denominator.
+        """
+        # take the divisor words from the factor with fewer divisor factors
+        if sum(map(len, ys)) > sum(map(len, xs)):
+            xs, ys = ys, xs
+        return self._product(xs, ys.items())
+
+
+def _maximal(sides: list) -> tuple[list, int]:
+    """The maximal members of a laminar family of sides, and their union.
+
+    The members are pairwise disjoint or nested.  Taken largest first, a
+    side that meets the union of the sides kept so far lies inside one of
+    them (laminar, and no larger), so it is maximal exactly when it
+    misses that union.  The kept sides come largest first.
+    """
+    kept = []
+    covered = 0
+    for q in sorted(sides, key=int.bit_count, reverse=True):
+        if not q & covered:
+            kept.append(q)
+            covered |= q
+    return kept, covered
 
 
 def _branches(sides: list, here: int) -> list:
@@ -379,18 +414,11 @@ def _branches(sides: list, here: int) -> list:
     ``sides`` holds sides of the tree's edges, in either orientation, but
     not ``here`` itself.  They form a laminar family, so the branches are
     the maximal sides inside ``here``, in the order of ``sides``, then the
-    labels no such side covers, ascending.  Taken largest first, a side
-    that meets the union of the sides kept so far lies inside one of them
-    (laminar, and no larger), so it is maximal exactly when it misses
-    that union.
+    labels no such side covers, ascending.
     """
     inside = [q for q in sides if q & here == q]
-    kept = set()
-    covered = 0
-    for q in sorted(inside, key=int.bit_count, reverse=True):
-        if not q & covered:
-            kept.add(q)
-            covered |= q
+    kept, covered = _maximal(inside)
+    kept = set(kept)
     branches = [q for q in inside if q in kept]
     rest = here & ~covered
     while rest:
@@ -404,6 +432,11 @@ def _numerators(terms: dict) -> tuple[dict, int]:
     den = lcm(*(c.denominator for c in terms.values()))
     nums = {t.parts: c.numerator * (den // c.denominator) for t, c in terms.items()}
     return nums, den
+
+
+def _element(n: int, nums: dict, den: int = 1) -> RingElement:
+    """The inverse of `_numerators`: edge tuples -> integers, over den."""
+    return RingElement(n, {Tree(n, m): Fraction(c, den) for m, c in nums.items()})
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,12 @@ divisors with weights depending only on the side sizes.  Kappa classes
 arrive by raising the psi class at an extra marked point to a power and
 pushing forward along the map that forgets it.  Both feed the splitting
 check and the omega integrals used by the recursion layer.
+
+Products of psi classes stay in the integers from the first product to
+the last: each stage of the chain is a map from edge tuples to integer
+numerators over one denominator, straight from the ring's kernel, and
+the pushforward maps edge tuples through a cached table of side images.
+A `RingElement` is built once, for the class that is returned.
 """
 
 from dataclasses import dataclass
@@ -13,12 +19,19 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .intersect import integrate
-from .keelring import RingElement, mul, splitting_failures
+from .keelring import (
+    RingElement,
+    _element,
+    _numerators,
+    ring,
+    splitting_failures,
+)
 from .trees import (
     Split,
     Tree,
+    _forget_images,
+    _integer,
     enumerate_stable_trees,
-    forget_and_stabilize,
     stable_splits,
 )
 
@@ -37,23 +50,31 @@ class TautClass:
         return d
 
     def pow(self, k: int) -> RingElement:
-        out = RingElement.unit(self.n)
+        """The k-th power, multiplied out on integer numerators.
+
+        k must be a nonnegative integer.
+        """
+        if _integer(k) < 0:
+            raise ValueError(f"negative power {k}")
+        ys, dy = _numerators(self.element.terms)
+        xs, dx = {(): 1}, 1
         for _ in range(k):
-            out = mul(out, self.element)
-        return out
+            xs, dx = ring(self.n).mul_numerators(xs, ys), dx * dy
+        return _element(self.n, xs, dx)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def psi(n: int, i: int) -> TautClass:
     """The cotangent-line class at label i, as a sum of divisors.
 
     Every split whose i-side has size s contributes the weight
     (n-s)(n-s-1) / ((n-1)(n-2)).  On three labels there is nothing to
-    bound and the class is zero.
+    bound and the class is zero.  The cache tells 1 from 1.0 and True, so
+    those are refused, not served from it.
     """
-    if n < 3:
+    if _integer(n) < 3:
         raise ValueError("need at least three labels")
-    if not 1 <= i <= n:
+    if not 1 <= _integer(i) <= n:
         raise ValueError(f"label {i} out of range for n={n}")
     terms: dict[Tree, Fraction] = {}
     if n >= 4:
@@ -69,70 +90,90 @@ def psi(n: int, i: int) -> TautClass:
 
 
 @lru_cache(maxsize=None)
-def _psi_prefix(n: int, exps: tuple[int, ...]) -> RingElement:
-    # Partial products psi_1^{e_1} ... psi_k^{e_k} share prefixes across
-    # the whole exponent lattice, so build them by peeling the last
-    # nonzero exponent and memoizing every stage.
+def _psi_prefix(n: int, exps: tuple[int, ...]) -> tuple[dict, int]:
+    """psi_1^e_1 ... psi_n^e_n as (edge tuples -> integers, denominator).
+
+    Partial products share prefixes across the whole exponent lattice, so
+    each is built by peeling the last nonzero exponent and every stage is
+    memoized.  The chain stays in the integers: each stage multiplies the
+    previous numerators by psi's, and the denominators multiply.
+    """
     last = max((idx for idx, e in enumerate(exps) if e), default=None)
     if last is None:
-        return RingElement.unit(n)
+        return {(): 1}, 1
     prev = exps[:last] + (exps[last] - 1,) + exps[last + 1 :]
-    return mul(_psi_prefix(n, prev), psi(n, last + 1).element)
+    xs, dx = _psi_prefix(n, prev)
+    ys, dy = _numerators(psi(n, last + 1).element.terms)
+    return ring(n).mul_numerators(xs, ys), dx * dy
 
 
 def psi_monomial(n: int, exponents: Sequence[int]) -> Fraction:
     """Integral of a product of psi powers, one exponent per label."""
-    exps = tuple(exponents)
+    if _integer(n) < 3:
+        raise ValueError("need at least three labels")
+    exps = tuple(_integer(e) for e in exponents)
     if len(exps) != n:
         raise ValueError("need one exponent per label")
     if any(e < 0 for e in exps):
         raise ValueError("exponents must be nonnegative")
-    return integrate(_psi_prefix(n, exps))
+    if sum(exps) != n - 3:
+        return Fraction(0)  # the product is homogeneous of another degree
+    nums, den = _psi_prefix(n, exps)
+    return Fraction(sum(c for parts, c in nums.items() if len(parts) == n - 3), den)
+
+
+def _pushforward(n: int, label: int, nums: dict) -> dict:
+    """Push integer combinations of good monomials on n labels down to n-1.
+
+    A monomial survives exactly when stabilizing contracts one edge, that
+    is when the images of its edges under `trees._forget_images` number
+    one fewer than its edges (an unstable image, 0, does not count); its
+    image is the monomial with those edges.  With no contraction the
+    stratum maps with positive-dimensional fibers and dies.
+    """
+    image = _forget_images(n, label)
+    out: dict = {}
+    for parts, c in nums.items():
+        kept = {image[p] for p in parts}
+        kept.discard(0)
+        if len(kept) == len(parts) - 1:
+            key = tuple(sorted(kept))
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
 def pushforward_forget(x: RingElement, label: int | None = None) -> RingElement:
-    """Push a class down along the map forgetting one label.
+    """Push a class down along the map forgetting one label (default n).
 
-    A good monomial survives exactly when stabilizing contracts one
-    edge; its image is the stabilized monomial.  With no contraction
-    the stratum maps with positive-dimensional fibers and dies.  The
-    label count and the label are checked even when x has no terms.
+    The label count and the label are checked even when x has no terms.
     """
     if label is None:
         label = x.n
-    if x.n < 4 or not 1 <= label <= x.n:
+    if x.n < 4 or not 1 <= _integer(label) <= x.n:
         raise ValueError(f"cannot forget label {label} of {x.n} (need n >= 4)")
-    out: dict[Tree, Fraction] = {}
-    for tree, coeff in x.terms.items():
-        smaller, contracted = forget_and_stabilize(tree, label)
-        if contracted != 1:
-            continue
-        now = out.get(smaller, 0) + coeff
-        if now:
-            out[smaller] = now
-        else:
-            out.pop(smaller, None)
-    return RingElement(x.n - 1, out)
+    nums, den = _numerators(x.terms)
+    return _element(x.n - 1, _pushforward(x.n, label, nums), den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kappa(n: int, a: int) -> TautClass:
     """The degree-a kappa class on n labels.
 
     Computed as the forgetful pushforward of the (a+1)-st power of the
     psi class at the extra label.  Vanishes above the dimension; a = 0
-    gives n-2 times the unit.
+    gives n-2 times the unit.  Only integers are accepted (see `psi`).
     """
-    if n < 3:
+    if _integer(n) < 3:
         raise ValueError("need at least three labels")
-    if a < 0:
+    if _integer(a) < 0:
         raise ValueError("negative degree")
     if a > n - 3:
         element = RingElement(n, {})
     else:
         # psi^(a+1) at the extra label sits on the psi_monomial prefix
         # chain, so kappa_1, kappa_2, ... share their lower powers
-        element = pushforward_forget(_psi_prefix(n + 1, (0,) * n + (a + 1,)))
+        nums, den = _psi_prefix(n + 1, (0,) * n + (a + 1,))
+        element = _element(n, _pushforward(n + 1, n + 1, nums), den)
     return TautClass(n, f"kappa({a})", element)
 
 

@@ -405,27 +405,41 @@ def enumerate_stable_trees(n: int, r: int) -> tuple[Tree, ...]:
 # surgery
 
 
+@lru_cache(maxsize=None)
+def _forget_images(n: int, label: int) -> dict[int, int]:
+    """Each side of ``stable_splits(n)`` -> its image once label is forgotten.
+
+    The image is the canonical side on n-1 labels, the survivors
+    renumbered in order, or 0 when that split is unstable (a side of one
+    label).
+    """
+    low = (1 << (label - 1)) - 1
+    f = full_mask(n - 1)
+    out = {}
+    for p in stable_splits(n):
+        q = (p & low) | ((p >> 1) & ~low)
+        k = q.bit_count()
+        out[p] = 0 if k < 2 or (n - 1) - k < 2 else q if q & 1 else f ^ q
+    return out
+
+
 def forget_and_stabilize(tree: Tree, label: int) -> tuple[Tree, int]:
     """Remove one tail and contract whatever becomes unstable.
 
     Returns the stabilized tree on n-1 labels (the survivors renumbered,
     preserving order) and the number of contracted edges, which is 0 or 1:
     removing a single tail can only break the one vertex that carried it.
+    That vertex is contracted either along an edge whose image is
+    unstable or by merging its two edges into one image.
     """
     n = tree.n
     if n < 4:
         raise ValueError("cannot forget below three labels")
     if not 1 <= label <= n:
         raise ValueError(f"label {label} outside 1..{n}")
-    low = (1 << (label - 1)) - 1
-    f = full_mask(n - 1)
-    kept = set()
-    for p in tree.parts:
-        q = (p & low) | ((p >> 1) & ~low)
-        k = q.bit_count()
-        if k < 2 or (n - 1) - k < 2:
-            continue
-        kept.add(q if q & 1 else f ^ q)
+    image = _forget_images(n, label)
+    kept = {image[p] for p in tree.parts}
+    kept.discard(0)
     return Tree(n - 1, tuple(sorted(kept))), len(tree.parts) - len(kept)
 
 

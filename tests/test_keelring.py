@@ -825,6 +825,80 @@ class TestKernelAgainstReference:
 
 
 # ---------------------------------------------------------------------------
+# The square rewrite as it was before one pass sorted the other edges to
+# the two endpoints, kept as a reference: every endpoint runs the full
+# maximal-cover filter, whatever its valency.
+
+
+def ref_branches(sides, here):
+    inside = [q for q in sides if q & here == q]
+    kept = set()
+    covered = 0
+    for q in sorted(inside, key=int.bit_count, reverse=True):
+        if not q & covered:
+            kept.add(q)
+            covered |= q
+    branches = [q for q in inside if q in kept]
+    rest = here & ~covered
+    while rest:
+        branches.append(rest & -rest)
+        rest &= rest - 1
+    return branches
+
+
+def ref_mul_divisor_compute(n, side, parts):
+    f = trees.full_mask(n)
+    low, high = [], []
+    for p in parts:
+        if p == side:
+            continue
+        if p & side == side:
+            high.append(f ^ p)
+        else:
+            low.append(p if p & side == p else f ^ p)
+    out = []
+    for here, inside in ((side, low), (f ^ side, high)):
+        branches = ref_branches(inside, here)
+        branches.sort(key=lambda q: q & -q)
+        unions = [f ^ here]
+        for q in branches[2:]:
+            unions += [u | q for u in unions]
+        out += [(u if u & 1 else f ^ u, -1) for u in unions[1:]]
+    return tuple(out)
+
+
+class TestSquareRewriteAgainstReference:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_every_edge_of_every_monomial(self, n):
+        ring = keelring.Ring(n)
+        pairs = 0
+        for d in range(1, n - 2):
+            for t in enumerate_stable_trees(n, d):
+                for side in t.parts:
+                    want = ref_mul_divisor_compute(n, side, t.parts)
+                    assert ring._mul_divisor_compute(side, t.parts) == want
+                    pairs += 1
+        assert pairs == sum(
+            d * len(enumerate_stable_trees(n, d)) for d in range(1, n - 2)
+        )
+
+    def test_seeded_samples_n8(self):
+        n = 8
+        ring = keelring.ring(n)
+        rnd = random.Random(8)
+        empty = 0
+        for d in range(1, n - 2):
+            pool = enumerate_stable_trees(n, d)
+            for t in rnd.sample(pool, min(len(pool), 400)):
+                side = rnd.choice(t.parts)
+                got = ring._mul_divisor_compute(side, t.parts)
+                assert got == ref_mul_divisor_compute(n, side, t.parts)
+                empty += not got
+        # trivalent endpoints on both sides emit nothing
+        assert empty > 0
+
+
+# ---------------------------------------------------------------------------
 # The relation reduction that decided class equality before the pairing
 # did, kept as a reference for n <= 6: each graded piece reduced modulo the
 # span of the canonical relations, exactly over the rationals.

@@ -1,9 +1,10 @@
 """Psi and kappa classes, forgetful pushforward, omega integrals."""
 
+import functools
 import hashlib
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -11,6 +12,7 @@ from genus0.intersect import integrate
 from genus0.keelring import (
     DivisorGeometry,
     RingElement,
+    _element,
     equal_mod_relations,
     is_zero_class,
     mul,
@@ -20,6 +22,7 @@ from genus0.keelring import (
 from genus0.taut import (
     LogReport,
     TautClass,
+    _psi_prefix,
     check_logarithmic,
     kappa,
     omega_direct,
@@ -28,7 +31,13 @@ from genus0.taut import (
     pushforward_forget,
     z,
 )
-from genus0.trees import Split, Tree, enumerate_stable_trees, stable_splits
+from genus0.trees import (
+    Split,
+    Tree,
+    enumerate_stable_trees,
+    full_mask,
+    stable_splits,
+)
 
 
 def boundary_sum(n, coeff):
@@ -75,6 +84,12 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(5, 6)
 
+    @pytest.mark.parametrize("n, i", [(5, 1.0), (5, True), (5.0, 1), (True, 1)])
+    def test_non_integers_refused(self, n, i):
+        psi(5, 1)  # a cached class must not answer for 1.0 or True
+        with pytest.raises(ValueError):
+            psi(n, i)
+
 
 class TestPsiMonomials:
     # The closed form (n-3)!/prod(a_i!) is external to the ring engine,
@@ -107,10 +122,25 @@ class TestPsiMonomials:
 
     def test_too_high_degree_is_zero(self):
         assert psi_monomial(5, (3, 0, 0, 0, 0)) == 0
+        assert psi_monomial(5, (10**4, 0, 0, 0, 0)) == 0
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             psi_monomial(5, (1, 1))
+
+    @pytest.mark.parametrize(
+        "n, exps",
+        [
+            (5, [1.5, 0, 0.5, 0, 0]),  # no run of steps of 1 reaches 0
+            (5, [2.0, 0, 0, 0, 0]),
+            (5, [True, 0, 0, 0, 1]),
+            (5.0, [2, 0, 0, 0, 0]),
+            (2, [0, 0]),
+        ],
+    )
+    def test_bad_input_refused(self, n, exps):
+        with pytest.raises(ValueError):
+            psi_monomial(n, exps)
 
 
 class TestPushforward:
@@ -151,6 +181,8 @@ class TestPushforward:
             (RingElement(5, {}), 0),
             (RingElement.unit(3), None),
             (RingElement.divisor(Split.parse("{12|345}")), 9),
+            (RingElement.divisor(Split.parse("{45|123}")), 5.0),
+            (RingElement.divisor(Split.parse("{45|123}")), True),
         ],
     )
     def test_bad_label_count_or_label(self, x, label):
@@ -198,6 +230,7 @@ class TestKappa:
             (6, 3, "ecdfe8f79c0928099832802bf9d7a03987026932ef928f0d8fd9f56f19ac0334"),
             (7, 2, "efe41c74a3dd1ff0a3e1f519add47c474b12422b32d24dd07e90d7cd547fc846"),
             (7, 3, "2d7d3aec01c1c2a453196799d7dda4a5fc79f91fad250661e776cd611bd5cac1"),
+            (8, 2, "9c185ad396c6cb19e0b395b7c60b7d93d752164288998dccc5e4111573a30980"),
         ],
     )
     def test_representative_is_pinned(self, n, a, digest):
@@ -222,6 +255,20 @@ class TestKappa:
 
     def test_cached_identity(self):
         assert kappa(5, 1) is kappa(5, 1)
+
+    @pytest.mark.parametrize("n, a", [(5, 1.0), (5, True), (5.0, 1), (5, "1")])
+    def test_non_integer_degree_refused(self, n, a):
+        kappa(5, 1)  # a cached class must not answer for 1.0 or True
+        with pytest.raises(ValueError):
+            kappa(n, a)
+
+    @pytest.mark.parametrize("k", [-1, 1.0, True, "2"])
+    def test_pow_refuses_negative_or_non_integer(self, k):
+        with pytest.raises(ValueError):
+            kappa(5, 1).pow(k)
+
+    def test_pow_zero_is_the_unit(self):
+        assert kappa(5, 1).pow(0) == RingElement.unit(5)
 
 
 class TestLogarithmic:
@@ -366,3 +413,99 @@ class TestIntegrals:
         d = kappa(4, 1).to_dict()
         assert d["kind"] == "kappa(1)"
         assert d["n"] == 4
+
+
+# ---------------------------------------------------------------------------
+# The psi chain and the pushforward as they were before they ran on
+# integer numerators, kept as references: one RingElement per stage of
+# the chain, and one stabilized Tree per term of the pushforward.
+
+
+@functools.lru_cache(maxsize=None)
+def ref_psi_prefix(n, exps):
+    last = max((idx for idx, e in enumerate(exps) if e), default=None)
+    if last is None:
+        return RingElement.unit(n)
+    prev = exps[:last] + (exps[last] - 1,) + exps[last + 1 :]
+    return mul(ref_psi_prefix(n, prev), psi(n, last + 1).element)
+
+
+def ref_forget(tree, label):
+    n = tree.n
+    low = (1 << (label - 1)) - 1
+    f = full_mask(n - 1)
+    kept = set()
+    for p in tree.parts:
+        q = (p & low) | ((p >> 1) & ~low)
+        k = q.bit_count()
+        if k < 2 or (n - 1) - k < 2:
+            continue
+        kept.add(q if q & 1 else f ^ q)
+    return Tree(n - 1, tuple(sorted(kept))), len(tree.parts) - len(kept)
+
+
+def ref_pushforward(x, label):
+    out = {}
+    for tree, coeff in x.terms.items():
+        smaller, contracted = ref_forget(tree, label)
+        if contracted != 1:
+            continue
+        now = out.get(smaller, 0) + coeff
+        if now:
+            out[smaller] = now
+        else:
+            out.pop(smaller, None)
+    return RingElement(x.n - 1, out)
+
+
+def chain(n, exps):
+    return _element(n, *_psi_prefix(n, exps))
+
+
+class TestIntegerChainAgainstReference:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_exponent_vector(self, n):
+        count = 0
+        for exps in itertools.product(range(n - 2), repeat=n):
+            if sum(exps) <= n - 3:
+                assert chain(n, exps).terms == ref_psi_prefix(n, exps).terms, exps
+                count += 1
+        assert count == comb(2 * n - 3, n)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_powers_of_the_last_psi(self, n):
+        for k in range(1, n - 2):
+            exps = (0,) * (n - 1) + (k,)
+            got = chain(n, exps)
+            assert got.terms and got.terms == ref_psi_prefix(n, exps).terms, k
+
+    def test_kappa_powers(self):
+        for n, a in ((5, 1), (6, 1), (7, 1), (7, 2)):
+            want = RingElement.unit(n)
+            for k in range(1, (n - 3) // a + 1):
+                want = mul(want, kappa(n, a).element)
+                assert kappa(n, a).pow(k).terms == want.terms, (n, a, k)
+
+    def test_kappa_is_the_pushforward_of_the_chain(self):
+        for n in (4, 5, 6, 7):
+            for a in range(n - 2):
+                power = ref_psi_prefix(n + 1, (0,) * n + (a + 1,))
+                assert kappa(n, a).element == ref_pushforward(power, n + 1)
+
+
+class TestPushforwardAgainstReference:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_every_tree_and_label(self, n):
+        for d in range(n - 2):
+            for t in enumerate_stable_trees(n, d):
+                x = RingElement.monomial(t, Fraction(3, 2))
+                for label in range(1, n + 1):
+                    assert pushforward_forget(x, label) == ref_pushforward(x, label)
+
+    def test_cancellation(self):
+        # {45|123} and {35|124} both contract to the point on 4 labels
+        x = RingElement.divisor(Split.parse("{45|123}")) - RingElement.divisor(
+            Split.parse("{35|124}")
+        )
+        assert pushforward_forget(x).terms == {}
+        assert ref_pushforward(x, 5).terms == {}
