@@ -47,6 +47,7 @@ from .trees import (
     _integer,
     _split_index,
     _tree_ids,
+    _tree_model,
     _tree_transpositions,
     enumerate_stable_trees,
     orbit_labels,
@@ -426,13 +427,12 @@ def _wdvv(phi: Potential, order: int) -> WdvvReport:
 
 @lru_cache(maxsize=None)
 def _plan(tree: Tree):
-    model = tree.model
-    nv = len(model.flags)
-    kids: list[list[int]] = [[] for _ in range(nv)]
-    for outer, inner in model.edges:
-        kids[outer].append(inner)
+    branches, parent = _tree_model(tree.n, tree.parts)
+    kids: list[list[int]] = [[] for _ in branches]
+    for e, v in enumerate(parent):
+        kids[v].append(e + 1)
     tails = tuple(
-        tuple(f.ref - 1 for f in fl if f.kind == "tail") for fl in model.flags
+        tuple(q.bit_length() - 1 for q in fl if q.bit_count() == 1) for fl in branches
     )
     order = [0]
     i = 0
@@ -585,25 +585,24 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
     Each such stratum is a point, which integrates to 1, so that row is
     all ones and needs no evaluation.
     """
-    rows_trees = enumerate_stable_trees(n, lo)
-    cols_trees = enumerate_stable_trees(n, hi)
+    rows_parts = _families(n, lo)
+    cols_parts = _families(n, hi)
     if lo == 0:
-        ones = np.ones(len(cols_trees), dtype=np.int64)
-        return [(np.arange(len(cols_trees), dtype=np.int64), ones)]
+        ones = np.ones(len(cols_parts), dtype=np.int64)
+        return [(np.arange(len(cols_parts), dtype=np.int64), ones)]
     sid = _split_index(n)
     nsplit = len(sid)
     full = (1 << nsplit) - 1
     col_ids = _tree_ids(n, hi)
     adj = _compat_graph(n)
-    pair_raw = _pair_parts.__wrapped__
     row_moves = _tree_transpositions(n, lo).tolist()
     col_moves = _tree_transpositions(n, hi)
-    out: list = [None] * len(rows_trees)
-    for i, t in enumerate(rows_trees):
+    out: list = [None] * len(rows_parts)
+    for i, parts in enumerate(rows_parts):
         if out[i] is not None:
             continue
         sig = full
-        for part in t.parts:
+        for part in parts:
             k = sid[part]
             sig &= adj[k] | 1 << k
         allowed = np.array([sig >> k & 1 for k in range(nsplit)], dtype=bool)
@@ -611,10 +610,10 @@ def _build_sp(n: int, lo: int, hi: int) -> list:
         cs: list[int] = []
         vs: list[int] = []
         for j in np.nonzero(ok)[0].tolist():
-            v = pair_raw(n, t.parts, cols_trees[j].parts)
+            v = _pair_parts(n, parts, cols_parts[j])
             if v:
                 cs.append(j)
-                vs.append(int(v))
+                vs.append(v)
         out[i] = (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
         filled = [i]
         while filled:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from .keelring import RingElement, mul
 from .linalg import densify
-from .trees import Tree, a_value_masks, enumerate_stable_trees, orbit_reps
+from .trees import Tree, _tree_model, enumerate_stable_trees, orbit_reps
 
 
 def integrate(x: RingElement) -> Fraction:
@@ -41,43 +40,49 @@ def pair_oracle(m1: Tree, m2: Tree) -> Fraction:
     return Fraction(sum(prod.terms.values(), 0))
 
 
-def good_orientation(tau: Tree, edges: tuple[int, ...]):
-    """The unique orientation of the marked edges feeding every vertex
-    exactly its excess valency, or None.
+def good_orientation(n: int, parts: tuple[int, ...], edges: tuple[int, ...]):
+    """The unique orientation of the marked edges of the tree with edge
+    sides ``parts`` feeding every vertex exactly its excess valency, or
+    None.
 
-    Each vertex v must receive |v| - 3 incoming marked edges.  The marked
-    edges form a forest inside the tree, so leaf peeling settles every
-    edge without search.  A forest with an undecided edge has a vertex
-    with exactly one undecided edge (a leaf of the undecided subforest),
-    and there the count is forced: the edge points in when the vertex
-    still needs one arrow and out when it needs none, and any other need
-    is a contradiction.  So every sweep that starts with an undecided
-    edge settles one or returns None, and propagation never stalls.
-
-    Returns a dict edge index -> head vertex.
+    Returns a dict edge index -> head vertex, vertices numbered as in
+    `trees._tree_model`.
     """
-    model = tau.model
-    need = [len(fl) - 3 for fl in model.flags]
-    undecided: dict[int, set[int]] = {v: set() for v in range(len(model.flags))}
+    branches, parent = _tree_model(n, parts)
+    return _orient([len(fl) - 3 for fl in branches], parent, edges)
+
+
+def _orient(need: list, parent: list, edges: tuple[int, ...]):
+    """`good_orientation` on the tree where edge e joins parent[e] to e+1.
+
+    Each vertex v must receive need[v] = |v| - 3 incoming marked edges.
+    The marked edges form a forest inside the tree, so leaf peeling
+    settles every edge without search.  A forest with an undecided edge
+    has a vertex with exactly one undecided edge (a leaf of the undecided
+    subforest), and there the count is forced: the edge points in when
+    the vertex still needs one arrow and out when it needs none, and any
+    other need is a contradiction.  So every sweep that starts with an
+    undecided edge settles one or returns None, and propagation never
+    stalls.  ``need`` is used up.
+    """
+    undecided: list[set[int]] = [set() for _ in need]
     for e in edges:
-        a, b = model.edges[e]
-        undecided[a].add(e)
-        undecided[b].add(e)
+        undecided[parent[e]].add(e)
+        undecided[e + 1].add(e)
     orient: dict[int, int] = {}
 
     def settle(e: int, head: int) -> bool:
         orient[e] = head
-        a, b = model.edges[e]
-        undecided[a].discard(e)
-        undecided[b].discard(e)
+        undecided[parent[e]].discard(e)
+        undecided[e + 1].discard(e)
         need[head] -= 1
         return need[head] >= 0
 
     changed = True
     while changed:
         changed = False
-        for v in range(len(model.flags)):
-            u = len(undecided[v])
+        for v, ends in enumerate(undecided):
+            u = len(ends)
             if need[v] < 0 or need[v] > u:
                 return None
             if u == 0:
@@ -85,13 +90,12 @@ def good_orientation(tau: Tree, edges: tuple[int, ...]):
                     return None
                 continue
             if need[v] == 0:
-                for e in list(undecided[v]):
-                    a, b = model.edges[e]
-                    if not settle(e, b if a == v else a):
+                for e in list(ends):
+                    if not settle(e, e + 1 if parent[e] == v else parent[e]):
                         return None
                 changed = True
             elif need[v] == u:
-                for e in list(undecided[v]):
+                for e in list(ends):
                     if not settle(e, v):
                         return None
                 changed = True
@@ -102,23 +106,21 @@ def good_orientation(tau: Tree, edges: tuple[int, ...]):
     return orient
 
 
-@lru_cache(maxsize=None)
-def _pair_parts(n: int, parts1: tuple, parts2: tuple) -> Fraction:
-    for s in parts1:
-        for t in parts2:
-            if a_value_masks(n, s, t) == 4:
-                return Fraction(0)
+def _pair_parts(n: int, parts1: tuple, parts2: tuple) -> int:
+    """The pairing of the strata with edge sides parts1 and parts2."""
     union = tuple(sorted(set(parts1) | set(parts2)))
-    tau = Tree(n, union)
-    doubled = tuple(
-        e for e, p in enumerate(union) if p in parts1 and p in parts2
-    )
-    if good_orientation(tau, doubled) is None:
-        return Fraction(0)
+    try:
+        branches, parent = _tree_model(n, union)
+    except ValueError:
+        # distinct stable sides assemble into a tree exactly when no two
+        # cross, and crossing strata are disjoint
+        return 0
+    need = [len(fl) - 3 for fl in branches]
     value = 1
-    for k in tau.valencies():
-        value *= (-1) ** (k - 3) * factorial(k - 3)
-    return Fraction(value)
+    for k in need:
+        value *= (-1) ** k * factorial(k)
+    doubled = tuple(e for e, p in enumerate(union) if p in parts1 and p in parts2)
+    return 0 if _orient(need, parent, doubled) is None else value
 
 
 def pair_kaufmann(m1: Tree, m2: Tree) -> Fraction:
@@ -129,9 +131,7 @@ def pair_kaufmann(m1: Tree, m2: Tree) -> Fraction:
     case; the value is a signed product of (|v|-3)! over the union tree.
     """
     _check_complementary(m1, m2)
-    if m1.parts <= m2.parts:
-        return _pair_parts(m1.n, m1.parts, m2.parts)
-    return _pair_parts(m1.n, m2.parts, m1.parts)
+    return Fraction(_pair_parts(m1.n, m1.parts, m2.parts))
 
 
 def _check_complementary(m1: Tree, m2: Tree) -> None:

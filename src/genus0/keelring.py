@@ -30,12 +30,12 @@ from typing import Iterable
 
 from . import linalg
 from .trees import (
-    Flag,
     Split,
     Tree,
     _compat_graph,
     _families,
     _integer,
+    _tree_model,
     a_value_masks,
     canonical_side,
     enumerate_stable_trees,
@@ -408,25 +408,6 @@ def _maximal(sides: list) -> tuple[list, int]:
     return kept, covered
 
 
-def _branches(sides: list, here: int) -> list:
-    """Branch masks at the tree vertex whose branches cover ``here``.
-
-    ``sides`` holds sides of the tree's edges, in either orientation, but
-    not ``here`` itself.  They form a laminar family, so the branches are
-    the maximal sides inside ``here``, in the order of ``sides``, then the
-    labels no such side covers, ascending.
-    """
-    inside = [q for q in sides if q & here == q]
-    kept, covered = _maximal(inside)
-    kept = set(kept)
-    branches = [q for q in inside if q in kept]
-    rest = here & ~covered
-    while rest:
-        branches.append(rest & -rest)
-        rest &= rest - 1
-    return branches
-
-
 def _numerators(terms: dict) -> tuple[dict, int]:
     """Edge tuples -> integer numerators over the lcm of the denominators."""
     den = lcm(*(c.denominator for c in terms.values()))
@@ -469,7 +450,7 @@ class Relation:
     element: RingElement
     tree: Tree
     vertex: int
-    foursome: tuple[Flag, Flag, Flag, Flag]
+    foursome: tuple[int, int, int, int]  # branch masks
 
 
 def _relation_terms(n: int, parts: tuple, fi: int, fj: int, fk: int, rest: list):
@@ -498,25 +479,16 @@ def _relations(n: int, d: int):
     """Every canonical relation among degree-d good monomials.
 
     Yields (tree, vertex, foursome, plus, minus): a degree-(d-1) tree, a
-    fat vertex, the positions among its flags of the four flags (i, j, k,
-    l), and the edge tuples of the terms with coefficient +1 and -1 (see
+    fat vertex, the branch masks (i, j, k, l) of four of its flags, and
+    the edge tuples of the terms with coefficient +1 and -1 (see
     `_relation_terms`).  Both independent flag pairings are taken for
     each foursome at each fat vertex; the redundancy is harmless for rank
     purposes and needed for the spanning property at small n.
     """
     if d < 1:
         return
-    f = full_mask(n)
     for tree in enumerate_stable_trees(n, d - 1):
-        below = [f ^ p for p in tree.parts]
-        # flags in `trees._tree_model` order: vertex 0 carries label 1 and
-        # vertex e+1 is edge e's far end, whose edge to label 1 sorts
-        # before the edges below it (their sides contain parts[e])
-        flag_sets = [_branches(below, f)] + [
-            [tree.parts[e]] + _branches(below[:e] + below[e + 1 :], below[e])
-            for e in range(len(below))
-        ]
-        for v, branch in enumerate(flag_sets):
+        for v, branch in enumerate(_tree_model(n, tree.parts)[0]):
             if len(branch) < 4:
                 continue
             for quad in combinations(range(len(branch)), 4):
@@ -525,11 +497,9 @@ def _relations(n: int, d: int):
                 # grouping a flag set and its complement insert the same
                 # edge, so each foursome has three distinct pair sums; two
                 # differences with a common middle term span all of them
-                for four in ((a, b, c, e), (a, c, b, e)):
-                    i, j, k, _ = four
-                    plus, minus = _relation_terms(
-                        n, tree.parts, branch[i], branch[j], branch[k], rest
-                    )
+                for i, j, k, l in ((a, b, c, e), (a, c, b, e)):
+                    four = (branch[i], branch[j], branch[k], branch[l])
+                    plus, minus = _relation_terms(n, tree.parts, *four[:3], rest)
                     yield tree, v, four, plus, minus
 
 
@@ -539,32 +509,11 @@ def _as_relation(tree: Tree, v: int, foursome: tuple, plus: list, minus: list):
     return Relation(RingElement(tree.n, terms), tree, v, foursome)
 
 
-def relation(tree: Tree, v: int, foursome: tuple[Flag, ...]) -> Relation:
-    """The canonical relation attached to four flags at a fat vertex.
-
-    Summing all refinements that keep the first two flags together, minus
-    all refinements that keep flags two and three together, gives a
-    combination of good monomials that vanishes in the cohomology ring.
-    """
-    if len(foursome) != 4 or len(set(foursome)) != 4:
-        raise ValueError("need four distinct flags")
-    if any(fl not in tree.flags_at(v) for fl in foursome):
-        raise ValueError("flags must sit at the given vertex")
-    if len(tree.flags_at(v)) < 4:
-        raise ValueError("vertex valency must be at least 4")
-    fi, fj, fk, _ = foursome
-    rest = [f.branch for f in tree.flags_at(v) if f not in foursome]
-    plus, minus = _relation_terms(
-        tree.n, tree.parts, fi.branch, fj.branch, fk.branch, rest
-    )
-    return _as_relation(tree, v, tuple(foursome), plus, minus)
-
-
 def relations_of_degree(n: int, d: int) -> list[Relation]:
     """Every canonical relation among degree-d good monomials, as elements."""
     return [
-        _as_relation(tree, v, tuple(tree.flags_at(v)[i] for i in quad), plus, minus)
-        for tree, v, quad, plus, minus in _relations(n, d)
+        _as_relation(tree, v, four, plus, minus)
+        for tree, v, four, plus, minus in _relations(n, d)
     ]
 
 

@@ -7,17 +7,23 @@ A tree is identified with the sorted tuple of the canonical sides of its
 edge partitions; distinct pairwise-compatible partitions always assemble
 into a unique stable tree, so this tuple is a faithful canonical key.  It
 doubles as the monomial key of the divisor ring built on top.
+
+The vertices of a tree come from one function, `_tree_model`.  Vertex 0
+carries label 1, and vertex e+1 is the far end of edge e from label 1.  A
+branch at a vertex is the set of labels beyond one of its edges or tails,
+as a bitmask; a tail is a branch of one label.  At each vertex the edge
+towards label 1 comes first, then the edges away from it by index, then
+the tails in ascending order.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -129,70 +135,46 @@ class Split:
         return "{%s|%s}" % (_fmt_labels(a, self.n), _fmt_labels(b, self.n))
 
 
-class Flag(NamedTuple):
-    """One (vertex, incident edge-or-tail) pair of a tree.
+def _tree_model(n: int, parts: tuple[int, ...]) -> tuple[list, list]:
+    """The vertices of the tree with the ascending edge sides ``parts``.
 
-    ``branch`` is the set of labels sitting on the far side of the flag,
-    viewed from its vertex; for a tail it is just that label.
-    """
-
-    vertex: int
-    kind: str  # "tail" or "edge"
-    ref: int  # tail label, or edge index into Tree.parts
-    branch: int
-
-
-class TreeModel(NamedTuple):
-    flags: tuple[tuple[Flag, ...], ...]  # indexed by vertex
-    edges: tuple[tuple[int, int], ...]  # (outer, inner) vertices per edge
-
-
-@lru_cache(maxsize=None)
-def _tree_model(n: int, parts: tuple[int, ...]) -> TreeModel:
-    """Vertex/flag incidence of the tree with the given edge partitions.
-
-    Vertex 0 is the component carrying label 1; vertex e+1 is the endpoint
-    of edge e on the far side from label 1.  Raises if the partitions do
-    not form a stable tree (a crossing pair, or a vertex of valency < 3).
+    Returns (branches, parent): ``branches[v]`` holds the branch masks at
+    vertex v in the order of the module docstring, and edge e joins
+    ``parent[e]``, its endpoint on the label-1 side, to vertex e+1.
+    Raises ValueError on a repeated side, a crossing pair, or a vertex of
+    valency below 3.
     """
     f = full_mask(n)
-    below = [f ^ p for p in parts]
-    k = len(parts)
+    branches = [[]] + [[p] for p in parts]
     parent = []
-    for e in range(k):
-        best = -1
-        for g in range(k):
-            if g == e:
-                continue
-            if below[e] & below[g] == below[e]:
-                if below[e] == below[g]:
+    for e, p in enumerate(parts):
+        # the sides inside p belong to the edges between edge e and label
+        # 1; they sort before p, and the last of them is the nearest
+        v = e
+        while v:
+            q = parts[v - 1]
+            if q & p == q:
+                if q == p:
                     raise ValueError("repeated edge partition")
-                if best < 0 or below[g] & below[best] == below[g]:
-                    best = g
-        parent.append(best + 1)
-    vflags: list[list[Flag]] = [[] for _ in range(k + 1)]
-    for e in range(k):
-        vflags[parent[e]].append(Flag(parent[e], "edge", e, below[e]))
-        vflags[e + 1].append(Flag(e + 1, "edge", e, f ^ below[e]))
-    for label in range(1, n + 1):
-        bit = 1 << (label - 1)
-        home, size = 0, n + 1
-        for e in range(k):
-            if below[e] & bit and below[e].bit_count() < size:
-                home, size = e + 1, below[e].bit_count()
-        vflags[home].append(Flag(home, "tail", label, bit))
-    for v, fl in enumerate(vflags):
-        if len(fl) < 3:
-            raise ValueError(f"vertex {v} has valency {len(fl)} < 3")
-        cover = 0
-        for fg in fl:
-            if cover & fg.branch:
-                raise ValueError("edge partitions cross; not a tree")
-            cover |= fg.branch
-    return TreeModel(
-        tuple(tuple(fl) for fl in vflags),
-        tuple((parent[e], e + 1) for e in range(k)),
-    )
+                break
+            v -= 1
+        parent.append(v)
+        branches[v].append(f ^ p)
+    for v, fl in enumerate(branches):
+        covered = crossed = 0
+        for q in fl:
+            crossed |= covered & q
+            covered |= q
+        rest = f ^ covered
+        valency = len(fl) + rest.bit_count()
+        if valency < 3:
+            raise ValueError(f"vertex {v} has valency {valency} < 3")
+        if crossed:
+            raise ValueError("edge partitions cross; not a tree")
+        while rest:
+            fl.append(rest & -rest)
+            rest &= rest - 1
+    return branches, parent
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -210,9 +192,8 @@ class Tree:
     @classmethod
     def make(cls, n: int, sides: Iterable[int]) -> "Tree":
         parts = tuple(sorted(canonical_side(n, s) for s in sides))
-        t = cls(n, parts)
-        t.model  # validates stability and compatibility
-        return t
+        _tree_model(n, parts)  # validates stability and compatibility
+        return cls(n, parts)
 
     @classmethod
     def one_vertex(cls, n: int) -> "Tree":
@@ -234,24 +215,11 @@ class Tree:
     def degree(self) -> int:
         return len(self.parts)
 
-    @property
-    def model(self) -> TreeModel:
-        return _tree_model(self.n, self.parts)
-
     def splits(self) -> tuple[Split, ...]:
         return tuple(Split(self.n, p) for p in self.parts)
 
-    def edge_partition(self, e: int) -> Split:
-        return Split(self.n, self.parts[e])
-
     def valencies(self) -> tuple[int, ...]:
-        return tuple(len(fl) for fl in self.model.flags)
-
-    def flags_at(self, v: int) -> tuple[Flag, ...]:
-        return self.model.flags[v]
-
-    def edge_vertices(self, e: int) -> tuple[int, int]:
-        return self.model.edges[e]
+        return tuple(map(len, _tree_model(self.n, self.parts)[0]))
 
     def __str__(self) -> str:
         if not self.parts:
@@ -565,23 +533,6 @@ def orbit_labels(n: int, d: int, blocks: tuple[int, ...]) -> np.ndarray:
         if np.array_equal(low, label):
             return label
         label = low
-
-
-def orbit(tree: Tree) -> frozenset[Tree]:
-    """The trees that relabelling carries tree to.
-
-    They are the trees of its degree in its class under
-    `orbit_labels(n, d, (n,))`, the whole symmetric group.
-    """
-    n, d = tree.n, tree.degree
-    fams = _families(n, d)
-    pos = bisect_left(fams, tree.parts)
-    if pos == len(fams) or fams[pos] != tree.parts:
-        raise ValueError(f"{tree} is not a stable tree on {n} labels")
-    label = orbit_labels(n, d, (n,))
-    return frozenset(
-        Tree(n, fams[i]) for i in np.flatnonzero(label == label[pos]).tolist()
-    )
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,7 @@ from genus0.keelring import (
 )
 from genus0.taut import check_logarithmic, kappa, omega_direct, psi_monomial
 from genus0.trees import Split, enumerate_stable_trees
-from surgery import transplant
+from surgery import edge_vertices, flags_at, transplant
 
 
 def check_01_volume_numbers():
@@ -77,9 +77,9 @@ def check_04_betti_numbers_both_ways():
 def _flag_variants(tree, e):
     """All rewrites of D_sigma * m(tree) allowed by the endpoint choice."""
     out = []
-    ends = tree.edge_vertices(e)
+    ends = edge_vertices(tree, e)
     flags = [
-        [f for f in tree.flags_at(v) if not (f.kind == "edge" and f.ref == e)]
+        [f for f in flags_at(tree, v) if not (f.kind == "edge" and f.ref == e)]
         for v in ends
     ]
     for keep0 in itertools.combinations(range(len(flags[0])), 2):

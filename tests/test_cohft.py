@@ -48,9 +48,10 @@ from genus0.trees import (
     Tree,
     enumerate_stable_trees,
     iter_all_trees,
-    orbit,
     stable_splits,
 )
+
+from surgery import orbit
 
 
 def odd_pair_metric():

@@ -1,5 +1,6 @@
 """Intersection numbers: integration, pairings, the orientation rule."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -22,12 +23,21 @@ from genus0.trees import (
     Split,
     Tree,
     enumerate_stable_trees,
-    orbit,
     orbit_reps,
     relabel,
 )
 
 from conftest import permutations_of, stable_trees
+from surgery import flags_at, orbit, tree_model
+
+
+SP_ROW_DIGESTS = """
+    3/0:0a644aab 4/0:87b08695 4/1:fa6fc270 5/0:3a6cf732 5/1:e2494f68
+    5/2:5f2f0e8f 6/0:7a91542b 6/1:a2a9ad32 6/2:84b1415e 6/3:1839c5e8
+    7/0:881a07da 7/1:37694bd6 7/2:a2ed0b62 7/3:85197549 7/4:61697270
+    8/0:028943b8 8/1:1c62edc2 8/2:e00eb37e 8/3:aace60aa 8/4:e8fbb5dc
+    8/5:6b087c11
+"""
 
 
 def T(*texts):
@@ -116,30 +126,31 @@ class TestPairExamples:
 
 class TestOrientation:
     def test_no_marked_edges(self):
-        assert good_orientation(T("12|345", "123|45"), ()) == {}
+        tau = T("12|345", "123|45")
+        assert good_orientation(tau.n, tau.parts, ()) == {}
 
     def test_single_doubled_edge(self):
         # Squaring 12|345: only the far vertex (tails 3,4,5) can absorb
         # the arrow.
         tau = T("12|345")
-        got = good_orientation(tau, (0,))
+        got = good_orientation(tau.n, tau.parts, (0,))
         assert got is not None
         (head,) = got.values()
-        labels = {f.ref for f in tau.flags_at(head) if f.kind == "tail"}
+        labels = {f.ref for f in flags_at(tau, head) if f.kind == "tail"}
         assert labels == {3, 4, 5}
 
     def test_conflict_returns_none(self):
         # Both endpoints of the first edge are trivalent: neither can
         # absorb an arrow, so no orientation exists.
         tau = T("12|3456", "123|456")
-        assert good_orientation(tau, (0,)) is None
+        assert good_orientation(tau.n, tau.parts, (0,)) is None
 
     def test_arrow_heads_into_fat_vertex(self):
         tau = T("12|3456", "123|456")
-        got = good_orientation(tau, (1,))
+        got = good_orientation(tau.n, tau.parts, (1,))
         assert got is not None
         (head,) = got.values()
-        labels = {f.ref for f in tau.flags_at(head) if f.kind == "tail"}
+        labels = {f.ref for f in flags_at(tau, head) if f.kind == "tail"}
         assert labels == {4, 5, 6}
 
     def test_uniqueness_small(self):
@@ -162,7 +173,7 @@ class TestOrientation:
                         assert len(found) <= 1
                         assert (len(found) == 1) == (value != 0)
                         want = found[0] if found else None
-                        assert good_orientation(tau, marked) == want
+                        assert good_orientation(tau.n, tau.parts, marked) == want
 
     def test_value_independent_of_tiebreak(self):
         # The orientation count being at most one makes the tie-break
@@ -173,13 +184,13 @@ class TestOrientation:
         tau = T("12|3456", "1234|56")
         found = exhaustive_orientations(tau, (0, 1))
         assert found == []
-        assert good_orientation(tau, (0, 1)) is None
+        assert good_orientation(tau.n, tau.parts, (0, 1)) is None
 
 
 def exhaustive_orientations(tau, edges):
     """Every orientation of the marked edges feeding each vertex exactly
     its excess valency, found by trying every choice of heads."""
-    model = tau.model
+    model = tree_model(tau.n, tau.parts)
     base = [len(fl) - 3 for fl in model.flags]
     out = []
     for heads in itertools.product(*(model.edges[e] for e in edges)):
@@ -323,6 +334,19 @@ class TestPairingMatrix:
             for cols, vals in cohft._sp_rows(n, d):
                 assert cols.dtype == vals.dtype == np.int64
                 assert np.all(np.diff(cols) > 0) and np.all(vals != 0)
+
+    def test_rows_pinned(self):
+        # sha256 over the rows of _sp_rows(n, d), each as its int64
+        # columns, "|", its int64 values, "#"; the first 8 hex digits
+        got = []
+        for n in range(3, 9):
+            for d in range(n - 2):
+                h = hashlib.sha256()
+                for cols, vals in cohft._sp_rows(n, d):
+                    h.update(cols.astype(np.int64).tobytes() + b"|")
+                    h.update(vals.astype(np.int64).tobytes() + b"#")
+                got.append(f"{n}/{d}:{h.hexdigest()[:8]}")
+        assert got == SP_ROW_DIGESTS.split()
 
     def test_sampled_rows_at_eight(self, rng):
         # At n = 8 the full reference is too slow for tier-1: check every

@@ -23,7 +23,6 @@ from genus0.keelring import (
     mul_divisor,
     pullback_to_divisor,
     reduce_product,
-    relation,
     relations_of_degree,
     splitting_failures,
     TensorElement,
@@ -39,7 +38,7 @@ from genus0.trees import (
 )
 
 from conftest import stable_trees
-from surgery import insert_edge, transplant
+from surgery import edge_vertices, flags_at, insert_edge, relation, transplant
 
 
 def D(n, text):
@@ -211,9 +210,9 @@ def case_c_variants(tree, e):
     """
     n = tree.n
     out = []
-    ends = tree.edge_vertices(e)
+    ends = edge_vertices(tree, e)
     flags = [
-        [f for f in tree.flags_at(v) if not (f.kind == "edge" and f.ref == e)]
+        [f for f in flags_at(tree, v) if not (f.kind == "edge" and f.ref == e)]
         for v in ends
     ]
     for keep0 in itertools.combinations(range(len(flags[0])), 2):
@@ -337,7 +336,7 @@ def ref_relation_rows(n, d):
     rows = []
     for tree in enumerate_stable_trees(n, d - 1):
         for v in range(tree.degree + 1):
-            flags = tree.flags_at(v)
+            flags = flags_at(tree, v)
             for quad in itertools.combinations(flags, 4):
                 a, b, c, _ = quad
                 rest = [f for f in flags if f not in quad]
@@ -356,12 +355,12 @@ def ref_relation_rows(n, d):
 class TestRelations:
     def test_four_labels(self):
         t = Tree.one_vertex(4)
-        got = relation(t, 0, tuple(t.flags_at(0)))
+        got = relation(t, 0, tuple(fl.branch for fl in flags_at(t, 0)))
         assert got.element == D(4, "12|34") - D(4, "14|23")
 
     def test_five_labels(self):
         t = Tree.one_vertex(5)
-        f = {fl.ref: fl for fl in t.flags_at(0)}
+        f = {fl.ref: fl.branch for fl in flags_at(t, 0)}
         got = relation(t, 0, (f[1], f[2], f[3], f[4]))
         want = (
             D(5, "12|345")
@@ -370,6 +369,15 @@ class TestRelations:
             - D(5, "235|14")
         )
         assert got.element == want
+
+    def test_vertex_outside_the_tree_refused(self):
+        # -1 once read as the last vertex, and past the end as IndexError
+        t = Tree.parse("{1234|567}")
+        four = tuple(fl.branch for fl in flags_at(t, 1))[:4]
+        assert relation(t, 1, four).vertex == 1
+        for v in (-1, 2):
+            with pytest.raises(ValueError, match="outside"):
+                relation(t, v, four)
 
     def test_all_reduce_to_zero_class(self):
         for n in (4, 5, 6):
@@ -631,9 +639,9 @@ def ref_divisor_times(side, m):
     if side in m.parts:
         e = m.parts.index(side)
         out = {}
-        for v in m.edge_vertices(e):
+        for v in edge_vertices(m, e):
             flags = sorted(
-                (f for f in m.flags_at(v) if not (f.kind == "edge" and f.ref == e)),
+                (f for f in flags_at(m, v) if not (f.kind == "edge" and f.ref == e)),
                 key=lambda f: f.branch & -f.branch,
             )
             for k in range(1, len(flags) - 1):

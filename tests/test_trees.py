@@ -11,7 +11,17 @@ from genus0 import trees as T
 from genus0.trees import Split, Tree
 
 from conftest import stable_trees, trees_with_perm
-from surgery import a_value, contract_edge, insert_edge, transplant, tree_product
+from surgery import (
+    a_value,
+    contract_edge,
+    edge_partition,
+    flags_at,
+    insert_edge,
+    orbit,
+    transplant,
+    tree_model,
+    tree_product,
+)
 
 # enumeration totals frozen from an independent brute-force pass: for each
 # degree, every r-subset of stable 2-partitions was tested for pairwise
@@ -116,15 +126,15 @@ class TestEnumeration:
             for t in T.enumerate_stable_trees(n, r):
                 for e, g in combinations(range(r), 2):
                     assert (
-                        a_value(t.edge_partition(e), t.edge_partition(g)) == 3
+                        a_value(edge_partition(t, e), edge_partition(t, g)) == 3
                     )
 
 
 class TestTreeStructure:
     def test_edge_partition_round_trip(self):
         cat = Tree.parse("{12|345}{123|45}")
-        assert cat.edge_partition(0) == Split.of([1, 2], 5)
-        assert cat.edge_partition(1) == Split.of([1, 2, 3], 5)
+        assert edge_partition(cat, 0) == Split.of([1, 2], 5)
+        assert edge_partition(cat, 1) == Split.of([1, 2, 3], 5)
 
     def test_caterpillar_model(self):
         cat = Tree.parse("{12|345}{123|45}")
@@ -133,11 +143,11 @@ class TestTreeStructure:
         mids = [
             v
             for v in range(3)
-            if {f.kind for f in cat.flags_at(v)} == {"tail", "edge"}
-            and sum(f.kind == "edge" for f in cat.flags_at(v)) == 2
+            if {f.kind for f in flags_at(cat, v)} == {"tail", "edge"}
+            and sum(f.kind == "edge" for f in flags_at(cat, v)) == 2
         ]
         assert len(mids) == 1
-        (tail,) = [f for f in cat.flags_at(mids[0]) if f.kind == "tail"]
+        (tail,) = [f for f in flags_at(cat, mids[0]) if f.kind == "tail"]
         assert tail.ref == 3
 
     def test_rejects_crossing_parts(self):
@@ -152,11 +162,38 @@ class TestTreeStructure:
         with pytest.raises(ValueError):
             Tree.one_vertex(2)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_model_matches_reference(self, n):
+        # the bitmask vertices against the quadratic parent search: the
+        # branch masks in order at every vertex, and both ends of every edge
+        for r in range(n - 2):
+            for parts in T._families(n, r):
+                branches, parent = T._tree_model(n, parts)
+                ref = tree_model.__wrapped__(n, parts)
+                assert branches == [[f.branch for f in fl] for fl in ref.flags]
+                assert [(parent[e], e + 1) for e in range(r)] == list(ref.edges)
+
+    @pytest.mark.parametrize(
+        "n, labels, message",
+        [
+            (5, [[1, 2], [3, 4, 5]], "repeated edge partition"),
+            (4, [[1, 2], [1, 3]], "edge partitions cross; not a tree"),
+            (4, [[1, 2], [1, 2, 3]], "vertex 2 has valency 2 < 3"),
+        ],
+    )
+    def test_model_refusals_match_reference(self, n, labels, message):
+        parts = tuple(sorted(T.canonical_side(n, T.mask_of(s, n)) for s in labels))
+        for build in (T._tree_model, tree_model.__wrapped__):
+            with pytest.raises(ValueError, match=message):
+                build(n, parts)
+        with pytest.raises(ValueError, match=message):
+            Tree.make(n, (T.mask_of(s, n) for s in labels))
+
     def test_branches_partition_labels(self):
         for t in T.enumerate_stable_trees(6, 2):
             for v in range(t.degree + 1):
                 total = 0
-                for f in t.flags_at(v):
+                for f in flags_at(t, v):
                     assert total & f.branch == 0
                     total |= f.branch
                 assert total == T.full_mask(6)
@@ -191,15 +228,15 @@ class TestTransplant:
     def test_single_tail_move_inserts_edge(self):
         t = Tree.parse("{12|345}")
         v_345 = next(
-            v for v in (0, 1) if any(f.ref == 3 and f.kind == "tail" for f in t.flags_at(v))
+            v for v in (0, 1) if any(f.ref == 3 and f.kind == "tail" for f in flags_at(t, v))
         )
-        moved = [f for f in t.flags_at(v_345) if f.kind == "tail" and f.ref == 3]
+        moved = [f for f in flags_at(t, v_345) if f.kind == "tail" and f.ref == 3]
         assert transplant(t, 0, moved) == Tree.parse("{12|345}{123|45}")
 
     def test_contract_round_trip(self):
         t = Tree.parse("{12|345}")
         v = 1
-        moved = [f for f in t.flags_at(v) if f.kind == "tail" and f.ref == 4]
+        moved = [f for f in flags_at(t, v) if f.kind == "tail" and f.ref == 4]
         bigger = transplant(t, 0, moved)
         new_edge = next(
             e for e in range(bigger.degree) if bigger.parts[e] not in t.parts
@@ -210,15 +247,15 @@ class TestTransplant:
         # moving every movable flag but two must leave the old endpoint
         # with exactly three flags: the edge plus the two stragglers
         t = Tree.one_vertex(6)
-        g = [f for f in t.flags_at(0) if f.ref in (1, 2)]
+        g = [f for f in flags_at(t, 0) if f.ref in (1, 2)]
         one_edge = insert_edge(t, 0, g)
         v = next(
             v
             for v in (0, 1)
-            if sum(f.kind == "tail" for f in one_edge.flags_at(v)) == 4
+            if sum(f.kind == "tail" for f in flags_at(one_edge, v)) == 4
         )
         movable = [
-            f for f in one_edge.flags_at(v) if f.kind == "tail" and f.ref in (3, 4)
+            f for f in flags_at(one_edge, v) if f.kind == "tail" and f.ref in (3, 4)
         ]
         out = transplant(one_edge, 0, movable)
         assert sorted(out.valencies()) == [3, 3, 4]
@@ -228,13 +265,13 @@ class TestTransplant:
         with pytest.raises(ValueError):
             transplant(t, 0, [])
         v = 1
-        all_tails = [f for f in t.flags_at(v) if f.kind == "tail"]
+        all_tails = [f for f in flags_at(t, v) if f.kind == "tail"]
         with pytest.raises(ValueError):
             transplant(t, 0, all_tails)  # endpoint would drop below valency 3
 
     def test_rejects_moving_the_edge_itself(self):
         t = Tree.parse("{123|456}")
-        flags = list(t.flags_at(0))
+        flags = list(flags_at(t, 0))
         with pytest.raises(ValueError):
             transplant(t, 0, [f for f in flags if f.kind == "edge"])
 
@@ -376,8 +413,8 @@ class TestOrbitWalk:
                 orb = reference_orbit(t)
                 seen |= orb
                 reps.append((min(orb), len(orb)))
-                assert T.orbit(t) == orb
-                assert T.orbit(rng.choice(sorted(orb))) == orb
+                assert orbit(t) == orb
+                assert orbit(rng.choice(sorted(orb))) == orb
             assert T.orbit_reps(n, r) == tuple(reps)
 
 
