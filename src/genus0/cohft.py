@@ -645,9 +645,7 @@ def _sp_rows(n: int, d: int) -> list:
     lo, hi = min(d, c), max(d, c)
     if d != lo:
         base = _sp_rows(n, lo)
-        acc: list[tuple[list[int], list[int]]] = [
-            ([], []) for _ in range(len(enumerate_stable_trees(n, hi)))
-        ]
+        acc: list[tuple[list[int], list[int]]] = [([], []) for _ in _families(n, hi)]
         for i, (cols, vals) in enumerate(base):
             for j, v in zip(cols.tolist(), vals.tolist()):
                 acc[j][0].append(i)

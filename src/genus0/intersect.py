@@ -20,7 +20,7 @@ import numpy as np
 
 from .keelring import RingElement, mul
 from .linalg import densify
-from .trees import Tree, _tree_model, enumerate_stable_trees, orbit_reps
+from .trees import Tree, _families, _tree_model, enumerate_stable_trees, orbit_reps
 
 
 def integrate(x: RingElement) -> Fraction:
@@ -150,7 +150,7 @@ def pairing_matrix_int(n: int, r: int) -> np.ndarray:
     """
     from .cohft import _sp_rows
 
-    width = len(enumerate_stable_trees(n, n - 3 - r))
+    width = len(_families(n, n - 3 - r))
     return densify(_sp_rows(n, r), width, np.int64)
 
 

@@ -20,7 +20,6 @@ a restriction (see `splitting_failures`).
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,10 +34,10 @@ from .trees import (
     _compat_graph,
     _families,
     _integer,
+    _split_index,
     _tree_model,
     a_value_masks,
     canonical_side,
-    enumerate_stable_trees,
     full_mask,
     labels_of,
     mask_of,
@@ -453,68 +452,62 @@ class Relation:
     foursome: tuple[int, int, int, int]  # branch masks
 
 
-def _relation_terms(n: int, parts: tuple, fi: int, fj: int, fk: int, rest: list):
-    """Edge tuples of the two insertion sums of one canonical relation.
+def _relation_terms(n: int, fi: int, fj: int, fk: int, sums: list):
+    """New-edge sides of the two insertion sums of one canonical relation.
 
     ``fi``, ``fj`` and ``fk`` are the branch masks of three flags of a
-    foursome at one vertex of the tree with edges ``parts``, and ``rest``
-    those of the flags outside it.  Returns (plus, minus): the one-edge
-    refinements grouping fi with fj, and fk with fj, each together with
-    every subset of rest in `combinations` order.  A new edge keeps both
-    sides of the vertex at valency 3 or more, so every refinement is
-    stable.  No refinement is in both lists: a plus side holds fi and fj,
-    while a minus side holds fj without fi and its complement lacks fj.
+    foursome at a vertex, and ``sums`` the unions of each subset of the
+    flags outside it, in `combinations` order.  Returns (plus, minus): the
+    canonical sides grouping fi with fj, and fk with fj, each with every
+    union.  Both sides of the vertex keep valency 3 or more, so each
+    refinement is stable, and none is in both lists: a plus side holds fi
+    and fj, a minus side fj without fi and its complement lacks fj.
     """
-    sums = [sum(extra) for k in range(len(rest) + 1) for extra in combinations(rest, k)]
-
-    def refine(side: int) -> tuple:
-        side = canonical_side(n, side)
-        i = bisect_left(parts, side)
-        return parts[:i] + (side,) + parts[i:]
-
-    return [refine(fi | fj | s) for s in sums], [refine(fk | fj | s) for s in sums]
+    f = full_mask(n)
+    plus, minus = [fi | fj | s for s in sums], [fk | fj | s for s in sums]
+    return [u if u & 1 else f ^ u for u in plus], [u if u & 1 else f ^ u for u in minus]
 
 
 def _relations(n: int, d: int):
     """Every canonical relation among degree-d good monomials.
 
-    Yields (tree, vertex, foursome, plus, minus): a degree-(d-1) tree, a
-    fat vertex, the branch masks (i, j, k, l) of four of its flags, and
-    the edge tuples of the terms with coefficient +1 and -1 (see
-    `_relation_terms`).  Both independent flag pairings are taken for
-    each foursome at each fat vertex; the redundancy is harmless for rank
-    purposes and needed for the spanning property at small n.
+    Yields (parts, vertex, foursome, plus, minus): the edges of a
+    degree-(d-1) tree, a fat vertex, the branch masks (i, j, k, l) of
+    four of its flags, and the new edges' sides of the terms with
+    coefficient +1 and -1 (see `_relation_terms`).  Both independent flag
+    pairings are taken for each foursome at each fat vertex; the
+    redundancy is harmless for rank purposes and needed for the spanning
+    property at small n.
     """
     if d < 1:
         return
-    for tree in enumerate_stable_trees(n, d - 1):
-        for v, branch in enumerate(_tree_model(n, tree.parts)[0]):
+    for parts in _families(n, d - 1):
+        for v, branch in enumerate(_tree_model(n, parts)[0]):
             if len(branch) < 4:
                 continue
             for quad in combinations(range(len(branch)), 4):
                 a, b, c, e = quad
                 rest = [m for i, m in enumerate(branch) if i not in quad]
+                sums = [sum(x) for k in range(len(rest) + 1) for x in combinations(rest, k)]
                 # grouping a flag set and its complement insert the same
                 # edge, so each foursome has three distinct pair sums; two
                 # differences with a common middle term span all of them
                 for i, j, k, l in ((a, b, c, e), (a, c, b, e)):
                     four = (branch[i], branch[j], branch[k], branch[l])
-                    plus, minus = _relation_terms(n, tree.parts, *four[:3], rest)
-                    yield tree, v, four, plus, minus
+                    plus, minus = _relation_terms(n, *four[:3], sums)
+                    yield parts, v, four, plus, minus
 
 
 def _as_relation(tree: Tree, v: int, foursome: tuple, plus: list, minus: list):
-    terms = {Tree(tree.n, parts): 1 for parts in plus}
-    terms.update((Tree(tree.n, parts), -1) for parts in minus)
-    return Relation(RingElement(tree.n, terms), tree, v, foursome)
+    n, parts = tree.n, tree.parts
+    terms = {Tree(n, tuple(sorted((*parts, s)))): 1 for s in plus}
+    terms.update((Tree(n, tuple(sorted((*parts, s)))), -1) for s in minus)
+    return Relation(RingElement(n, terms), tree, v, foursome)
 
 
 def relations_of_degree(n: int, d: int) -> list[Relation]:
     """Every canonical relation among degree-d good monomials, as elements."""
-    return [
-        _as_relation(tree, v, four, plus, minus)
-        for tree, v, four, plus, minus in _relations(n, d)
-    ]
+    return [_as_relation(Tree(n, parts), *rest) for parts, *rest in _relations(n, d)]
 
 
 def keel_relation(n: int, i: int, j: int, k: int, l: int) -> RingElement:
@@ -546,7 +539,7 @@ def keel_relation(n: int, i: int, j: int, k: int, l: int) -> RingElement:
 @lru_cache(maxsize=None)
 def _positions(n: int, d: int) -> dict:
     """Degree-d good monomials' positions in the tree enumeration, by edges."""
-    return {t.parts: i for i, t in enumerate(enumerate_stable_trees(n, d))}
+    return {parts: i for i, parts in enumerate(_families(n, d))}
 
 
 def _pairings(n: int, nums: dict) -> dict:
@@ -595,12 +588,15 @@ def equal_mod_relations(x: RingElement, y: RingElement) -> bool:
 
 
 def _relation_rows(n: int, d: int) -> list:
-    """Canonical degree-d relations as sparse (cols, vals) rows."""
-    index = _positions(n, d)
-    rows = []
-    for _, _, _, plus, minus in _relations(n, d):
-        cols = [index[parts] for parts in plus]
-        cols += [index[parts] for parts in minus]
+    """Canonical degree-d relations as sparse (cols, vals) rows, the terms
+    found by their keys: bit i stands for the edge ``stable_splits(n)[i]``."""
+    bit = {s: 1 << i for s, i in _split_index(n).items()}
+    index = {sum(map(bit.get, parts)): i for i, parts in enumerate(_families(n, d))}
+    rows, last = [], None
+    for parts, _, _, plus, minus in _relations(n, d):
+        if parts is not last:  # the relations of one tree come together
+            last, key = parts, sum(map(bit.get, parts))
+        cols = [index[key | bit[s]] for s in plus + minus]
         rows.append((cols, [1] * len(plus) + [-1] * len(minus)))
     return rows
 
@@ -630,8 +626,8 @@ def betti(n: int, r: int | None = None):
     out = []
     for d in degrees:
         c = n - 3 - d
-        ngood = len(enumerate_stable_trees(n, d))
-        ncomp = len(enumerate_stable_trees(n, c))
+        ngood = len(_families(n, d))
+        ncomp = len(_families(n, c))
         # the pairing matrices of d and c are transposes with one rank,
         # taken once per prime; the narrower one keeps the dense sweep
         # small (167 against 293 MB peak for betti(8), in the same time)

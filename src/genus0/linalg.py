@@ -16,9 +16,17 @@ solution mod p; otherwise the pivot rows' trailing entries are one.
 The GF(p) arithmetic reduces lazily.  A float64 holds every integer below
 2^53 exactly, and one update ``row - f * pivot_row`` with f and the pivot
 row in [0, p) moves an entry by less than (p - 1)^2 < 2^40.  So a row is
-reduced (`_reduce_mod`) only after `_LAZY` = 8192 updates or before it is
-tested or stored, and the difference of two reduced values only needs p
-added where it is negative.  Both bounds are checked when the module loads.
+reduced (`_reduce_mod`) only after `_LAZY` = 8192 updates, a product only
+after min(`_CHUNK`, `_LAZY`) terms, and either before it is tested or
+stored; the difference of two reduced values only needs p added where it
+is negative.  Both bounds are checked when the module loads.  The
+reduction is a floor quotient, measured against `np.mod` and `np.fmod`.
+
+`ModEliminator.feed` eliminates recursively, after Dumas, Giorgi and
+Pernet (FFLAS/FFPACK, ACM TOMS 2008): the top half, then the bottom half
+cleared of the top's pivot columns by one `mod_matmul`, then the top's
+pivot rows cleared of the bottom's by one more; blocks of at most
+`_BASE` rows are swept row by row.
 
 Ranks (`rank_mod`) start with a sparse phase, structured Gaussian
 elimination after LaMacchia and Odlyzko (CRYPTO '90), in front of that
@@ -63,19 +71,23 @@ PRIMES = (
 
 _CHUNK = 8192
 
-# mod_matmul sums up to _CHUNK products of entries below p in float64
-# before reducing; every partial sum must stay an exact integer.  Checked
-# here rather than asserted so that it also holds under ``python -O``.
-if _CHUNK * (max(PRIMES) - 1) ** 2 + max(PRIMES) >= 2**53:
+# mod_matmul sums up to _CHUNK products of entries below p in float64 and
+# adds a residue before reducing; every partial sum must stay an exact
+# integer, and _reduce_mod needs |x| + p < 2^53.  Checked here rather than
+# asserted so that it also holds under ``python -O``.
+if _CHUNK * (max(PRIMES) - 1) ** 2 + 2 * max(PRIMES) >= 2**53:
     raise RuntimeError("_CHUNK and PRIMES break float64 exactness in mod_matmul")
 
 # ModEliminator.feed subtracts f * row with f and row in [0, p), so less
-# than (p - 1)^2, and reduces a row after at most _LAZY such updates;
-# in between the row must stay an exact integer, whatever the block size.
+# than (p - 1)^2, and reduces a row after at most _LAZY such updates; in
+# between the row must stay exact, and within _reduce_mod's bound.
 _LAZY = 8192
-if _LAZY * (max(PRIMES) - 1) ** 2 + max(PRIMES) >= 2**53:
+if _LAZY * (max(PRIMES) - 1) ** 2 + 2 * max(PRIMES) >= 2**53:
     raise RuntimeError("_LAZY and PRIMES break float64 exactness in feed")
 
+# At _BASE = 8, 16 or 32 the feeds of betti(7) and p1xp1 --order 7 took
+# 53-86 and 5.4-9.4 ms, row by row 115-180 and 7.9-8.4 ms (2-core x86-64).
+_BASE = 16
 
 # rank_mod's sparse phase takes a row with at most ncols / _HEAVY entries
 # and keeps it while it holds at most ncols / _FILL; the others go to the
@@ -99,29 +111,39 @@ class Inconsistent(Exception):
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x % p for float64 arrays of exact integers, as a new array."""
-    r = np.fmod(x, p)
+    """x % p for float64 arrays of integers with |x| + p < 2^53, as a new array.
+
+    q = floor(x * (1 / p)) is off by at most one, and q * p and x - q * p
+    are exact.  On 250k entries of a 2-core x86-64 host it took 3 ns each,
+    `np.mod` 20-27 and `np.fmod` 11-165, slower as |x| grows; below 256
+    entries the one call of `np.mod` beats its eight.
+    """
+    if x.size < 256:
+        return np.mod(x, p)
+    r = x * (1.0 / p)
+    np.floor(r, out=r)
+    r *= p
+    np.subtract(x, r, out=r)
     np.add(r, p, out=r, where=r < 0)
+    np.subtract(r, p, out=r, where=r >= p)
     return r
 
 
 def _sub_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a - b) % p for entries of a and b already in [0, p)."""
-    d = a - b
-    np.add(d, p, out=d, where=d < 0)
-    return d
+    """(a - b) % p for entries of a and b already in [0, p), written over b."""
+    np.subtract(a, b, out=b)
+    np.add(b, p, out=b, where=b < 0)
+    return b
 
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p for float64 matrices with entries in [0, p)."""
-    k = a.shape[1]
-    out = None
-    for lo in range(0, k, _CHUNK):
-        part = a[:, lo : lo + _CHUNK] @ b[lo : lo + _CHUNK]
-        out = part if out is None else _reduce_mod(out + part, p)
-    if out is None:
-        return np.zeros((a.shape[0], b.shape[1]))
-    return _reduce_mod(out, p)
+    """Exact (a @ b) % p for float64 matrices with entries in [0, p),
+    in products of at most min(`_CHUNK`, `_LAZY`) terms, each reduced once."""
+    step = min(_CHUNK, _LAZY)
+    out = _reduce_mod(a[:, :step] @ b[:step], p)
+    for lo in range(step, a.shape[1], step):
+        out = _reduce_mod(out + a[:, lo : lo + step] @ b[lo : lo + step], p)
+    return out
 
 
 def rows_mod(rows: np.ndarray, p: int) -> np.ndarray:
@@ -141,23 +163,75 @@ def densify(rows, width: int, dtype=np.float64) -> np.ndarray:
     return block
 
 
+def _join(cols: list, top: np.ndarray, low: np.ndarray, p: int):
+    """Eliminate ``low`` below the reduced pivot rows ``top`` of columns
+    ``cols``: the sources in ``low`` of the new pivots, then every pivot
+    column and every pivot row, reduced against all of them."""
+    if cols and low[:, cols].any():
+        low = _sub_mod(low, mod_matmul(low[:, cols], top, p), p)
+    src, new, bottom = _echelon(low, p)
+    del low  # free the block before the products on top
+    if not new:
+        return src, cols, top
+    if cols and top[:, new].any():
+        top = _sub_mod(top, mod_matmul(top[:, new], bottom, p), p)
+    return src, cols + new, np.vstack([top, bottom])
+
+
+def _echelon(a: np.ndarray, p: int) -> tuple[list, list, np.ndarray]:
+    """`_join` below no pivot rows, for a block with entries in [0, p),
+    split in halves past `_BASE` rows; the rows of ``a`` are overwritten."""
+    if not a.any():
+        return [], [], a[:0]
+    if len(a) > _BASE:
+        h = len(a) // 2
+        src, cols, top = _echelon(a[:h], p)
+        src2, cols, rows = _join(cols, top, a[h:], p)
+        return src + [h + i for i in src2], cols, rows
+    # A row loses the pivot rows found so far, which are 0 at each other's
+    # pivot columns, so its entries there stay the residues it came with.
+    src, cols, found = [], [], []
+    for i, row in enumerate(a):
+        pending = 0
+        for c, pr in zip(cols, found):
+            f = row[c]
+            if f:
+                row -= f * pr
+                pending += 1
+                if pending == _LAZY:
+                    row = _reduce_mod(row, p)
+                    pending = 0
+        if pending:
+            row = _reduce_mod(row, p)
+        nz = np.flatnonzero(row)
+        if nz.size:
+            c = int(nz[0])
+            row = _reduce_mod(row * pow(int(row[c]), p - 2, p), p)
+            found = [_reduce_mod(pr - pr[c] * row, p) if pr[c] else pr for pr in found]
+            found.append(row)
+            cols.append(c)
+            src.append(i)
+    return src, cols, np.array(found) if found else a[:0]
+
+
 class ModEliminator:
     """Incremental reduced row echelon form over GF(p).
 
-    Rows are fed in blocks; each block is reduced against the pivots found
-    so far with one matrix product, then swept row by row.  Keeping the
-    stored rows fully reduced makes rank queries and solution extraction
-    trivial.  Any column can take a pivot: `solve_certified` feeds [A | b]
-    and reads a pivot in a column of b as no solution mod p.  ``sources``
-    records, for each pivot, the position among all rows fed so far of the
-    row that produced it.
+    Rows are fed in blocks, each eliminated below the pivot rows found so
+    far by `_join`, which halves blocks past `_BASE` rows and joins the
+    halves by products (module docstring).  Any column can take a pivot:
+    `solve_certified` feeds [A | b] and reads a pivot in a column of b as
+    no solution mod p.  ``sources`` records, for each pivot, the position
+    among all rows fed so far of the row that produced it.  The state
+    depends only on the order of the rows: a row's pivot is the first
+    column where it leaves the span of the rows before it, and the stored
+    rows are the span's one basis that is the identity on those columns.
 
-    The entries fed are integers, as an integer array or as float64 below
-    2^53 in magnitude, such as `rows_mod`'s residues.  Stored rows and the
-    multipliers are always reduced into [0, p); a row being swept is not.
-    It takes updates unreduced and is reduced after at most `_LAZY` of
-    them, whatever the block size, which keeps its entries below
-    _LAZY * (p - 1)^2 + p < 2^53 and exact.
+    The entries fed are integers: an integer array, reduced exactly, or
+    float64 below 2^53 - p in magnitude, such as `rows_mod`'s residues.  Stored rows and
+    multipliers are reduced into [0, p); a swept row is reduced after at
+    most `_LAZY` updates, and a product sums at most min(`_CHUNK`, `_LAZY`)
+    terms, so every entry stays below _LAZY * (p - 1)^2 + p and exact.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -172,70 +246,15 @@ class ModEliminator:
     def rank(self) -> int:
         return len(self.piv_cols)
 
-    def _reduce_block(self, block: np.ndarray) -> np.ndarray:
-        block = _reduce_mod(np.asarray(block, dtype=np.float64), self.p)
-        if self.piv_cols:
-            coeff = block[:, self.piv_cols]
-            if np.any(coeff):
-                block = _sub_mod(block, mod_matmul(coeff, self.rows, self.p), self.p)
-        return block
-
     def feed(self, block) -> None:
-        p = self.p
-        block = self._reduce_block(block)
-        new_rows: list[np.ndarray] = []
-        new_cols: list[int] = []
-        for i in range(block.shape[0]):
-            row = block[i]
-            pending = 0
-            for c, nr in zip(new_cols, new_rows):
-                f = row[c] % p
-                if f:
-                    row -= f * nr
-                    pending += 1
-                    if pending == _LAZY:
-                        row = _reduce_mod(row, p)
-                        pending = 0
-            row = _reduce_mod(row, p)
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            c = int(nz[0])
-            inv = pow(int(row[c]), p - 2, p)
-            row = _reduce_mod(row * inv, p)
-            new_rows.append(row)
-            new_cols.append(c)
-            self.sources.append(self.fed + i)
+        block, p = np.asarray(block), self.p
+        if block.dtype.kind != "f":  # reduce integers before float64 rounds them
+            block = rows_mod(block, p)
+        src, self.piv_cols, self.rows = _join(
+            self.piv_cols, self.rows, _reduce_mod(block, p), p
+        )
+        self.sources += [self.fed + i for i in src]
         self.fed += block.shape[0]
-        if not new_rows:
-            return
-        fresh = np.array(new_rows)
-        # make the fresh pivots clean against each other (earlier rows may
-        # still hit later pivot columns), then against everything stored.
-        # Rows past j are zero in column c, so no update changes fresh[i, c]
-        # before it is read: f needs no reduction.  Row j has taken all its
-        # updates when it becomes the pivot row, and row 0 all at the end.
-        pending = [0] * len(new_cols)
-        for j in range(len(new_cols) - 1, 0, -1):
-            if pending[j]:
-                fresh[j] = _reduce_mod(fresh[j], p)
-            c = new_cols[j]
-            for i in range(j):
-                f = fresh[i, c]
-                if f:
-                    fresh[i] -= f * fresh[j]
-                    pending[i] += 1
-                    if pending[i] == _LAZY:
-                        fresh[i] = _reduce_mod(fresh[i], p)
-                        pending[i] = 0
-        if pending[0]:
-            fresh[0] = _reduce_mod(fresh[0], p)
-        if self.piv_cols:
-            coeff = self.rows[:, new_cols]
-            if np.any(coeff):
-                self.rows = _sub_mod(self.rows, mod_matmul(coeff, fresh, p), p)
-        self.rows = np.vstack([self.rows, fresh])
-        self.piv_cols.extend(new_cols)
 
     def feed_all(self, rows, block_size: int = 512, target: int | None = None) -> None:
         """Feed rows block by block until the rank reaches ``target``.
@@ -341,7 +360,8 @@ def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) ->
         target = ncols
     if isinstance(rows, np.ndarray):
         rows = [(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in rows]
-    heavy, fill = ncols // _HEAVY, ncols // _FILL
+    # at least 1, so that below _HEAVY columns a one-entry row stays sparse
+    heavy, fill = max(1, ncols // _HEAVY), max(1, ncols // _FILL)
     pivots: dict[int, tuple[list[int], list[int], int]] = {}
     deferred = []
     for cols, vals in sorted(rows, key=lambda r: len(r[0])):
@@ -362,7 +382,8 @@ def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) ->
     free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in pivots)}
     schur = []
     for row in deferred:
-        _reduce_sparse(row, pivots, p)
+        if not pivots.keys().isdisjoint(row):  # else nothing to eliminate
+            _reduce_sparse(row, pivots, p)
         schur.append(([free[c] for c in row], list(row.values())))
     elim = ModEliminator(len(free), p)
     elim.feed_all(schur, target=target - rank)

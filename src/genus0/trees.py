@@ -335,6 +335,8 @@ def _compat_graph(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _families(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     """Sorted part-tuples of all r-edge stable trees on {1..n}."""
+    if n < 3 or r < 0:
+        raise ValueError("need n >= 3 and r >= 0")
     if r == 0:
         return ((),)
     if r > n - 3:
@@ -364,8 +366,6 @@ def _families(n: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_stable_trees(n: int, r: int) -> tuple[Tree, ...]:
     """All r-edge stable trees on labels 1..n, in canonical order."""
-    if n < 3 or r < 0:
-        raise ValueError("need n >= 3 and r >= 0")
     return tuple(Tree(n, parts) for parts in _families(n, r))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -203,7 +204,8 @@ def relation(tree: Tree, v: int, foursome: tuple[int, ...]) -> Relation:
         raise ValueError("branches must sit at the given vertex")
     fi, fj, fk, _ = foursome
     rest = [b for b in branches if b not in foursome]
-    plus, minus = _relation_terms(tree.n, tree.parts, fi, fj, fk, rest)
+    sums = [sum(x) for k in range(len(rest) + 1) for x in combinations(rest, k)]
+    plus, minus = _relation_terms(tree.n, fi, fj, fk, sums)
     return _as_relation(tree, v, tuple(foursome), plus, minus)
 
 

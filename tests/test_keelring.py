@@ -1,11 +1,13 @@
 """Ring arithmetic: products, rewriting, relations, Betti numbers."""
 
 import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -352,6 +354,12 @@ def ref_relation_rows(n, d):
     return rows
 
 
+RELATION_ROW_DIGESTS = """
+    4/1:812e1167 5/1:cef43f41 5/2:524e5028 6/1:fcdd0023 6/2:bdfc9c68
+    6/3:3a5a55d2 7/1:2fd5b15d 7/2:12fcecca 7/3:b058b487 7/4:8674894e
+"""
+
+
 class TestRelations:
     def test_four_labels(self):
         t = Tree.one_vertex(4)
@@ -402,6 +410,19 @@ class TestRelations:
                 assert list(terms.values()) == vals
                 if n < 7:
                     assert relation(rel.tree, rel.vertex, rel.foursome) == rel
+
+    def test_rows_pinned(self):
+        # sha256 over the rows of _relation_rows(n, d), each as its int64
+        # columns, "|", its int64 values, "#"; the first 8 hex digits
+        got = []
+        for n in range(4, 8):
+            for d in range(1, n - 2):
+                h = hashlib.sha256()
+                for cols, vals in keelring._relation_rows(n, d):
+                    h.update(np.array(cols, dtype=np.int64).tobytes() + b"|")
+                    h.update(np.array(vals, dtype=np.int64).tobytes() + b"#")
+                got.append(f"{n}/{d}:{h.hexdigest()[:8]}")
+        assert got == RELATION_ROW_DIGESTS.split()
 
     @pytest.mark.slow
     def test_relations_vanish_n7(self):
@@ -518,6 +539,20 @@ class TestBetti:
     def test_single_degree(self):
         assert betti(5, 1) == 5
         assert betti(6, 2) == 16
+
+    def test_open_squeeze_raises(self, monkeypatch):
+        # Ranks that fall short on every prime leave the squeeze open;
+        # that must raise, also under python -O, not report a number.
+        ranks = []
+
+        def short(rows, ncols, p, target=None):
+            ranks.append(p)
+            return 0
+
+        monkeypatch.setattr(keelring.linalg, "rank_mod", short)
+        with pytest.raises(RuntimeError, match="never squeeze shut"):
+            betti(5, 1)
+        assert len(set(ranks)) == 3
 
     @pytest.mark.slow
     def test_frozen_vector_n7(self):

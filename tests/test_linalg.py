@@ -37,6 +37,18 @@ class TestModMatmul:
         got = int(la.mod_matmul(a, b, p)[0, 0])
         assert got == (k * (p - 1) * (p - 1)) % p
 
+    def test_each_chunk_is_reduced(self):
+        # Two unreduced chunks of entries near p sum past 2^53; every
+        # chunk's product must be reduced before the next is added.
+        p = la.PRIMES[0]
+        rng = np.random.default_rng(0)
+        k = 2 * la._CHUNK + 5
+        a = rng.integers(p - 1000, p, size=(3, k))
+        b = rng.integers(p - 1000, p, size=(k, 4))
+        got = la.mod_matmul(a.astype(np.float64), b.astype(np.float64), p)
+        want = (a.astype(object) @ b.astype(object)) % p
+        assert got.astype(np.int64).tolist() == want.tolist()
+
 
 class TestEliminator:
     def test_rank_of_identityish(self):
@@ -92,6 +104,30 @@ class TestEliminator:
         sparse = [(np.nonzero(r)[0], r[np.nonzero(r)[0]]) for r in m]
         assert np.array_equal(la.densify(sparse, 9), m)
         assert la.rank_mod(sparse, 9) == la.rank_mod(m, 9)
+
+    def test_integers_past_float64_are_reduced_exactly(self):
+        # float64 rounds 2^53 + 1; an integer block is reduced first
+        p = la.PRIMES[0]
+        for x in (2**53 + 1, 2**53 - 5, -(2**62) - 3, 2**80 + 7):
+            e = la.ModEliminator(2, p)
+            e.feed(np.array([[x, 1]]))
+            assert e.rows.tolist() == [[1, pow(x % p, -1, p)]]
+
+    def test_narrow_one_entry_rows_stay_sparse(self, monkeypatch):
+        # Below _HEAVY columns, ncols // _HEAVY is 0; a one-entry row must
+        # still go through the sparse phase, not wait for the dense sweep,
+        # as in the 945 x 1 degree-0 pairing of betti(7).
+        built = []
+        init = la.ModEliminator.__init__
+
+        def spy(self, ncols, p):
+            built.append(ncols)
+            init(self, ncols, p)
+
+        monkeypatch.setattr(la.ModEliminator, "__init__", spy)
+        assert la.rank_mod([([0], [2])] * 945, 1) == 1
+        assert la.rank_mod(np.eye(9, dtype=np.int64)[::-1] * 5, 9) == 9
+        assert built == []
 
 
 @st.composite
@@ -276,6 +312,90 @@ class TestLazyFeedAgainstReference:
             got.feed_all(a, block_size=40)
         assert got.rank == 40
         assert_same_state(got, want)
+
+
+def low_rank(rng, nrows, ncols, rank, p):
+    """nrows random combinations of rank rows with entries in [0, p)."""
+    span = rng.integers(0, p, size=(rank, ncols))
+    return rng.integers(0, 3, size=(nrows, rank)) @ span % p
+
+
+class TestBlockRecursion:
+    # Blocks past _BASE rows are split, their halves eliminated and joined
+    # by matrix products; the states must still equal the reference's.
+    @pytest.mark.parametrize(
+        "block_size", [1, la._BASE, la._BASE + 1, 2 * la._BASE + 1, 600]
+    )
+    def test_block_sizes(self, block_size):
+        p = la.PRIMES[0]
+        # rank 90 of 120 columns, so the stored rows are not the identity
+        rng = np.random.default_rng(block_size)
+        a = low_rank(rng, 600, 120, 60, p)
+        a[::20] = rng.integers(0, p, size=(30, 120))
+        want = RefEliminator(120, p)
+        want.feed_all(a, block_size)
+        got = la.ModEliminator(120, p)
+        got.feed_all(a, block_size)
+        assert got.rank == 90
+        assert_same_state(got, want)
+
+    @given(systems(), st.integers(1, 80), st.sampled_from([1, 2, 3, la._BASE]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_systems_at_every_split(self, system, block_size, base):
+        a, ncols = system
+        want = RefEliminator(ncols, la.PRIMES[0])
+        want.feed_all(a, block_size)
+        got = la.ModEliminator(ncols, la.PRIMES[0])
+        with patch.object(la, "_BASE", base):
+            got.feed_all(a, block_size)
+        assert_same_state(got, want)
+
+    def test_runs_of_zero_and_repeated_rows(self):
+        # Whole halves vanish once the rows above are eliminated, and are
+        # skipped; the rows after them must still find their pivots.
+        p = la.PRIMES[0]
+        rng = np.random.default_rng(3)
+        head = low_rank(rng, 40, 120, 30, p)
+        zeros = np.zeros((130, 120), dtype=np.int64)
+        repeats = head[rng.integers(0, 40, size=170)]
+        tail = rng.integers(0, p, size=(60, 120))
+        a = np.vstack([head, zeros, repeats, tail, zeros, repeats, tail])
+        for block_size in (len(a), 257, la._BASE):
+            want = RefEliminator(120, p)
+            want.feed_all(a, block_size)
+            got = la.ModEliminator(120, p)
+            got.feed_all(a, block_size)
+            assert got.rank == 90
+            assert_same_state(got, want)
+
+    def test_block_of_600_at_the_lazy_bound(self):
+        # Near 2^26 a product may sum only two terms: every product of the
+        # recursion is chunked by _LAZY, read when it runs.
+        p = 67108859
+        a = low_rank(np.random.default_rng(13), 600, 200, 150, p)
+        want = RefEliminator(200, p)
+        want.feed_all(a, block_size=600)
+        got = la.ModEliminator(200, p)
+        with patch.object(la, "_LAZY", 2):
+            got.feed_all(a, block_size=600)
+        assert got.rank == 150
+        assert_same_state(got, want)
+
+
+class TestReduceMod:
+    @pytest.mark.parametrize("p", [7, la.PRIMES[0], la.PRIMES[-1], 67108859])
+    @pytest.mark.parametrize("size", [5, 255, 256, 4000])
+    def test_matches_python_remainder(self, p, size):
+        # Exact for |x| + p < 2^53, on either side of the size where
+        # _reduce_mod switches from np.mod to the floor quotient.
+        top = 2**53 - p - 1
+        rng = np.random.default_rng(size + p)
+        mags = 2 ** rng.uniform(0, 53, size=size)
+        x = [min(int(m), top) * int(s) for m, s in zip(mags, rng.choice([-1, 1], size))]
+        edges = [0, 1, -1, p - 1, p, p + 1, -p, top, -top, top // p * p, -(top // p) * p]
+        x[: len(edges)] = edges[:size]
+        got = la._reduce_mod(np.array(x, dtype=np.float64), p)
+        assert got.tolist() == [v % p for v in x]
 
 
 class TestExactnessGuard:
