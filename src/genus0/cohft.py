@@ -427,19 +427,13 @@ def _wdvv(phi: Potential, order: int) -> WdvvReport:
 
 @lru_cache(maxsize=None)
 def _plan(tree: Tree):
+    """(parent, tails): edge e joins parent[e] to vertex e+1, and tails[v]
+    lists the labels (from 0) at vertex v, as in `trees._tree_model`."""
     branches, parent = _tree_model(tree.n, tree.parts)
-    kids: list[list[int]] = [[] for _ in branches]
-    for e, v in enumerate(parent):
-        kids[v].append(e + 1)
     tails = tuple(
         tuple(q.bit_length() - 1 for q in fl if q.bit_count() == 1) for fl in branches
     )
-    order = [0]
-    i = 0
-    while i < len(order):
-        order.extend(kids[order[i]])
-        i += 1
-    return (tuple(tuple(k) for k in kids), tails, tuple(reversed(order)))
+    return tuple(parent), tails
 
 
 def _stratum_value(phi: Potential, tree: Tree, idx, memo=None) -> Fraction:
@@ -462,52 +456,51 @@ def _stratum_value(phi: Potential, tree: Tree, idx, memo=None) -> Fraction:
     """
     if memo is None:
         memo = {}
-    kids, tails, topo = _plan(tree)
+    parent, tails = _plan(tree)
     ymap = phi._map
     cas = phi.metric.casimir
     rank = phi.metric.rank
-    sent: dict[int, tuple[int, list[Fraction]]] = {}
-    for v in topo:
-        below = [sent.pop(ch) for ch in kids[v]]
+    # parent[e] <= e, so vertex v comes after every vertex below it
+    sent: list[list] = [[] for _ in tails]
+    for v in range(len(tails) - 1, -1, -1):
+        below = sent[v]
         base = tuple(sorted([idx[t] for t in tails[v]]))
         key = (v == 0, base, tuple(sorted([bid for bid, _ in below])))
         got = memo.get(key)
-        if got is not None:
+        if got is None:
+            combos = [(base, Fraction(1))]
+            for _, vec in below:
+                nxt = []
+                for part, w in combos:
+                    for slot in range(rank):
+                        wv = vec[slot]
+                        if wv:
+                            nxt.append((part + (slot,), w * wv))
+                combos = nxt
+                if not combos:
+                    break
             if v == 0:
-                return got
-            sent[v] = got
-            continue
-        combos = [(base, Fraction(1))]
-        for _, vec in below:
-            nxt = []
-            for part, w in combos:
-                for slot in range(rank):
-                    wv = vec[slot]
-                    if wv:
-                        nxt.append((part + (slot,), w * wv))
-            combos = nxt
-            if not combos:
-                break
-        if v == 0:
-            tot = Fraction(0)
-            for part, w in combos:
-                yv = ymap.get(tuple(sorted(part)))
-                if yv:
-                    tot += w * yv
-            memo[key] = tot
-            return tot
-        raw = [Fraction(0)] * rank
-        for part, w in combos:
-            for a in range(rank):
-                yv = ymap.get(tuple(sorted(part + (a,))))
-                if yv:
-                    raw[a] += w * yv
-        out = [Fraction(0)] * rank
-        for a, b, w in cas:
-            if raw[a]:
-                out[b] += w * raw[a]
-        sent[v] = memo[key] = (len(memo), out)
-    raise AssertionError("unreachable: the root always terminates the sweep")
+                got = Fraction(0)
+                for part, w in combos:
+                    yv = ymap.get(tuple(sorted(part)))
+                    if yv:
+                        got += w * yv
+            else:
+                raw = [Fraction(0)] * rank
+                for part, w in combos:
+                    for a in range(rank):
+                        yv = ymap.get(tuple(sorted(part + (a,))))
+                        if yv:
+                            raw[a] += w * yv
+                out = [Fraction(0)] * rank
+                for a, b, w in cas:
+                    if raw[a]:
+                        out[b] += w * raw[a]
+                got = (len(memo), out)
+            memo[key] = got
+        if v:
+            sent[parent[v - 1]].append(got)
+    return got
 
 
 def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fraction]:
@@ -1310,36 +1303,6 @@ def p1xp1_numbers(kmax: int) -> dict[tuple[int, int], Fraction]:
                         acc += n1 * n2 * w
             out[(alpha, beta)] = acc
     return out
-
-
-def p1xp1_potential(order: int = 8) -> Potential:
-    """The quadric surface potential on the tensor-square flat basis.
-
-    Flat index 0 is the unit, 3 is the point; 2 and 1 are the two ruling
-    classes (first-factor hyperplane first).  Quantum terms carry the
-    bidegree counts evaluated against ruling insertions.
-    """
-    met = tensor_metric(Metric.hyperbolic(), Metric.hyperbolic())
-    coeffs: dict[tuple[int, ...], Fraction] = {
-        (0, 0, 3): Fraction(1),
-        (0, 1, 2): Fraction(1),
-    }
-    numbers = p1xp1_numbers((order + 1) // 2)
-    for m in range(1, order + 1, 2):
-        k = (m + 1) // 2
-        for p in range(0, order - m + 1):
-            for q in range(0, order - m - p + 1):
-                if m + p + q < 3:
-                    continue
-                val = Fraction(0)
-                for a in range(k + 1):
-                    b = k - a
-                    nv = numbers.get((a, b))
-                    if nv:
-                        val += nv * a**p * b**q
-                if val:
-                    coeffs[(1,) * q + (2,) * p + (3,) * m] = val
-    return Potential.build(met, coeffs, order)
 
 
 def extract_p1xp1_numbers(phi: Potential) -> dict[tuple[int, int], Fraction]:

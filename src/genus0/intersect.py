@@ -56,54 +56,25 @@ def _orient(need: list, parent: list, edges: tuple[int, ...]):
     """`good_orientation` on the tree where edge e joins parent[e] to e+1.
 
     Each vertex v must receive need[v] = |v| - 3 incoming marked edges.
-    The marked edges form a forest inside the tree, so leaf peeling
-    settles every edge without search.  A forest with an undecided edge
-    has a vertex with exactly one undecided edge (a leaf of the undecided
-    subforest), and there the count is forced: the edge points in when
-    the vertex still needs one arrow and out when it needs none, and any
-    other need is a contradiction.  So every sweep that starts with an
-    undecided edge settles one or returns None, and propagation never
-    stalls.  ``need`` is used up.
+    Since parent[e] <= e, every edge below vertex e+1 has a larger index,
+    so taking the marked edges in descending order settles those first.
+    Edge e is then the last undecided edge at vertex e+1, and it is
+    forced: it points in when the vertex still needs one arrow and out
+    when it needs none.  Any other need is missed whichever way e points,
+    so the pass stops there.  The final check, that every need is met,
+    covers the root and each vertex whose edge towards label 1 is not
+    marked.  ``need`` is used up.
     """
-    undecided: list[set[int]] = [set() for _ in need]
-    for e in edges:
-        undecided[parent[e]].add(e)
-        undecided[e + 1].add(e)
     orient: dict[int, int] = {}
-
-    def settle(e: int, head: int) -> bool:
-        orient[e] = head
-        undecided[parent[e]].discard(e)
-        undecided[e + 1].discard(e)
-        need[head] -= 1
-        return need[head] >= 0
-
-    changed = True
-    while changed:
-        changed = False
-        for v, ends in enumerate(undecided):
-            u = len(ends)
-            if need[v] < 0 or need[v] > u:
-                return None
-            if u == 0:
-                if need[v] != 0:
-                    return None
-                continue
-            if need[v] == 0:
-                for e in list(ends):
-                    if not settle(e, e + 1 if parent[e] == v else parent[e]):
-                        return None
-                changed = True
-            elif need[v] == u:
-                for e in list(ends):
-                    if not settle(e, v):
-                        return None
-                changed = True
-    if len(orient) != len(edges):
-        raise AssertionError("unreachable: leaf peeling settles every forest")
-    # the last sweep settled nothing and met no undecided edge, so it has
-    # checked that every vertex got exactly its need
-    return orient
+    for e in sorted(edges, reverse=True):
+        v = e + 1
+        if need[v] == 0:
+            v = parent[e]
+        elif need[v] != 1:
+            return None
+        orient[e] = v
+        need[v] -= 1
+    return orient if not any(need) else None
 
 
 def _pair_parts(n: int, parts1: tuple, parts2: tuple) -> int:

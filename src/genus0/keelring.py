@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from typing import Iterable
 
 from . import linalg
 from .trees import (
@@ -243,6 +242,14 @@ class Ring:
         The choice of the fixed pair does not affect the class (tested
         exhaustively), only the representative.  A trivalent endpoint has
         nothing to move.
+
+        Only the two endpoints are needed, so their branches come from a
+        cover step here rather than from `trees._tree_model`, which builds
+        every vertex.  Reading `_tree_model` gives identical tuples for
+        every (edge, tree) with n <= 8 but took twice as long on a 2-core
+        x86-64 host: 5.1-5.7 against 2.6-2.9 us per rewrite at n = 8, and
+        10-11 against 5 us at n = 9.  `kappa_splitting` computes 36,124
+        rewrites with no memo hit.
         """
         f = self._full
         # each other edge has one side inside the cover of one endpoint
@@ -362,15 +369,6 @@ class Ring:
                     out[k] = out.get(k, 0) + v
         return {self._edges(k): v for k, v in out.items() if v}
 
-    def reduce(self, sigmas: Iterable[Split]) -> RingElement:
-        """Normal form of a product of boundary divisors."""
-        word = []
-        for s in sigmas:
-            if s.n != self.n:
-                raise ValueError("partition over the wrong label set")
-            word.append(s.side)
-        return _element(self.n, self._product({(): 1}, [(tuple(word), 1)]))
-
     def mul(self, x: RingElement, y: RingElement) -> RingElement:
         if x.n != self.n or y.n != self.n:
             raise ValueError("elements over the wrong label set")
@@ -422,18 +420,6 @@ def _element(n: int, nums: dict, den: int = 1) -> RingElement:
 @lru_cache(maxsize=None)
 def ring(n: int) -> Ring:
     return Ring(n)
-
-
-def mul_divisor(sigma: Split, m) -> RingElement:
-    """D_sigma times a good monomial (or any element), in normal form."""
-    x = RingElement.monomial(m) if isinstance(m, Tree) else m
-    return ring(sigma.n).mul(x, RingElement.divisor(sigma))
-
-
-def reduce_product(sigmas: list[Split]) -> RingElement:
-    if not sigmas:
-        raise ValueError("empty product; use RingElement.unit")
-    return ring(sigmas[0].n).reduce(sigmas)
 
 
 def mul(x: RingElement, y: RingElement) -> RingElement:
@@ -708,18 +694,6 @@ class TensorElement:
             for key, v in _pairings(self.n2, right).items():
                 contracted.setdefault(key, {})[p1] = v
         return not any(_pairings(self.n1, left) for left in contracted.values())
-
-
-def tensor_unit(n1: int, n2: int) -> TensorElement:
-    return TensorElement.make(n1, n2, {((), ()): Fraction(1)})
-
-
-def tensor_of_factors(x1: RingElement, x2: RingElement) -> TensorElement:
-    out: dict = {}
-    for t1, c1 in x1.terms.items():
-        for t2, c2 in x2.terms.items():
-            out[(t1.parts, t2.parts)] = c1 * c2
-    return TensorElement.make(x1.n, x2.n, out)
 
 
 class DivisorGeometry:

@@ -228,10 +228,12 @@ class ModEliminator:
     rows are the span's one basis that is the identity on those columns.
 
     The entries fed are integers: an integer array, reduced exactly, or
-    float64 below 2^53 - p in magnitude, such as `rows_mod`'s residues.  Stored rows and
-    multipliers are reduced into [0, p); a swept row is reduced after at
-    most `_LAZY` updates, and a product sums at most min(`_CHUNK`, `_LAZY`)
-    terms, so every entry stays below _LAZY * (p - 1)^2 + p and exact.
+    float64 below 2^53 - p in magnitude, such as `rows_mod`'s residues; a
+    float that is not a finite integer raises TypeError, one too large
+    ValueError.  Stored rows and multipliers are reduced into [0, p); a
+    swept row is reduced after at most `_LAZY` updates, and a product sums
+    at most min(`_CHUNK`, `_LAZY`) terms, so every entry stays below
+    _LAZY * (p - 1)^2 + p and exact.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -250,6 +252,12 @@ class ModEliminator:
         block, p = np.asarray(block), self.p
         if block.dtype.kind != "f":  # reduce integers before float64 rounds them
             block = rows_mod(block, p)
+        elif block.size:
+            top = np.abs(block).max()  # nan if any entry is
+            if not np.isfinite(top) or not np.array_equal(np.trunc(block), block):
+                raise TypeError("float entries must be finite integers")
+            if top >= 2**53 - p:
+                raise ValueError(f"float entry {top} is not below 2^53 - p")
         src, self.piv_cols, self.rows = _join(
             self.piv_cols, self.rows, _reduce_mod(block, p), p
         )

@@ -13,7 +13,9 @@ carries label 1, and vertex e+1 is the far end of edge e from label 1.  A
 branch at a vertex is the set of labels beyond one of its edges or tails,
 as a bitmask; a tail is a branch of one label.  At each vertex the edge
 towards label 1 comes first, then the edges away from it by index, then
-the tails in ascending order.
+the tails in ascending order.  Every edge's endpoint towards label 1
+has the smaller number, so descending vertex numbers walk a tree leaves
+first; `intersect._orient` and `cohft._stratum_value` sweep that way.
 """
 
 from __future__ import annotations
@@ -141,6 +143,8 @@ def _tree_model(n: int, parts: tuple[int, ...]) -> tuple[list, list]:
     Returns (branches, parent): ``branches[v]`` holds the branch masks at
     vertex v in the order of the module docstring, and edge e joins
     ``parent[e]``, its endpoint on the label-1 side, to vertex e+1.
+    parent[e] <= e, so every vertex outnumbers its parent: the order that
+    `intersect._orient` and `cohft._stratum_value` read.
     Raises ValueError on a repeated side, a crossing pair, or a vertex of
     valency below 3.
     """
@@ -370,7 +374,7 @@ def enumerate_stable_trees(n: int, r: int) -> tuple[Tree, ...]:
 
 
 # ---------------------------------------------------------------------------
-# surgery
+# forgetting a label
 
 
 @lru_cache(maxsize=None)
@@ -389,26 +393,6 @@ def _forget_images(n: int, label: int) -> dict[int, int]:
         k = q.bit_count()
         out[p] = 0 if k < 2 or (n - 1) - k < 2 else q if q & 1 else f ^ q
     return out
-
-
-def forget_and_stabilize(tree: Tree, label: int) -> tuple[Tree, int]:
-    """Remove one tail and contract whatever becomes unstable.
-
-    Returns the stabilized tree on n-1 labels (the survivors renumbered,
-    preserving order) and the number of contracted edges, which is 0 or 1:
-    removing a single tail can only break the one vertex that carried it.
-    That vertex is contracted either along an edge whose image is
-    unstable or by merging its two edges into one image.
-    """
-    n = tree.n
-    if n < 4:
-        raise ValueError("cannot forget below three labels")
-    if not 1 <= label <= n:
-        raise ValueError(f"label {label} outside 1..{n}")
-    image = _forget_images(n, label)
-    kept = {image[p] for p in tree.parts}
-    kept.discard(0)
-    return Tree(n - 1, tuple(sorted(kept))), len(tree.parts) - len(kept)
 
 
 # ---------------------------------------------------------------------------

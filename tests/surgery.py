@@ -1,28 +1,43 @@
-"""Tree surgery that only the tests use, as references for the ring.
+"""Tree surgery and helpers that only the tests use, as references for
+the ring.
 
 `tree_model` is the vertex/flag incidence of a tree found by a quadratic
 parent search, the reference for `trees._tree_model`; `flags_at` and
 `edge_vertices` read it.  `transplant` is the square rewrite done one flag
 set at a time, `insert_edge` builds canonical relations term by term,
 `relation` builds one of them from four branch masks, `tree_product`
-intersects strata edge set by edge set, and `orbit` lists the trees that
-relabelling reaches.
+intersects strata edge set by edge set, `forget_and_stabilize` forgets a
+label on one tree, and `orbit` lists the trees that relabelling reaches.
+`mul_divisor`, `reduce_product`, `tensor_unit` and `tensor_of_factors`
+build ring and tensor elements from divisors and factors, and
+`p1xp1_potential` is the quadric surface's potential in closed form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from genus0.keelring import Relation, _as_relation, _relation_terms
+from genus0.cohft import Metric, Potential, p1xp1_numbers, tensor_metric
+from genus0.keelring import (
+    Relation,
+    RingElement,
+    TensorElement,
+    _as_relation,
+    _element,
+    _relation_terms,
+    ring,
+)
 from genus0.trees import (
     Split,
     Tree,
     _families,
+    _forget_images,
     _tree_model,
     a_value_masks,
     canonical_side,
@@ -224,3 +239,83 @@ def orbit(tree: Tree) -> frozenset[Tree]:
     return frozenset(
         Tree(n, fams[i]) for i in np.flatnonzero(label == label[pos]).tolist()
     )
+
+
+def forget_and_stabilize(tree: Tree, label: int) -> tuple[Tree, int]:
+    """Remove one tail and contract whatever becomes unstable.
+
+    Returns the stabilized tree on n-1 labels (the survivors renumbered,
+    preserving order) and the number of contracted edges, which is 0 or 1:
+    removing a single tail can only break the one vertex that carried it.
+    That vertex is contracted either along an edge whose image is
+    unstable or by merging its two edges into one image.
+    """
+    n = tree.n
+    if n < 4:
+        raise ValueError("cannot forget below three labels")
+    if not 1 <= label <= n:
+        raise ValueError(f"label {label} outside 1..{n}")
+    image = _forget_images(n, label)
+    kept = {image[p] for p in tree.parts}
+    kept.discard(0)
+    return Tree(n - 1, tuple(sorted(kept))), len(tree.parts) - len(kept)
+
+
+def mul_divisor(sigma: Split, m) -> RingElement:
+    """D_sigma times a good monomial (or any element), in normal form."""
+    x = RingElement.monomial(m) if isinstance(m, Tree) else m
+    return ring(sigma.n).mul(x, RingElement.divisor(sigma))
+
+
+def reduce_product(sigmas: Iterable[Split]) -> RingElement:
+    """Normal form of a product of boundary divisors."""
+    sigmas = list(sigmas)
+    if not sigmas:
+        raise ValueError("empty product; use RingElement.unit")
+    n = sigmas[0].n
+    if any(s.n != n for s in sigmas):
+        raise ValueError("partition over the wrong label set")
+    word = tuple(s.side for s in sigmas)
+    return _element(n, ring(n)._product({(): 1}, [(word, 1)]))
+
+
+def tensor_unit(n1: int, n2: int) -> TensorElement:
+    return TensorElement.make(n1, n2, {((), ()): Fraction(1)})
+
+
+def tensor_of_factors(x1: RingElement, x2: RingElement) -> TensorElement:
+    out: dict = {}
+    for t1, c1 in x1.terms.items():
+        for t2, c2 in x2.terms.items():
+            out[(t1.parts, t2.parts)] = c1 * c2
+    return TensorElement.make(x1.n, x2.n, out)
+
+
+def p1xp1_potential(order: int = 8) -> Potential:
+    """The quadric surface potential on the tensor-square flat basis.
+
+    Flat index 0 is the unit, 3 is the point; 2 and 1 are the two ruling
+    classes (first-factor hyperplane first).  Quantum terms carry the
+    bidegree counts evaluated against ruling insertions.
+    """
+    met = tensor_metric(Metric.hyperbolic(), Metric.hyperbolic())
+    coeffs: dict[tuple[int, ...], Fraction] = {
+        (0, 0, 3): Fraction(1),
+        (0, 1, 2): Fraction(1),
+    }
+    numbers = p1xp1_numbers((order + 1) // 2)
+    for m in range(1, order + 1, 2):
+        k = (m + 1) // 2
+        for p in range(0, order - m + 1):
+            for q in range(0, order - m - p + 1):
+                if m + p + q < 3:
+                    continue
+                val = Fraction(0)
+                for a in range(k + 1):
+                    b = k - a
+                    nv = numbers.get((a, b))
+                    if nv:
+                        val += nv * a**p * b**q
+                if val:
+                    coeffs[(1,) * q + (2,) * p + (3,) * m] = val
+    return Potential.build(met, coeffs, order)

@@ -31,11 +31,10 @@ from genus0.keelring import (
     is_zero_class,
     keel_relation,
     mul,
-    mul_divisor,
 )
 from genus0.taut import check_logarithmic, kappa, omega_direct, psi_monomial
 from genus0.trees import Split, enumerate_stable_trees
-from surgery import edge_vertices, flags_at, transplant
+from surgery import edge_vertices, flags_at, mul_divisor, transplant
 
 
 def check_01_volume_numbers():

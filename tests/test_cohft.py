@@ -23,7 +23,6 @@ from genus0.cohft import (
     omega_recursion,
     p1_potential,
     p1xp1_numbers,
-    p1xp1_potential,
     potential_from_coordinates,
     reconstruct_classes,
     strata_integrals,
@@ -40,18 +39,18 @@ from genus0.keelring import (
     is_zero_class,
     mul,
     pullback_to_divisor,
-    tensor_of_factors,
 )
 from genus0.taut import omega_direct, z
 from genus0.trees import (
     Split,
     Tree,
+    _tree_model,
     enumerate_stable_trees,
     iter_all_trees,
     stable_splits,
 )
 
-from surgery import orbit
+from surgery import orbit, p1xp1_potential, tensor_of_factors
 
 
 def odd_pair_metric():
@@ -260,9 +259,12 @@ def brute_strata(phi):
     ynum: dict[tuple[int, ...], int] = {}  # by flags in vertex order
 
     def value(tree, idx):
-        kids, tails, _ = cohft._plan(tree)
-        nv = len(kids)
-        edges = [(v, k) for v in range(nv) for k in kids[v]]
+        branches, parent = _tree_model(tree.n, tree.parts)
+        nv = len(branches)
+        edges = [(v, e + 1) for e, v in enumerate(parent)]
+        tails = [
+            [q.bit_length() - 1 for q in fl if q.bit_count() == 1] for fl in branches
+        ]
         # the flags at each vertex: its tails, then (edge, end) for each
         # edge end it carries, end 0 on the parent side
         base = [tuple(idx[t] for t in tails[v]) for v in range(nv)]

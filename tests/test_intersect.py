@@ -23,6 +23,7 @@ from genus0.trees import (
     Split,
     Tree,
     enumerate_stable_trees,
+    iter_all_trees,
     orbit_reps,
     relabel,
 )
@@ -174,6 +175,21 @@ class TestOrientation:
                         assert (len(found) == 1) == (value != 0)
                         want = found[0] if found else None
                         assert good_orientation(tau.n, tau.parts, marked) == want
+
+    def test_every_edge_subset_small(self):
+        # Not only the doubled edges of pairings: every set of marked edges
+        # of every tree, oriented in one pass, against exhaustive search.
+        cases = 0
+        for n in range(3, 8):
+            for tau in iter_all_trees(n):
+                for k in range(tau.degree + 1):
+                    for marked in itertools.combinations(range(tau.degree), k):
+                        found = exhaustive_orientations(tau, marked)
+                        assert len(found) <= 1
+                        want = found[0] if found else None
+                        assert good_orientation(n, tau.parts, marked) == want
+                        cases += 1
+        assert cases == 28673
 
     def test_value_independent_of_tiebreak(self):
         # The orientation count being at most one makes the tie-break

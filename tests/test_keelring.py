@@ -22,14 +22,10 @@ from genus0.keelring import (
     is_zero_class,
     keel_relation,
     mul,
-    mul_divisor,
     pullback_to_divisor,
-    reduce_product,
     relations_of_degree,
     splitting_failures,
     TensorElement,
-    tensor_of_factors,
-    tensor_unit,
 )
 from genus0.taut import kappa, psi
 from genus0.trees import (
@@ -40,7 +36,17 @@ from genus0.trees import (
 )
 
 from conftest import stable_trees
-from surgery import edge_vertices, flags_at, insert_edge, relation, transplant
+from surgery import (
+    edge_vertices,
+    flags_at,
+    insert_edge,
+    mul_divisor,
+    reduce_product,
+    relation,
+    tensor_of_factors,
+    tensor_unit,
+    transplant,
+)
 
 
 def D(n, text):
@@ -834,7 +840,7 @@ class TestKernelAgainstReference:
             want = {Tree.one_vertex(n): Fraction(1)}
             for side in word:
                 want = ref_times_divisor(want, side)
-            got = keelring.ring(n).reduce(Split(n, side) for side in word)
+            got = reduce_product(Split(n, side) for side in word)
             assert got.terms == want, word
             repeats += len(set(word)) < 3
             a, b, c = word

@@ -113,6 +113,40 @@ class TestEliminator:
             e.feed(np.array([[x, 1]]))
             assert e.rows.tolist() == [[1, pow(x % p, -1, p)]]
 
+    @pytest.mark.parametrize(
+        "x, error",
+        [
+            (0.5, TypeError),
+            (np.nan, TypeError),
+            (np.inf, TypeError),
+            (-np.inf, TypeError),
+            (2.0**60, ValueError),
+            (-(2.0**53), ValueError),
+        ],
+    )
+    def test_float_blocks_must_hold_small_integers(self, x, error):
+        # a float block is fed as it is, so a fraction, a non-finite value
+        # or one that float64 cannot keep exact is refused, not stored
+        e = la.ModEliminator(2, la.PRIMES[0])
+        with pytest.raises(error):
+            e.feed(np.array([[x, 1.0]]))
+        assert e.rank == 0 and e.fed == 0
+
+    def test_float_blocks_that_feed(self):
+        # the largest float allowed, `rows_mod` residues and `densify` blocks
+        # give the state of the same rows fed as integers
+        p = la.PRIMES[0]
+        big = 2.0**53 - p - 1
+        e = la.ModEliminator(4, p)
+        e.feed(np.array([[-big, 0.0, 1.0, 2.0]]))
+        e.feed(la.rows_mod(np.array([[0, 2**62, 5, 0]], dtype=object), p))
+        e.feed(la.densify([([1, 2, 3], [3, 7, 1])], 4))
+        rows = [[-int(big), 0, 1, 2], [0, 2**62, 5, 0], [0, 3, 7, 1]]
+        want = la.ModEliminator(4, p)
+        want.feed(np.array(rows, dtype=object))
+        assert e.fed == 3 and e.piv_cols == want.piv_cols == [0, 1, 2]
+        assert np.array_equal(e.rows, want.rows)
+
     def test_narrow_one_entry_rows_stay_sparse(self, monkeypatch):
         # Below _HEAVY columns, ncols // _HEAVY is 0; a one-entry row must
         # still go through the sparse phase, not wait for the dense sweep,

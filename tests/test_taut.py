@@ -17,7 +17,6 @@ from genus0.keelring import (
     is_zero_class,
     mul,
     pullback_to_divisor,
-    tensor_of_factors,
 )
 from genus0.taut import (
     LogReport,
@@ -38,6 +37,8 @@ from genus0.trees import (
     full_mask,
     stable_splits,
 )
+
+from surgery import tensor_of_factors
 
 
 def boundary_sum(n, coeff):

@@ -16,6 +16,7 @@ from surgery import (
     contract_edge,
     edge_partition,
     flags_at,
+    forget_and_stabilize,
     insert_edge,
     orbit,
     transplant,
@@ -172,6 +173,8 @@ class TestTreeStructure:
                 ref = tree_model.__wrapped__(n, parts)
                 assert branches == [[f.branch for f in fl] for fl in ref.flags]
                 assert [(parent[e], e + 1) for e in range(r)] == list(ref.edges)
+                # leaves first by vertex number: a child outnumbers its parent
+                assert all(parent[e] <= e for e in range(r))
 
     @pytest.mark.parametrize(
         "n, labels, message",
@@ -278,39 +281,39 @@ class TestTransplant:
 
 class TestForget:
     def test_forget_to_minimum(self):
-        t, contracted = T.forget_and_stabilize(Tree.parse("{12|34}"), 4)
+        t, contracted = forget_and_stabilize(Tree.parse("{12|34}"), 4)
         assert t == Tree.one_vertex(3)
         assert contracted == 1
 
     def test_forget_from_one_vertex(self):
-        t, contracted = T.forget_and_stabilize(Tree.one_vertex(5), 2)
+        t, contracted = forget_and_stabilize(Tree.one_vertex(5), 2)
         assert t == Tree.one_vertex(4)
         assert contracted == 0
 
     def test_forget_trivalent_middle_contracts(self):
         # middle vertex of the n=5 caterpillar has valency exactly 3, so
         # removing its tail merges the two edges into one
-        t, contracted = T.forget_and_stabilize(Tree.parse("{12|345}{123|45}"), 3)
+        t, contracted = forget_and_stabilize(Tree.parse("{12|345}{123|45}"), 3)
         assert t == Tree.parse("{12|34}")
         assert contracted == 1
 
     def test_forget_fat_middle_survives(self):
         # same shape but a second middle tail keeps the vertex stable
         cat6 = Tree.parse("{12|3456}{45|1236}")
-        t, contracted = T.forget_and_stabilize(cat6, 3)
+        t, contracted = forget_and_stabilize(cat6, 3)
         assert contracted == 0
         # old tail 6 becomes 5 and stays in the middle: 12 - (5) - 34
         assert t == Tree.parse("{12|345}{34|125}")
 
     def test_relabelling_preserves_order(self):
-        t, _ = T.forget_and_stabilize(Tree.parse("{16|2345}"), 3)
+        t, _ = forget_and_stabilize(Tree.parse("{16|2345}"), 3)
         # labels 4,5,6 slide down to 3,4,5
         assert t == Tree.parse("{15|234}")
 
     @given(stable_trees(min_n=5), st.data())
     def test_forget_keeps_stability(self, t, data):
         label = data.draw(st.integers(1, t.n))
-        out, contracted = T.forget_and_stabilize(t, label)
+        out, contracted = forget_and_stabilize(t, label)
         assert out.n == t.n - 1
         assert contracted in (0, 1)
         assert all(k >= 3 for k in out.valencies())
