@@ -30,9 +30,9 @@ from .cohft import (
     wp_volumes,
 )
 from .intersect import pair_kaufmann, pair_oracle
-from .keelring import RingElement, _fmt_coeff, betti, mul
+from .keelring import RingElement, betti, mul
 from .taut import check_logarithmic, kappa, omega_direct, psi
-from .trees import Tree, enumerate_stable_trees, iter_all_trees
+from .trees import Tree, _fmt_coeff, enumerate_stable_trees, iter_all_trees
 
 
 def _parse_monomial(text: str, n: int) -> Tree:

@@ -22,33 +22,18 @@ from math import comb, factorial
 
 import numpy as np
 
-from . import cache
-from .intersect import _pair_parts, integrate
-from .keelring import (
-    RingElement,
-    _exact,
-    _fmt_coeff,
-    equal_mod_relations,
-    mul,
-    splitting_failures,
-)
-from .linalg import (
-    FractionRREF,
-    Inconsistent,
-    ModEliminator,
-    solve_certified,
-    solve_fraction,
-)
+from .intersect import _invariant_block, integrate
+from .intersect import _build_sp  # noqa: F401  (perfbench/spans.py times it here)
+from .keelring import RingElement, equal_mod_relations, mul, splitting_failures
+from .linalg import FractionRREF, Inconsistent, ModEliminator, solve_certified
 from .taut import kappa, z
 from .trees import (
     Tree,
-    _compat_graph,
+    _exact,
     _families,
+    _fmt_coeff,
     _integer,
-    _split_index,
-    _tree_ids,
     _tree_model,
-    _tree_transpositions,
     enumerate_stable_trees,
     orbit_labels,
     orbit_reps,
@@ -123,11 +108,9 @@ class Metric:
     @cached_property
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         r = self.rank
+        identity = [[int(i == j) for i in range(r)] for j in range(r)]
         try:
-            cols = [
-                solve_fraction(self.gram, [int(i == j) for i in range(r)])
-                for j in range(r)
-            ]
+            cols = solve_certified(self.gram, identity)
         except Inconsistent:
             raise ValueError("pairing matrix is singular") from None
         return tuple(zip(*cols))
@@ -557,107 +540,7 @@ def _stratum_column(
 
 
 # ---------------------------------------------------------------------------
-# sparse pairing structures
-
-
-def _build_sp(n: int, lo: int, hi: int) -> list:
-    """Sparse pairing rows of the degree-lo trees against degree hi.
-
-    Only the first row of each relabelling orbit is evaluated, pair by
-    pair, over the columns the compatibility graph allows.  The other rows
-    of the orbit are filled from rows already filled, one adjacent
-    transposition at a time.  Swapping labels k+1 and k+2 carries the tree
-    at row position s to `_tree_transpositions(n, lo)[k, s]` and each
-    column tree at position j to `_tree_transpositions(n, hi)[k, j]`, and
-    relabelling preserves the pairing; so that row holds the values of row
-    s at the mapped columns, sorted back into ascending order.  The
-    integer values are copied, so every row equals its pair-by-pair
-    evaluation entry for entry.
-
-    For lo = 0 the one row is the unit against every trivalent tree.
-    Each such stratum is a point, which integrates to 1, so that row is
-    all ones and needs no evaluation.
-    """
-    rows_parts = _families(n, lo)
-    cols_parts = _families(n, hi)
-    if lo == 0:
-        ones = np.ones(len(cols_parts), dtype=np.int64)
-        return [(np.arange(len(cols_parts), dtype=np.int64), ones)]
-    sid = _split_index(n)
-    nsplit = len(sid)
-    full = (1 << nsplit) - 1
-    col_ids = _tree_ids(n, hi)
-    adj = _compat_graph(n)
-    row_moves = _tree_transpositions(n, lo).tolist()
-    col_moves = _tree_transpositions(n, hi)
-    out: list = [None] * len(rows_parts)
-    for i, parts in enumerate(rows_parts):
-        if out[i] is not None:
-            continue
-        sig = full
-        for part in parts:
-            k = sid[part]
-            sig &= adj[k] | 1 << k
-        allowed = np.array([sig >> k & 1 for k in range(nsplit)], dtype=bool)
-        ok = allowed[col_ids].all(axis=1)
-        cs: list[int] = []
-        vs: list[int] = []
-        for j in np.nonzero(ok)[0].tolist():
-            v = _pair_parts(n, parts, cols_parts[j])
-            if v:
-                cs.append(j)
-                vs.append(v)
-        out[i] = (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
-        filled = [i]
-        while filled:
-            s = filled.pop()
-            cols, vals = out[s]
-            for moves, col_move in zip(row_moves, col_moves):
-                u = moves[s]
-                if out[u] is None:
-                    image = col_move[cols]
-                    order = np.argsort(image)
-                    out[u] = (image[order], vals[order])
-                    filled.append(u)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _sp_rows(n: int, d: int) -> list:
-    """Sparse pairing rows: degree-d monomials against the complement.
-
-    Row i lists the complementary-degree trees its tree pairs nonzero
-    with, as (column indices, values), the columns strictly ascending.
-    Built once per complementary pair of degrees, by `_build_sp` or from
-    the disk cache, with the lower degree's trees as rows; the flipped
-    orientation is its transpose.
-    """
-    c = n - 3 - d
-    if d < 0 or c < 0:
-        raise ValueError("degree out of range")
-    lo, hi = min(d, c), max(d, c)
-    if d != lo:
-        base = _sp_rows(n, lo)
-        acc: list[tuple[list[int], list[int]]] = [([], []) for _ in _families(n, hi)]
-        for i, (cols, vals) in enumerate(base):
-            for j, v in zip(cols.tolist(), vals.tolist()):
-                acc[j][0].append(i)
-                acc[j][1].append(v)
-        return [
-            (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
-            for cs, vs in acc
-        ]
-    disk = cache.load(n, "pairings", str(lo))
-    if disk is not None:
-        return [
-            (np.asarray(cl, dtype=np.int64), np.asarray(vl, dtype=np.int64))
-            for cl, vl in disk
-        ]
-    got = _build_sp(n, lo, hi)
-    cache.store(
-        n, "pairings", str(lo), [[r[0].tolist(), r[1].tolist()] for r in got]
-    )
-    return got
+# basis selection and the orbit-sum solve
 
 
 def _greedy_rows(rows: list, width: int, p: int) -> tuple[int, ...]:
@@ -670,48 +553,6 @@ def _greedy_rows(rows: list, width: int, p: int) -> tuple[int, ...]:
     elim = ModEliminator(width, p)
     elim.feed_all(rows)
     return tuple(sorted(elim.sources))
-
-
-@lru_cache(maxsize=None)
-def _invariant_block(
-    n: int, r: int, blocks: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairings of degree-r orbit sums with complementary representatives.
-
-    G permutes labels within ``blocks``, as in `orbit_labels`.  The
-    unknowns are the orbit sums s_o = sum of [T] over the G-orbit o of
-    degree-r trees; the equations pair them with R_q, the first tree of
-    each G-orbit q of the complementary degree.  Returns (slot, M), where
-    slot[t] numbers the orbit of degree-r tree t in the order of the
-    orbits' first trees, and M[q, o] = sum over T in o of <R_q, T>.
-
-    Relabelling preserves the pairing, so M[q, o] is the same for every
-    tree of q in place of R_q, and |q| M[q, o] = <s_q, s_o> = |o| M'[o, q]
-    for the block M' of the complementary degree.  So only the block
-    whose rows have the lower degree is built, from R_q's sparse row
-    (`_sp_rows`, as `_build_sp` evaluates it) summed by orbit; its entries
-    are at most the row's length times its largest |value|, checked to
-    fit int64.  The other comes back to int64 from Python ints, which
-    raises rather than wraps.
-    """
-    c = n - 3 - r
-    _, slot, sizes = np.unique(
-        orbit_labels(n, r, blocks), return_inverse=True, return_counts=True
-    )
-    firsts, qsizes = orbit_sizes(n, c, blocks)
-    if r < c:
-        whole = _invariant_block(n, c, blocks)[1].T.astype(object) * sizes
-        block = (whole // qsizes[:, None]).astype(np.int64)
-    else:
-        rows = _sp_rows(n, c)
-        block = np.zeros((len(firsts), len(sizes)), dtype=np.int64)
-        for q, i in enumerate(firsts.tolist()):
-            cols, vals = rows[i]
-            if len(vals) * int(np.abs(vals).max(initial=0)) >= 2**63:
-                raise RuntimeError(f"orbit sums of pairings overflow int64 at n={n}")
-            np.add.at(block[q], slot[cols], vals)
-    slot.flags.writeable = block.flags.writeable = False
-    return slot, block
 
 
 def _solve_full_rank(
@@ -1248,10 +1089,9 @@ def omega_recursion(n: int, a: int) -> Fraction:
         return Fraction(1)
     if n == a + 3:
         return z(a + 3)
-    coeffs = a_coefficients(n, a)
     slots = (n - 3) // a
     tot = Fraction(0)
-    for rep, size in orbit_reps(n, a):
+    for rep, size, value in a_coefficients(n, a).entries:
         vals = rep.valencies()
         if any((v - 3) % a for v in vals):
             continue
@@ -1261,7 +1101,7 @@ def omega_recursion(n: int, a: int) -> Fraction:
         prod_part = Fraction(1)
         for v in vals:
             prod_part *= omega_recursion(v, a)
-        tot += size * coeffs.value(rep) * weight * prod_part
+        tot += size * value * weight * prod_part
     return z(a + 3) * tot
 
 
@@ -1309,15 +1149,19 @@ def extract_p1xp1_numbers(phi: Potential) -> dict[tuple[int, int], Fraction]:
     """Read bidegree counts back off a quadric-surface potential.
 
     For each total degree k, the coefficients of z^(2k-1) y1^p y2^q form
-    a moment system in the numbers N(a, k - a); it is solved exactly and
-    only reported for the k where the system pins the numbers down
-    uniquely at this truncation order.
+    a moment system a^p (k-a)^q in the numbers N(a, k - a), a = 0 .. k,
+    solved exactly for the k where it pins the numbers down uniquely at
+    this truncation order: exactly k <= (order + 1) / 3.  For k >= 2
+    every row with p + q <= D = order - 2k + 1 is present; on the k + 1
+    points a those rows span the polynomials of degree <= D, so the
+    columns are independent iff D >= k, that is iff 3k - 1 <= order.
+    For k = 1 the rows (p, q) = (2, 0) and (0, 2) already give rank 2
+    (order >= 3).
     """
     if phi.metric.rank != 4:
         raise ValueError("expected a potential on the rank-four flat basis")
     out: dict[tuple[int, int], Fraction] = {}
-    k = 1
-    while 2 * k - 1 + max(0, 3 - (2 * k - 1)) <= phi.order:
+    for k in range(1, (phi.order + 1) // 3 + 1):
         m = 2 * k - 1
         pairs = [(a, k - a) for a in range(k + 1)]
         rows = []
@@ -1326,15 +1170,9 @@ def extract_p1xp1_numbers(phi: Potential) -> dict[tuple[int, int], Fraction]:
             for q in range(0, phi.order - m - p + 1):
                 if m + p + q < 3:
                     continue
-                rows.append([Fraction(a**p * b**q) for a, b in pairs])
+                rows.append([a**p * b**q for a, b in pairs])
                 rhs.append(phi.y((1,) * q + (2,) * p + (3,) * m))
-        rref = FractionRREF()
-        for row in rows:
-            rref.add({j: x for j, x in enumerate(row) if x})
-        if rref.rank < len(pairs):
-            break
-        sol = solve_fraction(rows, rhs)
+        (sol,) = solve_certified(rows, [rhs])
         for (a, b), v in zip(pairs, sol):
             out[(a, b)] = v
-        k += 1
     return out

@@ -1,4 +1,4 @@
-"""Integration and the Poincaré pairing on good monomials.
+"""Integration, the Poincaré pairing on good monomials, and its rows.
 
 Two independent evaluations of the pairing are provided.  The oracle
 multiplies the monomials out in the ring and reads off the top-degree
@@ -8,19 +8,45 @@ of the union tree, nonzero exactly when the doubled edges admit an
 orientation giving every vertex as many incoming arrows as its valency
 exceeds three.  Their agreement on every complementary pair is one of the
 acceptance gates of the package.
+
+The production pairing is tabulated here, once per complementary pair of
+degrees, as sparse integer rows over the tree enumeration order
+(`_sp_rows`), and summed by relabelling orbit into invariant blocks
+(`_invariant_block`).  Every consumer reads those tables: class equality
+and the Betti certificate in `keelring` (through `_pairings`), the dense
+`pairing_matrix`, and reconstruction in `cohft`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .keelring import RingElement, mul
+from . import cache
 from .linalg import densify
-from .trees import Tree, _families, _tree_model, enumerate_stable_trees, orbit_reps
+from .trees import (
+    Tree,
+    _compat_graph,
+    _families,
+    _fmt_coeff,
+    _split_index,
+    _tree_ids,
+    _tree_model,
+    _tree_transpositions,
+    enumerate_stable_trees,
+    orbit_labels,
+    orbit_reps,
+    orbit_sizes,
+    tree_dict,
+)
+
+if TYPE_CHECKING:
+    from .keelring import RingElement
 
 
 def integrate(x: RingElement) -> Fraction:
@@ -35,6 +61,8 @@ def integrate(x: RingElement) -> Fraction:
 
 def pair_oracle(m1: Tree, m2: Tree) -> Fraction:
     """Pairing by brute-force ring reduction; the slow reference method."""
+    from .keelring import RingElement, mul
+
     _check_complementary(m1, m2)
     prod = mul(RingElement.monomial(m1), RingElement.monomial(m2))
     return Fraction(sum(prod.terms.values(), 0))
@@ -114,13 +142,183 @@ def _check_complementary(m1: Tree, m2: Tree) -> None:
         )
 
 
+# ---------------------------------------------------------------------------
+# sparse pairing rows
+
+
+def _build_sp(n: int, lo: int, hi: int) -> list:
+    """Sparse pairing rows of the degree-lo trees against degree hi.
+
+    Only the first row of each relabelling orbit is evaluated, pair by
+    pair, over the columns the compatibility graph allows.  The other rows
+    of the orbit are filled from rows already filled, one adjacent
+    transposition at a time.  Swapping labels k+1 and k+2 carries the tree
+    at row position s to `_tree_transpositions(n, lo)[k, s]` and each
+    column tree at position j to `_tree_transpositions(n, hi)[k, j]`, and
+    relabelling preserves the pairing; so that row holds the values of row
+    s at the mapped columns, sorted back into ascending order.  The
+    integer values are copied, so every row equals its pair-by-pair
+    evaluation entry for entry.
+
+    For lo = 0 the one row is the unit against every trivalent tree.
+    Each such stratum is a point, which integrates to 1, so that row is
+    all ones and needs no evaluation.
+    """
+    rows_parts = _families(n, lo)
+    cols_parts = _families(n, hi)
+    if lo == 0:
+        ones = np.ones(len(cols_parts), dtype=np.int64)
+        return [(np.arange(len(cols_parts), dtype=np.int64), ones)]
+    sid = _split_index(n)
+    nsplit = len(sid)
+    full = (1 << nsplit) - 1
+    col_ids = _tree_ids(n, hi)
+    adj = _compat_graph(n)
+    row_moves = _tree_transpositions(n, lo).tolist()
+    col_moves = _tree_transpositions(n, hi)
+    out: list = [None] * len(rows_parts)
+    for i, parts in enumerate(rows_parts):
+        if out[i] is not None:
+            continue
+        sig = full
+        for part in parts:
+            k = sid[part]
+            sig &= adj[k] | 1 << k
+        allowed = np.array([sig >> k & 1 for k in range(nsplit)], dtype=bool)
+        ok = allowed[col_ids].all(axis=1)
+        cs: list[int] = []
+        vs: list[int] = []
+        for j in np.nonzero(ok)[0].tolist():
+            v = _pair_parts(n, parts, cols_parts[j])
+            if v:
+                cs.append(j)
+                vs.append(v)
+        out[i] = (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
+        filled = [i]
+        while filled:
+            s = filled.pop()
+            cols, vals = out[s]
+            for moves, col_move in zip(row_moves, col_moves):
+                u = moves[s]
+                if out[u] is None:
+                    image = col_move[cols]
+                    order = np.argsort(image)
+                    out[u] = (image[order], vals[order])
+                    filled.append(u)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sp_rows(n: int, d: int) -> list:
+    """Sparse pairing rows: degree-d monomials against the complement.
+
+    Row i lists the complementary-degree trees its tree pairs nonzero
+    with, as (column indices, values), the columns strictly ascending.
+    Built once per complementary pair of degrees, by `_build_sp` or from
+    the disk cache, with the lower degree's trees as rows; the flipped
+    orientation is its transpose.
+    """
+    c = n - 3 - d
+    if d < 0 or c < 0:
+        raise ValueError("degree out of range")
+    lo, hi = min(d, c), max(d, c)
+    if d != lo:
+        base = _sp_rows(n, lo)
+        acc: list[tuple[list[int], list[int]]] = [([], []) for _ in _families(n, hi)]
+        for i, (cols, vals) in enumerate(base):
+            for j, v in zip(cols.tolist(), vals.tolist()):
+                acc[j][0].append(i)
+                acc[j][1].append(v)
+        return [
+            (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
+            for cs, vs in acc
+        ]
+    disk = cache.load(n, "pairings", str(lo))
+    if disk is not None:
+        return [
+            (np.asarray(cl, dtype=np.int64), np.asarray(vl, dtype=np.int64))
+            for cl, vl in disk
+        ]
+    got = _build_sp(n, lo, hi)
+    cache.store(
+        n, "pairings", str(lo), [[r[0].tolist(), r[1].tolist()] for r in got]
+    )
+    return got
+
+
+@lru_cache(maxsize=None)
+def _invariant_block(
+    n: int, r: int, blocks: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairings of degree-r orbit sums with complementary representatives.
+
+    G permutes labels within ``blocks``, as in `orbit_labels`.  The
+    unknowns are the orbit sums s_o = sum of [T] over the G-orbit o of
+    degree-r trees; the equations pair them with R_q, the first tree of
+    each G-orbit q of the complementary degree.  Returns (slot, M), where
+    slot[t] numbers the orbit of degree-r tree t in the order of the
+    orbits' first trees, and M[q, o] = sum over T in o of <R_q, T>.
+
+    Relabelling preserves the pairing, so M[q, o] is the same for every
+    tree of q in place of R_q, and |q| M[q, o] = <s_q, s_o> = |o| M'[o, q]
+    for the block M' of the complementary degree.  So only the block
+    whose rows have the lower degree is built, from R_q's sparse row
+    (`_sp_rows`, as `_build_sp` evaluates it) summed by orbit; its entries
+    are at most the row's length times its largest |value|, checked to
+    fit int64.  The other comes back to int64 from Python ints, which
+    raises rather than wraps.
+    """
+    c = n - 3 - r
+    _, slot, sizes = np.unique(
+        orbit_labels(n, r, blocks), return_inverse=True, return_counts=True
+    )
+    firsts, qsizes = orbit_sizes(n, c, blocks)
+    if r < c:
+        whole = _invariant_block(n, c, blocks)[1].T.astype(object) * sizes
+        block = (whole // qsizes[:, None]).astype(np.int64)
+    else:
+        rows = _sp_rows(n, c)
+        block = np.zeros((len(firsts), len(sizes)), dtype=np.int64)
+        for q, i in enumerate(firsts.tolist()):
+            cols, vals = rows[i]
+            if len(vals) * int(np.abs(vals).max(initial=0)) >= 2**63:
+                raise RuntimeError(f"orbit sums of pairings overflow int64 at n={n}")
+            np.add.at(block[q], slot[cols], vals)
+    slot.flags.writeable = block.flags.writeable = False
+    return slot, block
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int, d: int) -> dict:
+    """Degree-d good monomials' positions in the tree enumeration, by edges."""
+    return {parts: i for i, parts in enumerate(_families(n, d))}
+
+
+def _pairings(n: int, nums: dict) -> dict:
+    """Integer pairings of sum(c * m) with every complementary monomial.
+
+    ``nums`` maps edge tuples m to integers c.  Returns the nonzero sums,
+    keyed by (degree of m, column in the complementary degree's
+    enumeration), from the cached sparse pairing rows.
+    """
+    out: dict = {}
+    for parts, c in nums.items():
+        d = len(parts)
+        cols, vals = _sp_rows(n, d)[_positions(n, d)[parts]]
+        for j, v in zip(cols.tolist(), vals.tolist()):
+            out[d, j] = out.get((d, j), 0) + c * v
+    return {key: v for key, v in out.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# pairing matrices
+
+
 def pairing_matrix_int(n: int, r: int) -> np.ndarray:
     """Dense integer pairing matrix, degree r rows against n-3-r columns.
 
-    The sparse pairing rows of `cohft._sp_rows`, densified.
+    The sparse pairing rows of `_sp_rows`, densified.
     """
-    from .cohft import _sp_rows
-
     width = len(_families(n, n - 3 - r))
     return densify(_sp_rows(n, r), width, np.int64)
 
@@ -135,9 +333,6 @@ class PairingMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def to_dict(self) -> dict:
-        from .keelring import _fmt_coeff
-        from .trees import tree_dict
-
         return {
             "n": self.n,
             "r": self.r,
@@ -163,8 +358,6 @@ def pairing_matrix(n: int, r: int, invariant: bool = False) -> PairingMatrix:
             tuple(Fraction(int(v)) for v in row) for row in pairing_matrix_int(n, r)
         )
         return PairingMatrix(n, r, False, rows, cols, entries)
-    from .cohft import _invariant_block
-
     row_reps = orbit_reps(n, r)
     _, block = _invariant_block(n, s, (n,))
     entries = tuple(

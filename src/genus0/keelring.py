@@ -12,9 +12,9 @@ Good monomials span but are not a basis; the canonical linear relations
 among them are generated here as well, for the Betti numbers.  Equality
 of classes needs no basis: the intersection pairing is perfect, so a
 class is zero exactly when it pairs to zero with every good monomial of
-the complementary degree (see `class_vector`).  The same pairings decide
-the splitting law of a class on the boundary divisors without computing
-a restriction (see `splitting_failures`).
+the complementary degree (see `class_vector`), read off the pairing rows
+of `intersect`.  The same pairings decide the splitting law of a class
+on the boundary divisors without a restriction (`splitting_failures`).
 """
 
 from __future__ import annotations
@@ -27,11 +27,14 @@ from itertools import combinations
 from math import lcm
 
 from . import linalg
+from .intersect import _pairings, _sp_rows
 from .trees import (
     Split,
     Tree,
     _compat_graph,
+    _exact,
     _families,
+    _fmt_coeff,
     _integer,
     _split_index,
     _tree_model,
@@ -40,28 +43,11 @@ from .trees import (
     full_mask,
     labels_of,
     mask_of,
+    relabel,
     stable_splits,
+    tree_dict,
+    tree_from_dict,
 )
-
-
-def _fmt_coeff(c) -> str:
-    f = Fraction(c)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def _exact(value) -> Fraction:
-    """A rational read from JSON: an integer or a string such as "p/q".
-
-    Floats are refused: the binary value of 0.1 is not one tenth, and an
-    inexact number must not enter an exact computation.  So are bools,
-    which Python counts as integers.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{value!r} is not an integer or a 'p/q' string")
-    try:
-        return Fraction(value)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"{value!r} has a zero denominator") from exc
 
 
 class RingElement:
@@ -121,8 +107,6 @@ class RingElement:
 
     def relabel(self, perm: tuple[int, ...]) -> "RingElement":
         """Rename the labels of every monomial by i -> perm[i-1]."""
-        from .trees import relabel
-
         return RingElement(self.n, {relabel(t, perm): c for t, c in self.terms.items()})
 
     def scale(self, c) -> "RingElement":
@@ -152,8 +136,6 @@ class RingElement:
         return " + ".join(bits)
 
     def to_dict(self) -> dict:
-        from .trees import tree_dict
-
         return {
             "n": self.n,
             "terms": [
@@ -167,8 +149,6 @@ class RingElement:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RingElement":
-        from .trees import tree_from_dict
-
         n = _integer(obj["n"])
         terms: dict[Tree, Fraction] = {}
         for item in obj["terms"]:
@@ -522,30 +502,6 @@ def keel_relation(n: int, i: int, j: int, k: int, l: int) -> RingElement:
 # equality of classes, and Betti numbers
 
 
-@lru_cache(maxsize=None)
-def _positions(n: int, d: int) -> dict:
-    """Degree-d good monomials' positions in the tree enumeration, by edges."""
-    return {parts: i for i, parts in enumerate(_families(n, d))}
-
-
-def _pairings(n: int, nums: dict) -> dict:
-    """Integer pairings of sum(c * m) with every complementary monomial.
-
-    ``nums`` maps edge tuples m to integers c.  Returns the nonzero sums,
-    keyed by (degree of m, column in the complementary degree's
-    enumeration), from the cached sparse pairing rows.
-    """
-    from .cohft import _sp_rows
-
-    out: dict = {}
-    for parts, c in nums.items():
-        d = len(parts)
-        cols, vals = _sp_rows(n, d)[_positions(n, d)[parts]]
-        for j, v in zip(cols.tolist(), vals.tolist()):
-            out[d, j] = out.get((d, j), 0) + c * v
-    return {key: v for key, v in out.items() if v}
-
-
 def class_vector(x: RingElement) -> tuple:
     """The class of x: its pairings with every complementary monomial.
 
@@ -605,8 +561,6 @@ def betti(n: int, r: int | None = None):
 
     Returns the full vector, or a single number when r is given.
     """
-    from .cohft import _sp_rows
-
     degrees = range(n - 2) if r is None else [r]
     pairranks: dict = {}
     out = []

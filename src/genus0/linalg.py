@@ -1,10 +1,11 @@
 """Exact rational linear algebra with modular acceleration.
 
-Small systems run directly over `fractions.Fraction`.  Large ones are
-eliminated over GF(p) for word-sized primes using float64 matrix products
-(exact below 2^53), lifted back to rationals by Wang's reconstruction with
-Chinese-remainder widening, and certified by an exact residual check, so
-every answer returned by this module is provably correct, never "probably".
+Linear systems are eliminated over GF(p) for word-sized primes using
+float64 matrix products (exact below 2^53), lifted back to rationals by
+Wang's reconstruction with Chinese-remainder widening, and certified by an
+exact residual check, so every answer returned by this module is provably
+correct, never "probably".  `FractionRREF` is the one elimination over
+`fractions.Fraction`, for the exact rank of a small system.
 
 The GF(p) layer takes integer matrices only: `rank_mod` refuses any other
 entry with TypeError, and `solve_certified` clears the denominators of
@@ -54,7 +55,6 @@ import operator
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -597,7 +597,7 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# exact elimination over the rationals (small systems)
+# exact elimination over the rationals (small ranks)
 
 
 class FractionRREF:
@@ -655,25 +655,3 @@ class FractionRREF:
 
     def contains(self, vec: dict[int, Fraction]) -> bool:
         return not self.reduce(vec)
-
-
-def solve_fraction(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
-    """One exact solution of a small dense system, or Inconsistent.
-
-    Eliminates the augmented matrix [A | b]; a pivot landing in the b
-    column means b is outside the column space of A.  Free variables are
-    set to zero, so each pivot row reads off its variable directly.
-    """
-    ncols = len(rows[0]) if rows else 0
-    rref = FractionRREF()
-    for row, b in zip(rows, rhs):
-        vec = {j: Fraction(x) for j, x in enumerate(row) if x}
-        if b:
-            vec[ncols] = Fraction(b)
-        rref.add(vec)
-    if ncols in rref.pivot_rows:
-        raise Inconsistent("rhs outside the row space")
-    x = [Fraction(0)] * ncols
-    for piv, row in rref.pivot_rows.items():
-        x[piv] = row.get(ncols, Fraction(0))
-    return x

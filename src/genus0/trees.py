@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Iterator
@@ -268,6 +269,27 @@ def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{value!r} is not an integer")
     return value
+
+
+def _exact(value) -> Fraction:
+    """A rational read from JSON: an integer or a string such as "p/q".
+
+    Floats are refused: the binary value of 0.1 is not one tenth, and an
+    inexact number must not enter an exact computation.  So are bools,
+    which Python counts as integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{value!r} is not an integer or a 'p/q' string")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{value!r} has a zero denominator") from exc
+
+
+def _fmt_coeff(c) -> str:
+    """A rational written for JSON: "p/q", or the integer alone."""
+    f = Fraction(c)
+    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
 def tree_from_dict(obj: dict) -> Tree:

@@ -9,8 +9,9 @@ set at a time, `insert_edge` builds canonical relations term by term,
 intersects strata edge set by edge set, `forget_and_stabilize` forgets a
 label on one tree, and `orbit` lists the trees that relabelling reaches.
 `mul_divisor`, `reduce_product`, `tensor_unit` and `tensor_of_factors`
-build ring and tensor elements from divisors and factors, and
-`p1xp1_potential` is the quadric surface's potential in closed form.
+build ring and tensor elements from divisors and factors,
+`p1xp1_potential` is the quadric surface's potential in closed form, and
+`solve_fraction` solves a small system over the rationals.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from genus0.keelring import (
     _relation_terms,
     ring,
 )
+from genus0.linalg import FractionRREF, Inconsistent
 from genus0.trees import (
     Split,
     Tree,
@@ -319,3 +321,26 @@ def p1xp1_potential(order: int = 8) -> Potential:
                 if val:
                     coeffs[(1,) * q + (2,) * p + (3,) * m] = val
     return Potential.build(met, coeffs, order)
+
+
+def solve_fraction(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
+    """One exact solution of a small dense system, or Inconsistent; the
+    reference for `linalg.solve_certified`.
+
+    Eliminates the augmented matrix [A | b]; a pivot landing in the b
+    column means b is outside the column space of A.  Free variables are
+    set to zero, so each pivot row reads off its variable directly.
+    """
+    ncols = len(rows[0]) if rows else 0
+    rref = FractionRREF()
+    for row, b in zip(rows, rhs):
+        vec = {j: Fraction(x) for j, x in enumerate(row) if x}
+        if b:
+            vec[ncols] = Fraction(b)
+        rref.add(vec)
+    if ncols in rref.pivot_rows:
+        raise Inconsistent("rhs outside the row space")
+    x = [Fraction(0)] * ncols
+    for piv, row in rref.pivot_rows.items():
+        x[piv] = row.get(ncols, Fraction(0))
+    return x

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus0 import cohft
+from genus0 import cohft, intersect
 from genus0.cohft import (
     ACoefficients,
     Metric,
@@ -32,7 +32,7 @@ from genus0.cohft import (
     wp_volumes,
 )
 from genus0.intersect import integrate, pair_kaufmann
-from genus0.linalg import solve_fraction
+from genus0.linalg import FractionRREF
 from genus0.keelring import (
     RingElement,
     class_vector,
@@ -50,7 +50,7 @@ from genus0.trees import (
     stable_splits,
 )
 
-from surgery import orbit, p1xp1_potential, tensor_of_factors
+from surgery import orbit, p1xp1_potential, solve_fraction, tensor_of_factors
 
 
 def odd_pair_metric():
@@ -877,6 +877,24 @@ class TestQuadricCounts:
         with pytest.raises(ValueError):
             extract_p1xp1_numbers(p1_potential(6))
 
+    def test_extraction_bound_is_the_rank(self):
+        # extract_p1xp1_numbers solves total degree k exactly when
+        # 3k - 1 <= order; the moment system it solves has full column
+        # rank for exactly those k
+        for order in range(3, 22):
+            full = []
+            for k in range(1, (order + 1) // 2 + 1):
+                m = 2 * k - 1
+                rref = FractionRREF()
+                for p in range(order - m + 1):
+                    for q in range(order - m - p + 1):
+                        if m + p + q >= 3:
+                            row = [Fraction(a**p * (k - a) ** q) for a in range(k + 1)]
+                            rref.add({a: x for a, x in enumerate(row) if x})
+                if rref.rank == k + 1:
+                    full.append(k)
+            assert full == list(range(1, (order + 1) // 3 + 1)), order
+
 
 class TestDiskCache:
     def test_roundtrip(self, tmp_path, monkeypatch):
@@ -911,16 +929,16 @@ class TestDiskCache:
 
     def test_pairings_served_from_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GENUS0_CACHE_DIR", str(tmp_path))
-        cohft._sp_rows.cache_clear()
-        first = cohft._sp_rows(5, 1)
+        intersect._sp_rows.cache_clear()
+        first = intersect._sp_rows(5, 1)
         assert (tmp_path / "n5.json").exists()
 
         def refuse(*a, **k):
             raise AssertionError("expected a cache hit")
 
-        cohft._sp_rows.cache_clear()
-        monkeypatch.setattr(cohft, "_build_sp", refuse)
-        again = cohft._sp_rows(5, 1)
+        intersect._sp_rows.cache_clear()
+        monkeypatch.setattr(intersect, "_build_sp", refuse)
+        again = intersect._sp_rows(5, 1)
         assert len(again) == len(first)
         for (c1, v1), (c2, v2) in zip(first, again):
             assert np.array_equal(c1, c2) and np.array_equal(v1, v2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus0 import cohft, linalg
+from genus0 import cohft, intersect, linalg
 from genus0.intersect import (
     good_orientation,
     integrate,
@@ -324,7 +324,7 @@ class TestPairingMatrix:
                 else:
                     dense = dense_pairings(n, d)
                 width = dense.shape[1]
-                sparse = cohft._sp_rows(n, d)
+                sparse = intersect._sp_rows(n, d)
                 assert len(sparse) == dense.shape[0]
                 assert np.array_equal(linalg.densify(sparse, width), dense)
                 assert np.array_equal(pairing_matrix_int(n, d), dense)
@@ -339,7 +339,7 @@ class TestPairingMatrix:
         # the unit against every trivalent tree: each pairing is the
         # integral of a point, and the row is filled with ones unevaluated
         for n in (3, 4, 5, 6, 7):
-            row = cohft._build_sp(n, 0, n - 3)
+            row = intersect._build_sp(n, 0, n - 3)
             want = dense_pairings(n, 0)
             assert len(row) == 1 and np.all(want == 1)
             assert np.array_equal(linalg.densify(row, want.shape[1]), want)
@@ -347,7 +347,7 @@ class TestPairingMatrix:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_sparse_columns_ascend(self, n):
         for d in range(n - 2):
-            for cols, vals in cohft._sp_rows(n, d):
+            for cols, vals in intersect._sp_rows(n, d):
                 assert cols.dtype == vals.dtype == np.int64
                 assert np.all(np.diff(cols) > 0) and np.all(vals != 0)
 
@@ -358,7 +358,7 @@ class TestPairingMatrix:
         for n in range(3, 9):
             for d in range(n - 2):
                 h = hashlib.sha256()
-                for cols, vals in cohft._sp_rows(n, d):
+                for cols, vals in intersect._sp_rows(n, d):
                     h.update(cols.astype(np.int64).tobytes() + b"|")
                     h.update(vals.astype(np.int64).tobytes() + b"#")
                 got.append(f"{n}/{d}:{h.hexdigest()[:8]}")
@@ -377,7 +377,7 @@ class TestPairingMatrix:
                 picks.add(position[rep])
                 picks.add(position[rng.choice(sorted(orbit(rep)))])
             cols_trees = enumerate_stable_trees(n, n - 3 - d)
-            sparse = cohft._sp_rows(n, d)
+            sparse = intersect._sp_rows(n, d)
             for i in sorted(picks):
                 want = [int(pair_kaufmann(trees[i], b)) for b in cols_trees]
                 got = np.zeros(len(cols_trees), dtype=np.int64)

@@ -394,6 +394,11 @@ class TestIntegrals:
         assert z(5) == 1
         assert z(6) == 1
 
+    def test_z_by_the_ring(self):
+        # the closed form of z against the ring route it replaced
+        for n in range(4, 8):
+            assert integrate(kappa(n, n - 3).element) == 1
+
     def test_omega_direct_stride(self):
         assert omega_direct(6, 2) == 0
         assert omega_direct(7, 3) == 0

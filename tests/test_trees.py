@@ -463,7 +463,7 @@ def reference_labels(n, d, blocks, images):
 class TestOrbitLabels:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_transposition_table(self, n):
-        # orbit labels and the pairing rows of cohft._build_sp both read
+        # orbit labels and the pairing rows of intersect._build_sp both read
         # this table, so check it against relabel tree by tree
         for d in range(n - 2):
             pool = T.enumerate_stable_trees(n, d)
