@@ -35,6 +35,7 @@ from .trees import (
     _exact,
     _families,
     _fmt_coeff,
+    _forget_images,
     _integer,
     _split_index,
     _tree_model,
@@ -192,9 +193,10 @@ class Ring:
         # mul_divisor_raw.  On the psi_monomial lattice at n = 7 they
         # repeat across elements: 856k asked, 4,816 distinct (hit ratio
         # 0.994), and the memo halves the time.  The psi powers behind
-        # kappa never repeat one (31k asked at n = 8, hit ratio 0, where
-        # a memo costs 7 MB and saves nothing), and n = 8 lattices are out
-        # of reach.
+        # kappa never repeat one (`kappa_splitting` asks 3,861 at n = 8,
+        # all distinct, so a memo there would save nothing; the last psi
+        # factor asks none, see `forget_product`), and n = 8 lattices are
+        # out of reach.
         self._mul_cache: dict | None = {} if n <= 7 else None
 
     def mul_divisor_raw(self, side: int, parts: tuple[int, ...]) -> tuple:
@@ -216,20 +218,16 @@ class Ring:
     def _mul_divisor_compute(self, side: int, parts: tuple[int, ...]) -> tuple:
         """The square rewrite of the edge ``side`` of ``parts``.
 
-        At each endpoint the two branches with the smallest labels stay
-        put; every nonempty subset of the remaining branches moves onto
-        the subdivided edge, each resulting tree with coefficient -1.
-        The choice of the fixed pair does not affect the class (tested
-        exhaustively), only the representative.  A trivalent endpoint has
-        nothing to move.
+        Each endpoint refines by `_transplants`, each new tree with
+        coefficient -1.  A trivalent endpoint has nothing to move.
 
         Only the two endpoints are needed, so their branches come from a
         cover step here rather than from `trees._tree_model`, which builds
         every vertex.  Reading `_tree_model` gives identical tuples for
         every (edge, tree) with n <= 8 but took twice as long on a 2-core
         x86-64 host: 5.1-5.7 against 2.6-2.9 us per rewrite at n = 8, and
-        10-11 against 5 us at n = 9.  `kappa_splitting` computes 36,124
-        rewrites with no memo hit.
+        10-11 against 5 us at n = 9.  `kappa_splitting` computes 4,868
+        rewrites with no memo hit, all for the psi powers below the last.
         """
         f = self._full
         # each other edge has one side inside the cover of one endpoint
@@ -256,13 +254,7 @@ class Ring:
             while rest:
                 branches.append(rest & -rest)
                 rest &= rest - 1
-            branches.sort(key=lambda q: q & -q)
-            # the new edge's far side: the other end's, plus a nonempty
-            # union of the movable branches
-            unions = [f ^ here]
-            for q in branches[2:]:
-                unions += [u | q for u in unions]
-            out += [(u if u & 1 else f ^ u, -1) for u in unions[1:]]
+            out += _transplants(f, f ^ here, branches)
         return tuple(out)
 
     def _edges(self, key: int) -> tuple:
@@ -349,6 +341,64 @@ class Ring:
                     out[k] = out.get(k, 0) + v
         return {self._edges(k): v for k, v in out.items() if v}
 
+    def forget_product(self, terms: dict, weight: dict) -> dict:
+        """Push c * m * sum(weight[s] * D_s) down along forgetting label n.
+
+        ``terms`` maps edge tuples m to integers c and ``weight`` maps
+        sides to integers.  The answer, edge tuples on n-1 labels ->
+        nonzero integers, is the forgetful pushforward of `_product` with
+        the one-divisor words of ``weight``, term for term, but that
+        product is never built.  It runs vertex by vertex
+        (`_vertex_table`), and forgetting label n decides which vertices
+        count: a product term survives when label n sits at a trivalent
+        vertex of its tree (see `taut._pushforward`).
+
+        If label n's vertex in m is trivalent, every refinement of every
+        other vertex survives.  If that vertex is fat, only its
+        refinements that leave n with exactly one other branch survive,
+        and all of them contract back onto m's image.  Each edge's square
+        rewrite there yields exactly one of those (`_transplants` either
+        moves n alone or moves all but the fixed pair, n among them), so
+        their coefficients sum to the weights of the n-and-one-branch
+        sides less the weights of the vertex's edges.  The tables of the
+        other vertices are computed once per call, keyed on the sorted
+        branch masks; keys are bitmasks over ``stable_splits(n - 1)``
+        until the end.
+        """
+        n, f = self.n, self._full
+        top = 1 << (n - 1)  # the tail of label n
+        low = ring(n - 1)
+        image = {p: q and low._bit[q] for p, q in _forget_images(n, n).items()}
+        tables: dict = {}
+        out: dict = {}
+        for parts, c in terms.items():
+            key = 0
+            for p in parts:
+                key |= image[p]
+            branches = _tree_model(n, parts)[0]
+            home = next(b for b in branches if top in b)
+            if len(home) > 3:
+                w = 0
+                for b in home:
+                    if b != top:  # a tail has no weight
+                        nb = b | top
+                        w += weight.get(nb if nb & 1 else f ^ nb, 0)
+                        w -= weight.get(b if b & 1 else f ^ b, 0)
+                if w:
+                    out[key] = out.get(key, 0) + c * w
+                continue
+            for b in branches:
+                if len(b) > 3:
+                    b = tuple(sorted(b))
+                    rows = tables.get(b)
+                    if rows is None:
+                        rows = tables[b] = [
+                            (image[u], w) for u, w in _vertex_table(f, b, weight)
+                        ]
+                    for u, w in rows:
+                        out[key | u] = out.get(key | u, 0) + c * w
+        return {low._edges(k): v for k, v in out.items() if v}
+
     def mul(self, x: RingElement, y: RingElement) -> RingElement:
         if x.n != self.n or y.n != self.n:
             raise ValueError("elements over the wrong label set")
@@ -366,6 +416,55 @@ class Ring:
         if sum(map(len, ys)) > sum(map(len, xs)):
             xs, ys = ys, xs
         return self._product(xs, ys.items())
+
+
+def _transplants(f: int, through: int, branches: list) -> list:
+    """The square rewrite of an edge at one of its endpoints.
+
+    ``through`` is the branch beyond the squared edge and ``branches`` the
+    endpoint's other branch masks (sorted in place); ``f`` is the full
+    label mask.  The two branches with the smallest labels stay put, and
+    every nonempty union of the others moves onto the subdivided edge,
+    beside ``through``.  Returns (new edge's canonical side, -1) pairs.
+    The choice of the fixed pair does not affect the class (tested
+    exhaustively), only the representative.
+    """
+    branches.sort(key=lambda q: q & -q)
+    unions = [through]
+    for q in branches[2:]:
+        unions += [u | q for u in unions]
+    return [(u if u & 1 else f ^ u, -1) for u in unions[1:]]
+
+
+def _vertex_table(f: int, branches: tuple, weight: dict) -> list:
+    """One vertex's share of a monomial times sum(weight[s] * D_s).
+
+    ``branches`` are the branch masks at a vertex of the monomial's tree
+    and ``weight`` maps canonical sides to integers.  A divisor that is
+    compatible with the tree but not an edge of it refines one vertex,
+    and the square of an edge refines its two endpoints (`_transplants`).
+    So the product is a sum over the vertices, and this vertex's part
+    gives each refinement u, the new edge's canonical side, the weight
+    of u minus the weights of the vertex's edges whose rewrite here
+    yields u.  Returns the (u, coefficient) pairs with nonzero
+    coefficient.
+    """
+    coef: dict = {}
+    for i, s in enumerate(branches):
+        w = weight.get(s if s & 1 else f ^ s)  # a tail has no weight
+        if w:
+            rest = list(branches[:i] + branches[i + 1 :])
+            for u, k in _transplants(f, s, rest):
+                coef[u] = coef.get(u, 0) + k * w
+    # a refinement groups 2 to k-2 of the k branches, the one holding
+    # label 1 among them
+    head = next(q for q in branches if q & 1)
+    others = [q for q in branches if q != head]
+    for j in range(1, len(branches) - 2):
+        for group in combinations(others, j):
+            u = head | sum(group)
+            coef[u] = coef.get(u, 0) + weight.get(u, 0)
+    return [(u, c) for u, c in coef.items() if c]
 
 
 def _maximal(sides: list) -> tuple[list, int]:

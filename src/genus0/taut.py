@@ -8,9 +8,11 @@ check and the omega integrals used by the recursion layer.
 
 Products of psi classes stay in the integers from the first product to
 the last: each stage of the chain is a map from edge tuples to integer
-numerators over one denominator, straight from the ring's kernel, and
-the pushforward maps edge tuples through a cached table of side images.
-A `RingElement` is built once, for the class that is returned.
+numerators over one denominator, straight from the ring's kernel.  The
+last factor of a kappa class is multiplied and pushed forward in one
+pass (`Ring.forget_product`), so its top power is never built; the
+pushforward maps edge tuples through a cached table of side images.  A
+`RingElement` is built once, for the class that is returned.
 """
 
 from dataclasses import dataclass
@@ -159,9 +161,13 @@ def pushforward_forget(x: RingElement, label: int | None = None) -> RingElement:
 def kappa(n: int, a: int) -> TautClass:
     """The degree-a kappa class on n labels.
 
-    Computed as the forgetful pushforward of the (a+1)-st power of the
-    psi class at the extra label.  Vanishes above the dimension; a = 0
-    gives n-2 times the unit.  Only integers are accepted (see `psi`).
+    The forgetful pushforward of the (a+1)-st power of the psi class at
+    the extra label.  The a-th power comes from the prefix chain, and
+    its product with one more psi is pushed forward as it is formed
+    (`Ring.forget_product`), keeping only the terms that survive; the
+    representative is the pushforward of the full power, term for term.
+    Vanishes above the dimension; a = 0 gives n-2 times the unit.  Only
+    integers are accepted (see `psi`).
     """
     if _integer(n) < 3:
         raise ValueError("need at least three labels")
@@ -170,10 +176,12 @@ def kappa(n: int, a: int) -> TautClass:
     if a > n - 3:
         element = RingElement(n, {})
     else:
-        # psi^(a+1) at the extra label sits on the psi_monomial prefix
-        # chain, so kappa_1, kappa_2, ... share their lower powers
-        nums, den = _psi_prefix(n + 1, (0,) * n + (a + 1,))
-        element = _element(n, _pushforward(n + 1, n + 1, nums), den)
+        # psi^a at the extra label sits on the psi_monomial prefix chain,
+        # so kappa_1, kappa_2, ... share their lower powers
+        nums, den = _psi_prefix(n + 1, (0,) * n + (a,))
+        ws, dw = _numerators(psi(n + 1, n + 1).element.terms)
+        weight = {s: w for (s,), w in ws.items()}
+        element = _element(n, ring(n + 1).forget_product(nums, weight), den * dw)
     return TautClass(n, f"kappa({a})", element)
 
 

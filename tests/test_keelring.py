@@ -947,6 +947,29 @@ class TestSquareRewriteAgainstReference:
         assert empty > 0
 
 
+class TestVertexTableAgainstSquareRewrite:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_both_endpoints_of_every_edge(self, n):
+        # the endpoints come from _tree_model here and from the cover step
+        # in _mul_divisor_compute; the weight {s: 1} squares the edge s
+        ring = keelring.Ring(n)
+        f = trees.full_mask(n)
+        edges = 0
+        for d in range(1, n - 2):
+            for t in enumerate_stable_trees(n, d):
+                branches, parent = trees._tree_model(n, t.parts)
+                for e, s in enumerate(t.parts):
+                    got = []
+                    for v in (parent[e], e + 1):
+                        got += keelring._vertex_table(f, tuple(branches[v]), {s: 1})
+                    want = ring._mul_divisor_compute(s, t.parts)
+                    assert sorted(got) == sorted(want), (t, s)
+                    edges += 1
+        assert edges == sum(
+            d * len(enumerate_stable_trees(n, d)) for d in range(1, n - 2)
+        )
+
+
 # ---------------------------------------------------------------------------
 # The relation reduction that decided class equality before the pairing
 # did, kept as a reference for n <= 6: each graded piece reduced modulo the

@@ -13,15 +13,18 @@ from genus0.keelring import (
     DivisorGeometry,
     RingElement,
     _element,
+    _numerators,
     equal_mod_relations,
     is_zero_class,
     mul,
     pullback_to_divisor,
+    ring,
 )
 from genus0.taut import (
     LogReport,
     TautClass,
     _psi_prefix,
+    _pushforward,
     check_logarithmic,
     kappa,
     omega_direct,
@@ -491,6 +494,42 @@ class TestIntegerChainAgainstReference:
             for k in range(1, (n - 3) // a + 1):
                 want = mul(want, kappa(n, a).element)
                 assert kappa(n, a).pow(k).terms == want.terms, (n, a, k)
+
+    @pytest.mark.parametrize(
+        "n, top", [(3, 0), (4, 1), (5, 2), (6, 3), (7, 4), (8, 2)]
+    )
+    def test_kappa_is_one_pass_of_the_last_factor(self, n, top):
+        # kappa multiplies psi^a by the last psi and pushes forward in one
+        # pass; the two steps taken apart give the same integers
+        ws, dw = _numerators(psi(n + 1, n + 1).element.terms)
+        for a in range(top + 1):
+            xs, dx = _psi_prefix(n + 1, (0,) * n + (a,))
+            want = _pushforward(n + 1, n + 1, ring(n + 1).mul_numerators(xs, ws))
+            assert want and kappa(n, a).element == _element(n, want, dx * dw), a
+
+    def test_forget_product_takes_any_weights(self, rng):
+        n = 6
+        sides = stable_splits(n)
+        nonzero = 0
+        for d in range(n - 2):
+            pool = enumerate_stable_trees(n, d)
+            terms = {t.parts: rng.randint(-5, 5) for t in rng.sample(pool, min(len(pool), 30))}
+            weight = {s: rng.randint(-3, 3) for s in rng.sample(sides, 12)}
+            words = [((s,), w) for s, w in weight.items()]
+            want = _pushforward(n, n, ring(n)._product(terms, words))
+            assert ring(n).forget_product(terms, weight) == want, d
+            nonzero += bool(want)
+        assert nonzero >= 2
+
+    def test_degrees_in_either_order(self):
+        n = 7
+
+        def every_degree(order):
+            kappa.cache_clear()
+            _psi_prefix.cache_clear()
+            return {a: kappa(n, a).element for a in order}
+
+        assert every_degree(range(n - 2)) == every_degree(reversed(range(n - 2)))
 
     def test_kappa_is_the_pushforward_of_the_chain(self):
         for n in (4, 5, 6, 7):
