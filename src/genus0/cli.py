@@ -7,8 +7,6 @@ Check-style subcommands exit 0 when the check passes and 1 when it
 fails; precondition violations print a JSON error object and exit 1.
 When the reader closes standard output early (``genus0 trees --n 9 |
 head -1``) the command stops without a traceback and exits 1.
-Setting ``GENUS0_CACHE_DIR`` caches the sparse pairing rows on disk
-between runs.
 """
 
 import argparse

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import cache
 from .linalg import densify
 from .trees import (
     Tree,
@@ -214,9 +213,9 @@ def _sp_rows(n: int, d: int) -> list:
 
     Row i lists the complementary-degree trees its tree pairs nonzero
     with, as (column indices, values), the columns strictly ascending.
-    Built once per complementary pair of degrees, by `_build_sp` or from
-    the disk cache, with the lower degree's trees as rows; the flipped
-    orientation is its transpose.
+    Built once per complementary pair of degrees, by `_build_sp`, with
+    the lower degree's trees as rows; the flipped orientation is its
+    transpose.
     """
     c = n - 3 - d
     if d < 0 or c < 0:
@@ -233,17 +232,7 @@ def _sp_rows(n: int, d: int) -> list:
             (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
             for cs, vs in acc
         ]
-    disk = cache.load(n, "pairings", str(lo))
-    if disk is not None:
-        return [
-            (np.asarray(cl, dtype=np.int64), np.asarray(vl, dtype=np.int64))
-            for cl, vl in disk
-        ]
-    got = _build_sp(n, lo, hi)
-    cache.store(
-        n, "pairings", str(lo), [[r[0].tolist(), r[1].tolist()] for r in got]
-    )
-    return got
+    return _build_sp(n, lo, hi)
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,10 @@ row in [0, p) moves an entry by less than (p - 1)^2 < 2^40.  So a row is
 reduced (`_reduce_mod`) only after `_LAZY` = 8192 updates, a product only
 after min(`_CHUNK`, `_LAZY`) terms, and either before it is tested or
 stored; the difference of two reduced values only needs p added where it
-is negative.  Both bounds are checked when the module loads.  The
-reduction is a floor quotient, measured against `np.mod` and `np.fmod`.
+is negative.  Both bounds are checked for `PRIMES` at import, and for any
+other p by `mod_matmul` and `ModEliminator.feed`, which raise ValueError
+if p is too large.  The reduction is a floor quotient, measured against
+`np.mod` and `np.fmod`.
 
 `ModEliminator.feed` eliminates recursively, after Dumas, Giorgi and
 Pernet (FFLAS/FFPACK, ACM TOMS 2008): the top half, then the bottom half
@@ -71,18 +73,22 @@ PRIMES = (
 
 _CHUNK = 8192
 
+
+def _inexact(terms: int, p: int) -> bool:
+    """Whether terms products of residues mod p plus one reach 2^53 - p."""
+    return terms * (p - 1) ** 2 + 2 * p >= 2**53
+
+
 # mod_matmul sums up to _CHUNK products of entries below p in float64 and
-# adds a residue before reducing; every partial sum must stay an exact
-# integer, and _reduce_mod needs |x| + p < 2^53.  Checked here rather than
-# asserted so that it also holds under ``python -O``.
-if _CHUNK * (max(PRIMES) - 1) ** 2 + 2 * max(PRIMES) >= 2**53:
+# adds a residue before reducing.  Checked here rather than asserted so
+# that it also holds under ``python -O``.
+if _inexact(_CHUNK, max(PRIMES)):
     raise RuntimeError("_CHUNK and PRIMES break float64 exactness in mod_matmul")
 
 # ModEliminator.feed subtracts f * row with f and row in [0, p), so less
-# than (p - 1)^2, and reduces a row after at most _LAZY such updates; in
-# between the row must stay exact, and within _reduce_mod's bound.
+# than (p - 1)^2, and reduces a row after at most _LAZY such updates.
 _LAZY = 8192
-if _LAZY * (max(PRIMES) - 1) ** 2 + 2 * max(PRIMES) >= 2**53:
+if _inexact(_LAZY, max(PRIMES)):
     raise RuntimeError("_LAZY and PRIMES break float64 exactness in feed")
 
 # At _BASE = 8, 16 or 32 the feeds of betti(7) and p1xp1 --order 7 took
@@ -138,8 +144,11 @@ def _sub_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p for float64 matrices with entries in [0, p),
-    in products of at most min(`_CHUNK`, `_LAZY`) terms, each reduced once."""
+    in products of at most min(`_CHUNK`, `_LAZY`) terms, each reduced once;
+    a prime too large for such a product raises ValueError."""
     step = min(_CHUNK, _LAZY)
+    if _inexact(step, p):
+        raise ValueError(f"p = {p} is too large for exact float64 products")
     out = _reduce_mod(a[:, :step] @ b[:step], p)
     for lo in range(step, a.shape[1], step):
         out = _reduce_mod(out + a[:, lo : lo + step] @ b[lo : lo + step], p)
@@ -233,7 +242,8 @@ class ModEliminator:
     ValueError.  Stored rows and multipliers are reduced into [0, p); a
     swept row is reduced after at most `_LAZY` updates, and a product sums
     at most min(`_CHUNK`, `_LAZY`) terms, so every entry stays below
-    _LAZY * (p - 1)^2 + p and exact.
+    _LAZY * (p - 1)^2 + p and exact.  `feed` raises ValueError, storing
+    nothing, for a p where that reaches 2^53 - p.
     """
 
     def __init__(self, ncols: int, p: int):
@@ -250,6 +260,8 @@ class ModEliminator:
 
     def feed(self, block) -> None:
         block, p = np.asarray(block), self.p
+        if _inexact(_LAZY, p):
+            raise ValueError(f"p = {p} is too large for exact float64 elimination")
         if block.dtype.kind != "f":  # reduce integers before float64 rounds them
             block = rows_mod(block, p)
         elif block.size:

@@ -25,10 +25,7 @@ def run_main(capsys, *argv):
 
 
 def run_process(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.pop("GENUS0_CACHE_DIR", None)
-    if env_extra:
-        env.update(env_extra)
+    env = {**os.environ, **(env_extra or {})}
     return subprocess.run(
         [sys.executable, "-m", "genus0.cli", *argv],
         capture_output=True,
@@ -422,27 +419,22 @@ class TestProcessLevel:
         assert first.stdout == second.stdout
 
     def test_cache_never_changes_results(self, tmp_path):
+        # GENUS0_CACHE_DIR named the removed disk cache; it is now inert
         argv = ("p1xp1", "--order", "5", "--format", "json")
         bare = run_process(*argv)
         assert bare.returncode == 0, bare.stderr
-        env = {"GENUS0_CACHE_DIR": str(tmp_path)}
-        cold = run_process(*argv, env_extra=env)
-        warm = run_process(*argv, env_extra=env)
-        assert cold.returncode == warm.returncode == 0
-        assert cold.stdout == bare.stdout
-        assert warm.stdout == bare.stdout
-        assert any(tmp_path.iterdir())
+        got = run_process(*argv, env_extra={"GENUS0_CACHE_DIR": str(tmp_path)})
+        assert got.returncode == 0, got.stderr
+        assert got.stdout == bare.stdout
+        assert list(tmp_path.iterdir()) == []
 
     def test_closed_stdout_pipe(self):
         # `genus0 trees --n 8 | head -1`: the reader leaves after one line,
         # long before the command has written its ~600 kB
-        env = dict(os.environ)
-        env.pop("GENUS0_CACHE_DIR", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "genus0.cli", "trees", "--n", "8"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
         )
         first = proc.stdout.readline()
         proc.stdout.close()

@@ -5,12 +5,11 @@ import random
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus0 import cohft, intersect
+from genus0 import cohft
 from genus0.cohft import (
     ACoefficients,
     Metric,
@@ -894,51 +893,3 @@ class TestQuadricCounts:
                 if rref.rank == k + 1:
                     full.append(k)
             assert full == list(range(1, (order + 1) // 3 + 1)), order
-
-
-class TestDiskCache:
-    def test_roundtrip(self, tmp_path, monkeypatch):
-        from genus0 import cache
-
-        monkeypatch.setenv("GENUS0_CACHE_DIR", str(tmp_path))
-        assert cache.load(5, "bases", "1") is None
-        cache.store(5, "bases", "1", [0, 2, 4])
-        cache.store(5, "pairings", "1", {"rows": [1]})
-        assert cache.load(5, "bases", "1") == [0, 2, 4]
-        assert cache.load(5, "pairings", "1") == {"rows": [1]}
-        assert (tmp_path / "n5.json").exists()
-
-    def test_version_mismatch_ignored(self, tmp_path, monkeypatch):
-        from genus0 import cache
-
-        monkeypatch.setenv("GENUS0_CACHE_DIR", str(tmp_path))
-        cache.store(4, "bases", "1", [7])
-        text = (tmp_path / "n4.json").read_text().replace(
-            f'"{cache.VERSION}"', '"outdated"'
-        )
-        (tmp_path / "n4.json").write_text(text)
-        assert cache.load(4, "bases", "1") is None
-
-    def test_disabled_without_env(self, tmp_path, monkeypatch):
-        from genus0 import cache
-
-        monkeypatch.delenv("GENUS0_CACHE_DIR", raising=False)
-        cache.store(4, "bases", "1", [7])
-        assert cache.load(4, "bases", "1") is None
-        assert list(tmp_path.iterdir()) == []
-
-    def test_pairings_served_from_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GENUS0_CACHE_DIR", str(tmp_path))
-        intersect._sp_rows.cache_clear()
-        first = intersect._sp_rows(5, 1)
-        assert (tmp_path / "n5.json").exists()
-
-        def refuse(*a, **k):
-            raise AssertionError("expected a cache hit")
-
-        intersect._sp_rows.cache_clear()
-        monkeypatch.setattr(intersect, "_build_sp", refuse)
-        again = intersect._sp_rows(5, 1)
-        assert len(again) == len(first)
-        for (c1, v1), (c2, v2) in zip(first, again):
-            assert np.array_equal(c1, c2) and np.array_equal(v1, v2)

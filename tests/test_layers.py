@@ -60,3 +60,17 @@ def test_imports_point_downward():
                 upward.add((name, func, target))
     assert upward == UPWARD
     assert local == UPWARD
+
+
+def test_no_asserts_in_src():
+    # ``python -O`` strips asserts and sets __debug__ false, so an
+    # exactness invariant must be an explicit check that raises
+    src = Path(genus0.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert) or (
+                isinstance(node, ast.Name) and node.id == "__debug__"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -321,8 +321,8 @@ class TestLazyFeedAgainstReference:
         assert_same_state(got, want)
 
     def test_dense_block_of_600(self):
-        # one full-rank block: its last row takes 599 unreduced updates,
-        # more than any row of a 512-row block
+        # one full-rank block of 600 rows, halved down to _BASE rows and
+        # joined back by matrix products at every level of the recursion
         p = la.PRIMES[0]
         a = np.random.default_rng(11).integers(0, p, size=(600, 600))
         want = RefEliminator(600, p)
@@ -449,6 +449,26 @@ class TestExactnessGuard:
         src = path.read_text().replace("_LAZY = 8192", "_LAZY = 2 * 8192")
         with pytest.raises(RuntimeError, match="exactness in feed"):
             exec(compile(src, str(path), "exec"), {"__name__": "linalg_copy"})
+
+    def test_feed_refuses_a_large_prime(self):
+        # Near 2^26 the default 8192 updates pass 2^53: the engine must
+        # refuse such a prime rather than return wrong residues.  A block
+        # of _BASE rows is swept row by row, with no product.
+        p = 67108859
+        a = low_rank(np.random.default_rng(13), 600, 200, 150, p)
+        for block in (a, a[: la._BASE]):
+            got = la.ModEliminator(200, p)
+            with pytest.raises(ValueError, match="too large"):
+                got.feed(block)
+            assert (got.rank, got.fed, got.rows.shape) == (0, 0, (0, 200))
+        with pytest.raises(ValueError, match="too large"):
+            la.rank_mod(a, 200, p)
+
+    def test_mod_matmul_refuses_a_large_prime(self):
+        p = 67108859
+        a = np.full((1, 3000), float(p - 1))
+        with pytest.raises(ValueError, match="too large"):
+            la.mod_matmul(a, a.T.copy(), p)
 
 
 class TestReconstruct:
