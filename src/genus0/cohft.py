@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from math import comb, factorial
 
 import numpy as np
@@ -35,7 +35,6 @@ from .trees import (
     _integer,
     _tree_model,
     enumerate_stable_trees,
-    orbit_labels,
     orbit_reps,
     orbit_sizes,
 )
@@ -206,6 +205,11 @@ class Potential:
     def _map(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
 
+    @cached_property
+    def _branches(self) -> dict:
+        """The branch memo of `_vertex`, for this potential alone."""
+        return {}
+
     def y(self, idx) -> Fraction:
         """The n-point value at a multi-index, in any insertion order."""
         k = tuple(int(i) for i in idx)
@@ -327,12 +331,14 @@ def _submultiset_splits(nu: tuple[int, ...]):
 def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
     """Check every quadratic associativity constraint up to the order.
 
-    For each quadruple (a, b, c, d) and each spectator multiset, the sum
-    over splittings of one-loop contractions through the inverse pairing
-    must be invariant under swapping b and c; bases with odd vectors are
-    refused.  The report carries the first violated instance, if any.
-    ``order`` defaults to phi.order, and is resolved before the cached
-    `_wdvv` is asked, so that both spellings of one check share an entry.
+    A constraint is Keel's four-point relation D(ab|cd) = D(ac|bd) on
+    M̄₀,₄ pulled back to M̄₀,ₙ: with a, b, c, d at labels 1..4 and a
+    spectator multiset at the rest, the n-point class integrates to the
+    same value over the one-edge strata separating {1, 2} from {3, 4} as
+    over those separating {1, 3} from {2, 4}.  Odd bases are refused.
+    The report carries the first violated instance, if any.  ``order``
+    defaults to phi.order, and is resolved before the cached `_wdvv` is
+    asked, so that both spellings of one check share an entry.
     """
     if order is None:
         order = phi.order
@@ -343,40 +349,27 @@ def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
 
 @lru_cache(maxsize=None)
 def _wdvv(phi: Potential, order: int) -> WdvvReport:
+    """`wdvv_check` proper.  A side sums its one-edge strata by spectator
+    split (mu1, mu2), weighted by the multinomial count of such strata:
+    the root vertex holds a, b and mu1, the other c, d and mu2, both
+    evaluated by `_vertex`.  Each split comes with its mirror at the same
+    weight, so a side is cached under its two pairs sorted."""
     _require_even(phi.metric, "constraint checking")
     rank = phi.metric.rank
-    cas = phi.metric.casimir
+    memo = phi._branches
 
-    table: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-    for key, val in phi.terms:
-        if len(key) >= order or len(key) < 3:
-            continue
-        for pos in combinations(range(len(key)), 3):
-            triple = tuple(key[p] for p in pos)
-            rest = tuple(key[p] for p in range(len(key)) if p not in pos)
-            table[(triple, rest)] = val
-
-    def contracted(pair1, pair2, splits, fcache):
+    def side(pair1, pair2, splits, fcache):
         key = (pair1, pair2) if pair1 <= pair2 else (pair2, pair1)
-        hit = fcache.get(key)
-        if hit is not None:
-            return hit
-        a1, b1 = key[0]
-        a2, b2 = key[1]
-        tot = Fraction(0)
-        for mu1, mu2, cf in splits:
-            s = Fraction(0)
-            for e, f, w in cas:
-                y1 = table.get((tuple(sorted((a1, b1, e))), mu1))
-                if not y1:
-                    continue
-                y2 = table.get((tuple(sorted((a2, b2, f))), mu2))
-                if not y2:
-                    continue
-                s += w * y1 * y2
-            if s:
-                tot += cf * s
-        fcache[key] = tot
+        tot = fcache.get(key)
+        if tot is None:
+            low, high = key
+            tot = Fraction(0)
+            for mu1, mu2, cf in splits:
+                msg = _vertex(phi, False, tuple(sorted(high + mu2)), [], memo)
+                val = _vertex(phi, True, tuple(sorted(low + mu1)), [msg], memo)
+                if val:
+                    tot += cf * val
+            fcache[key] = tot
         return tot
 
     checked = 0
@@ -389,10 +382,10 @@ def _wdvv(phi: Potential, order: int) -> WdvvReport:
             fcache: dict = {}
             for quad in product(range(rank), repeat=4):
                 a, b, c, d = quad
-                lhs = contracted(
+                lhs = side(
                     tuple(sorted((a, b))), tuple(sorted((c, d))), splits, fcache
                 )
-                rhs = contracted(
+                rhs = side(
                     tuple(sorted((a, c))), tuple(sorted((b, d))), splits, fcache
                 )
                 checked += 1
@@ -419,71 +412,77 @@ def _plan(tree: Tree):
     return tuple(parent), tails
 
 
+def _vertex(phi: Potential, root: bool, base: tuple, below: list, memo: dict):
+    """One vertex of a stratum: the root's value, or a branch's message.
+
+    ``base`` holds the sorted indices at the vertex's tails, and ``below``
+    the messages (id, vector) of its branches, each contracted with the
+    vertex's values on one flag.  A non-root vertex closes its last flag
+    off with the inverse pairing and returns the vector it sends up, with
+    a new small integer id.  ``memo`` hash-conses branches, keyed by
+    (root, base, the sorted ids below).  The key is exact: values are
+    looked up under sorted multi-indices, so the order of a vertex's
+    flags cannot matter, nor, `Fraction` addition being exact, that of
+    the summands; and callers require an even metric, so no Koszul sign
+    depends on it.  Callers pass `Potential._branches`, one per potential.
+    """
+    key = (root, base, tuple(sorted([bid for bid, _ in below])))
+    got = memo.get(key)
+    if got is not None:
+        return got
+    rank = phi.metric.rank
+    ymap = phi._map
+    combos = [(base, Fraction(1))]
+    for _, vec in below:
+        nxt = []
+        for part, w in combos:
+            for slot in range(rank):
+                wv = vec[slot]
+                if wv:
+                    nxt.append((part + (slot,), w * wv))
+        combos = nxt
+        if not combos:
+            break
+    if root:
+        got = Fraction(0)
+        for part, w in combos:
+            yv = ymap.get(tuple(sorted(part)))
+            if yv:
+                got += w * yv
+    else:
+        raw = [Fraction(0)] * rank
+        for part, w in combos:
+            for a in range(rank):
+                yv = ymap.get(tuple(sorted(part + (a,))))
+                if yv:
+                    raw[a] += w * yv
+        out = [Fraction(0)] * rank
+        for a, b, w in phi.metric.casimir:
+            if raw[a]:
+                out[b] += w * raw[a]
+        got = (len(memo), out)
+    memo[key] = got
+    return got
+
+
 def _stratum_value(phi: Potential, tree: Tree, idx, memo=None) -> Fraction:
     """One stratum's integral: vertex values contracted along the edges.
 
-    Works up the tree from the leaves; each component sends its parent a
-    vector obtained by closing its own value off with the inverse
-    pairing, and the root contracts everything that reaches it.
-
-    ``memo`` hash-conses branches for one potential: a vertex is keyed by
-    (is it the root, its sorted tail indices, the sorted ids of the
-    branches below it), and each distinct non-root branch gets a small
-    integer id next to the message it sends up.  The key is exact: the
-    values are looked up under sorted multi-indices, so the order of a
-    vertex's flags cannot matter; `Fraction` addition is exact, so the
-    order of the summands cannot either; and callers require an even
-    metric, so no Koszul sign depends on that order.  A caller evaluating
-    many strata of one potential passes one dict to all of them; a memo
-    must never be shared between potentials.
+    Works up the tree from the leaves through `_vertex`: each component
+    sends its parent a vector obtained by closing its own value off with
+    the inverse pairing, and the root contracts everything that reaches
+    it.  Callers pass the potential's branch memo, `Potential._branches`;
+    without one, a fresh dict makes this the memo-free reference.
     """
     if memo is None:
         memo = {}
     parent, tails = _plan(tree)
-    ymap = phi._map
-    cas = phi.metric.casimir
-    rank = phi.metric.rank
     # parent[e] <= e, so vertex v comes after every vertex below it
     sent: list[list] = [[] for _ in tails]
-    for v in range(len(tails) - 1, -1, -1):
-        below = sent[v]
+    for v in range(len(tails) - 1, 0, -1):
         base = tuple(sorted([idx[t] for t in tails[v]]))
-        key = (v == 0, base, tuple(sorted([bid for bid, _ in below])))
-        got = memo.get(key)
-        if got is None:
-            combos = [(base, Fraction(1))]
-            for _, vec in below:
-                nxt = []
-                for part, w in combos:
-                    for slot in range(rank):
-                        wv = vec[slot]
-                        if wv:
-                            nxt.append((part + (slot,), w * wv))
-                combos = nxt
-                if not combos:
-                    break
-            if v == 0:
-                got = Fraction(0)
-                for part, w in combos:
-                    yv = ymap.get(tuple(sorted(part)))
-                    if yv:
-                        got += w * yv
-            else:
-                raw = [Fraction(0)] * rank
-                for part, w in combos:
-                    for a in range(rank):
-                        yv = ymap.get(tuple(sorted(part + (a,))))
-                        if yv:
-                            raw[a] += w * yv
-                out = [Fraction(0)] * rank
-                for a, b, w in cas:
-                    if raw[a]:
-                        out[b] += w * raw[a]
-                got = (len(memo), out)
-            memo[key] = got
-        if v:
-            sent[parent[v - 1]].append(got)
-    return got
+        sent[parent[v - 1]].append(_vertex(phi, False, base, sent[v], memo))
+    return _vertex(phi, True, tuple(sorted([idx[t] for t in tails[0]])), sent[0], memo)
 
 
 def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fraction]:
@@ -505,12 +504,10 @@ def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fractio
         raise ValueError("need one basis index per label")
     if any(not 0 <= i < phi.metric.rank for i in idx):
         raise ValueError("basis index out of range")
-    blocks = _runs(idx)
-    memo: dict = {}
     out: dict[Tree, Fraction] = {}
     for d in range(n - 2):
-        vals = _stratum_column(phi, n, d, idx, memo)
-        _, slot = np.unique(orbit_labels(n, d, blocks), return_inverse=True)
+        vals = _stratum_column(phi, n, d, idx)
+        slot = orbit_sizes(n, d, _runs(idx))[2]
         out.update(zip(enumerate_stable_trees(n, d), [vals[k] for k in slot.tolist()]))
     return out
 
@@ -520,9 +517,7 @@ def _runs(idx: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(len(list(run)) for _, run in groupby(idx))
 
 
-def _stratum_column(
-    phi: Potential, n: int, d: int, idx: tuple[int, ...], memo: dict
-) -> list[Fraction]:
+def _stratum_column(phi: Potential, n: int, d: int, idx: tuple[int, ...]) -> list:
     """Stratum integrals at one multi-index, one per orbit of d-edge trees.
 
     The orbits are those of the relabellings that permute labels within
@@ -534,8 +529,9 @@ def _stratum_column(
     multi-indices, and callers require an even metric, so no Koszul sign
     arises either: the integral over sigma(T) is the one over T.
     """
-    firsts, _ = orbit_sizes(n, d, _runs(idx))
+    firsts = orbit_sizes(n, d, _runs(idx))[0]
     fams = _families(n, d)
+    memo = phi._branches
     return [_stratum_value(phi, Tree(n, fams[i]), idx, memo) for i in firsts.tolist()]
 
 
@@ -564,7 +560,7 @@ def _solve_full_rank(
     `_invariant_block`, which goes to `solve_certified` as it is:
     rank-deficient where the orbit sums are dependent in cohomology.
     """
-    return tuple(solve_certified(_invariant_block(n, r, _runs(m))[1], [rhs])[0])
+    return tuple(solve_certified(_invariant_block(n, r, _runs(m)), [rhs])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +591,9 @@ def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], tuple]:
     _require_even(phi.metric, "class reconstruction")
     if not 3 <= n <= phi.order:
         raise ValueError("label count must lie between 3 and the order")
-    memo: dict = {}
     return {
         m: tuple(
-            _solve_full_rank(n, r, m, _stratum_column(phi, n, n - 3 - r, m, memo))
+            _solve_full_rank(n, r, m, _stratum_column(phi, n, n - 3 - r, m))
             for r in range(n - 2)
         )
         for m in combinations_with_replacement(range(phi.metric.rank), n)
@@ -619,7 +614,7 @@ def reconstruct_classes(phi: Potential, n: int) -> dict[tuple[int, ...], RingEle
     for m, ys in _reconstruct_all(phi, n).items():
         terms: dict[Tree, Fraction] = {}
         for r, y in enumerate(ys):
-            slot, _ = _invariant_block(n, r, _runs(m))
+            slot = orbit_sizes(n, r, _runs(m))[2]
             trees = enumerate_stable_trees(n, r)
             terms.update((t, y[o]) for t, o in zip(trees, slot.tolist()) if y[o])
         out[m] = RingElement(n, terms)
@@ -690,7 +685,6 @@ def tensor_potential(
     if order >= 4:
         _require_associative(phi2, order)
     _require_associative(phi1)
-    memo2: dict = {}  # branches of phi2 only; phi1's never enter it
     for n in range(3, order + 1):
         rec1 = _reconstruct_all(phi1, n)
         for midx in combinations_with_replacement(range(met.rank), n):
@@ -698,12 +692,12 @@ def tensor_potential(
             cseq = tuple(b % r2 for b in midx)
             tot = Fraction(0)
             for r, y in enumerate(rec1[aseq]):
-                slot, _ = _invariant_block(n, r, _runs(aseq))
-                firsts, sizes = orbit_sizes(n, r, _runs(midx))
+                slot = orbit_sizes(n, r, _runs(aseq))[2]
+                firsts, sizes, _ = orbit_sizes(n, r, _runs(midx))
                 fams = _families(n, r)
                 for i, size in zip(firsts.tolist(), sizes.tolist()):
                     if y[slot[i]]:
-                        v = _stratum_value(phi2, Tree(n, fams[i]), cseq, memo2)
+                        v = _stratum_value(phi2, Tree(n, fams[i]), cseq, phi2._branches)
                         tot += y[slot[i]] * size * v
             if tot:
                 coeffs[midx] = tot
@@ -1009,12 +1003,10 @@ class ACoefficients:
 
     @cached_property
     def _lookup(self) -> dict[Tree, Fraction]:
-        # each representative is its orbit's first tree, which is the
-        # label orbit_labels gives every tree of the orbit
-        first = {rep: val for rep, _, val in self.entries}
+        # entries come in the order of orbit_sizes, as orbit_reps lists them
+        slot = orbit_sizes(self.n, self.a, (self.n,))[2]
         trees = enumerate_stable_trees(self.n, self.a)
-        label = orbit_labels(self.n, self.a, (self.n,))
-        return {t: first[trees[i]] for t, i in zip(trees, label.tolist())}
+        return {t: self.entries[k][2] for t, k in zip(trees, slot.tolist())}
 
     def value(self, tree: Tree) -> Fraction:
         if tree.degree != self.a or tree.n != self.n:
@@ -1048,7 +1040,7 @@ def a_coefficients(n: int, a: int) -> ACoefficients:
     if not 1 <= a <= n - 3:
         raise ValueError("need 1 <= a <= n - 3")
     unknowns = orbit_reps(n, a)
-    _, block = _invariant_block(n, a, (n,))
+    block = _invariant_block(n, a, (n,))
     rhs = [
         int(any(v == a + 3 for v in t.valencies()))
         for t, _ in orbit_reps(n, n - 3 - a)

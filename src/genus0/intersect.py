@@ -38,7 +38,6 @@ from .trees import (
     _tree_model,
     _tree_transpositions,
     enumerate_stable_trees,
-    orbit_labels,
     orbit_reps,
     orbit_sizes,
     tree_dict,
@@ -236,17 +235,15 @@ def _sp_rows(n: int, d: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _invariant_block(
-    n: int, r: int, blocks: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+def _invariant_block(n: int, r: int, blocks: tuple[int, ...]) -> np.ndarray:
     """Pairings of degree-r orbit sums with complementary representatives.
 
-    G permutes labels within ``blocks``, as in `orbit_labels`.  The
+    G permutes labels within ``blocks``, as in `trees.orbit_labels`.  The
     unknowns are the orbit sums s_o = sum of [T] over the G-orbit o of
     degree-r trees; the equations pair them with R_q, the first tree of
-    each G-orbit q of the complementary degree.  Returns (slot, M), where
-    slot[t] numbers the orbit of degree-r tree t in the order of the
-    orbits' first trees, and M[q, o] = sum over T in o of <R_q, T>.
+    each G-orbit q of the complementary degree.  Returns M, where
+    M[q, o] = sum over T in o of <R_q, T>, both orbits numbered as the
+    slots of `orbit_sizes` number them.
 
     Relabelling preserves the pairing, so M[q, o] is the same for every
     tree of q in place of R_q, and |q| M[q, o] = <s_q, s_o> = |o| M'[o, q]
@@ -258,12 +255,10 @@ def _invariant_block(
     raises rather than wraps.
     """
     c = n - 3 - r
-    _, slot, sizes = np.unique(
-        orbit_labels(n, r, blocks), return_inverse=True, return_counts=True
-    )
-    firsts, qsizes = orbit_sizes(n, c, blocks)
+    _, sizes, slot = orbit_sizes(n, r, blocks)
+    firsts, qsizes, _ = orbit_sizes(n, c, blocks)
     if r < c:
-        whole = _invariant_block(n, c, blocks)[1].T.astype(object) * sizes
+        whole = _invariant_block(n, c, blocks).T.astype(object) * sizes
         block = (whole // qsizes[:, None]).astype(np.int64)
     else:
         rows = _sp_rows(n, c)
@@ -273,8 +268,8 @@ def _invariant_block(
             if len(vals) * int(np.abs(vals).max(initial=0)) >= 2**63:
                 raise RuntimeError(f"orbit sums of pairings overflow int64 at n={n}")
             np.add.at(block[q], slot[cols], vals)
-    slot.flags.writeable = block.flags.writeable = False
-    return slot, block
+    block.flags.writeable = False
+    return block
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +343,7 @@ def pairing_matrix(n: int, r: int, invariant: bool = False) -> PairingMatrix:
         )
         return PairingMatrix(n, r, False, rows, cols, entries)
     row_reps = orbit_reps(n, r)
-    _, block = _invariant_block(n, s, (n,))
+    block = _invariant_block(n, s, (n,))
     entries = tuple(
         tuple(Fraction(size * v) for v in row)
         for (_, size), row in zip(row_reps, block.tolist())

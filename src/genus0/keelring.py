@@ -37,7 +37,6 @@ from .trees import (
     _fmt_coeff,
     _forget_images,
     _integer,
-    _split_index,
     _tree_model,
     a_value_masks,
     canonical_side,
@@ -631,7 +630,7 @@ def equal_mod_relations(x: RingElement, y: RingElement) -> bool:
 def _relation_rows(n: int, d: int) -> list:
     """Canonical degree-d relations as sparse (cols, vals) rows, the terms
     found by their keys: bit i stands for the edge ``stable_splits(n)[i]``."""
-    bit = {s: 1 << i for s, i in _split_index(n).items()}
+    bit = ring(n)._bit
     index = {sum(map(bit.get, parts)): i for i, parts in enumerate(_families(n, d))}
     rows, last = [], None
     for parts, _, _, plus, minus in _relations(n, d):
@@ -658,8 +657,13 @@ def betti(n: int, r: int | None = None):
     and triggers a retry with a fresh prime; persistent failure is an
     engine bug worth a crash.
 
-    Returns the full vector, or a single number when r is given.
+    Returns the full vector, or a single number when r is given.  Fewer
+    than three labels, or a degree outside 0..n-3, is a ValueError.
     """
+    if n < 3:
+        raise ValueError(f"n = {n}: need at least three labels")
+    if r is not None and not 0 <= r <= n - 3:
+        raise ValueError(f"degree {r} lies outside 0..{n - 3}")
     degrees = range(n - 2) if r is None else [r]
     pairranks: dict = {}
     out = []

@@ -225,8 +225,10 @@ def check_logarithmic(family: Callable[[int], RingElement], nmax: int) -> LogRep
     <f(n2), m2>.  By Künneth the pairing on the divisor is perfect and
     the products span, so comparing these numbers decides the identity
     exactly.  A value of ``family(n)`` that is neither a `RingElement`
-    nor a `TautClass` on n labels is a ValueError.
+    nor a `TautClass` on n labels is a ValueError, and so is nmax < 3.
     """
+    if nmax < 3:
+        raise ValueError(f"nmax = {nmax}: need at least three labels")
 
     def element_of(n: int) -> RingElement:
         got = family(n)

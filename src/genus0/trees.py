@@ -544,15 +544,21 @@ def orbit_labels(n: int, d: int, blocks: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=None)
 def orbit_sizes(
     n: int, d: int, blocks: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The orbits of `orbit_labels(n, d, blocks)`, in enumeration order.
 
-    Returns the position of each orbit's first tree, ascending, and the
-    orbit's size.
+    Returns the position of each orbit's first tree, ascending, the
+    orbit's size, and each tree's slot: the number of its orbit in that
+    order, found by counting the first trees, the ones labelled by
+    themselves.  It is the one orbit table per (n, d, blocks).
     """
-    firsts, sizes = np.unique(orbit_labels(n, d, blocks), return_counts=True)
-    firsts.flags.writeable = sizes.flags.writeable = False
-    return firsts, sizes
+    label = orbit_labels(n, d, blocks)
+    first = label == np.arange(label.size)
+    firsts = np.flatnonzero(first)
+    slot = (np.cumsum(first, dtype=np.int32) - 1)[label]
+    sizes = np.bincount(slot, minlength=firsts.size)
+    firsts.flags.writeable = slot.flags.writeable = sizes.flags.writeable = False
+    return firsts, sizes, slot
 
 
 @lru_cache(maxsize=None)
@@ -562,7 +568,7 @@ def orbit_reps(n: int, r: int) -> tuple[tuple[Tree, int], ...]:
     The representative is the orbit's first tree in enumeration order.
     """
     trees = enumerate_stable_trees(n, r)
-    firsts, sizes = orbit_sizes(n, r, (n,))
+    firsts, sizes, _ = orbit_sizes(n, r, (n,))
     return tuple((trees[i], s) for i, s in zip(firsts.tolist(), sizes.tolist()))
 
 

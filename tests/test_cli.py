@@ -316,6 +316,23 @@ class TestErrorObjects:
             assert status == 1
             assert json.loads(out)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("betti", "--n", "2"), "n = 2"),
+            (("betti", "--n", "-4"), "n = -4"),
+            (("betti", "--n", "6", "--degree", "4"), "degree 4"),
+            (("betti", "--n", "6", "--degree", "-1"), "degree -1"),
+            (("log-check", "--a", "1", "--nmax", "-1"), "nmax = -1"),
+            (("log-check", "--a", "1", "--nmax", "2"), "nmax = 2"),
+        ],
+    )
+    def test_sizes_out_of_range(self, argv, named, capsys):
+        status, out = run_main(capsys, *argv, "--format", "json")
+        assert status == 1
+        err = json.loads(out)["error"]
+        assert err["type"] == "ValueError" and named in err["message"]
+
 
 _JUNK = st.one_of(
     st.none(),

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +36,7 @@ from genus0.keelring import (
     RingElement,
     class_vector,
     is_zero_class,
+    keel_relation,
     mul,
     pullback_to_divisor,
 )
@@ -57,6 +58,10 @@ def odd_pair_metric():
     # each other: the smallest base with both parities
     gram = ((1, 0, 0), (0, 0, 1), (0, 1, 0))
     return Metric(gram, (0, 1, 1))
+
+
+# an orthogonal change of basis on the standard rank-2 metric
+ROT = ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5)))
 
 
 def nilpotent_cubic():
@@ -225,6 +230,66 @@ class TestWdvv:
         phi = Potential.build(odd_pair_metric(), {(0, 1, 2): 5}, 6)
         with pytest.raises(ValueError):
             wdvv_check(phi)
+
+    def test_failures_are_keel_relations(self):
+        # a constraint is Keel's four-point relation D(12|34) = D(13|24)
+        # pulled back to n labels: at the failing index, each side sums
+        # the one-edge strata that separate one pair of labels from the
+        # other, and their difference pairs c_n with keel_relation
+        rnd = random.Random(1994)
+
+        def separating(n, pair, other):
+            pm, qm = (sum(1 << (k - 1) for k in p) for p in (pair, other))
+            full = (1 << n) - 1
+            return [
+                Tree(n, (s,))
+                for s in stable_splits(n)
+                if (s & pm == pm and (full ^ s) & qm == qm)
+                or (s & qm == qm and (full ^ s) & pm == pm)
+            ]
+
+        failing, spectators = 0, set()
+        for trial in range(30):
+            # associative below `low` insertions, random from there on, so
+            # that the first failure has 0, 1 or 2 spectators
+            order = rnd.choice((5, 6))
+            low = rnd.randrange(3, order)
+            if trial % 3 == 0:
+                met, coeffs = Metric.hyperbolic(), dict(p1_potential(order).terms)
+            elif trial % 3 == 1:
+                # a sum of two rank-one theories in the basis rotated by
+                # ROT: every value is mixed, whereas the line's unit 0
+                # kills each of its values that has a 0 among four or
+                # more insertions, and with it every multinomial weight
+                f = [rnd.randint(-3, 3) for _ in range(low - 3)]
+                g = [rnd.randint(-3, 3) for _ in range(low - 3)]
+                met, coeffs = Metric.standard(2), {}
+                for k in range(3, low):
+                    for m in itertools.combinations_with_replacement(range(2), k):
+                        coeffs[m] = f[k - 3] * prod(ROT[0][i] for i in m)
+                        coeffs[m] += g[k - 3] * prod(ROT[1][i] for i in m)
+            else:
+                met, coeffs, low = Metric(((2, 1), (1, 3)), (0, 0)), {}, 3
+            for k in range(low, order + 1):
+                for m in itertools.combinations_with_replacement(range(2), k):
+                    coeffs[m] = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+            phi = Potential.build(met, coeffs, order)
+            rep = wdvv_check(phi)
+            if rep.passed:
+                continue
+            failing += 1
+            quad, nu, lhs, rhs = rep.failure
+            idx = quad + nu
+            n = len(idx)
+            brute = brute_strata(phi)
+            assert lhs == sum(brute(t, idx) for t in separating(n, (1, 2), (3, 4)))
+            assert rhs == sum(brute(t, idx) for t in separating(n, (1, 3), (2, 4)))
+            rel = keel_relation(n, 1, 2, 4, 3)
+            assert lhs - rhs == sum(c * brute(t, idx) for t, c in rel.terms.items())
+            spectators.add(nu)
+        # a repeated spectator is where the multinomial weights matter
+        assert failing >= 20 and {len(nu) for nu in spectators} == {0, 1, 2}
+        assert (0, 0) in spectators
 
     @given(
         st.lists(

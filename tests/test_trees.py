@@ -488,6 +488,10 @@ class TestOrbitLabels:
             for blocks in compositions(n):
                 got = T.orbit_labels(n, d, blocks)
                 assert got.tolist() == reference_labels(n, d, blocks, images), blocks
+                # the orbit table numbers the same orbits, by first tree
+                firsts, sizes, slot = T.orbit_sizes(n, d, blocks)
+                assert firsts[slot].tolist() == got.tolist()
+                assert sizes.tolist() == np.bincount(slot).tolist()
 
     def test_pattern_sizes(self):
         # one block is the whole symmetric group; singletons fix every tree
