@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement, groupby, product
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 
@@ -125,6 +125,14 @@ class Metric:
             if inv[a][b]
         )
 
+    @cached_property
+    def _casimir_num(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        """(E, entries (a, b, E * weight)): the casimir over one denominator."""
+        den = lcm(*(w.denominator for _, _, w in self.casimir))
+        return den, tuple(
+            (a, b, w.numerator * (den // w.denominator)) for a, b, w in self.casimir
+        )
+
     @classmethod
     def standard(cls, rank: int) -> "Metric":
         gram = tuple(
@@ -204,6 +212,12 @@ class Potential:
     @cached_property
     def _map(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
+
+    @cached_property
+    def _numerators(self) -> tuple[int, dict[tuple[int, ...], int]]:
+        """(D, {index: D * value}): the values over one denominator."""
+        den = lcm(*(v.denominator for _, v in self.terms))
+        return den, {k: v.numerator * (den // v.denominator) for k, v in self.terms}
 
     @cached_property
     def _branches(self) -> dict:
@@ -336,9 +350,12 @@ def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
     spectator multiset at the rest, the n-point class integrates to the
     same value over the one-edge strata separating {1, 2} from {3, 4} as
     over those separating {1, 3} from {2, 4}.  Odd bases are refused.
-    The report carries the first violated instance, if any.  ``order``
-    defaults to phi.order, and is resolved before the cached `_wdvv` is
-    asked, so that both spellings of one check share an entry.
+    The report carries the first violated instance, if any, with its two
+    sides as exact fractions, although the sides are summed in integers.
+    Only the leaf entries of `_vertex` enter the potential's branch memo,
+    never a root value.  ``order`` defaults to phi.order, and is resolved
+    before the cached `_wdvv` is asked, so that both spellings of one
+    check share an entry.
     """
     if order is None:
         order = phi.order
@@ -349,27 +366,48 @@ def wdvv_check(phi: Potential, order: int | None = None) -> WdvvReport:
 
 @lru_cache(maxsize=None)
 def _wdvv(phi: Potential, order: int) -> WdvvReport:
-    """`wdvv_check` proper.  A side sums its one-edge strata by spectator
-    split (mu1, mu2), weighted by the multinomial count of such strata:
-    the root vertex holds a, b and mu1, the other c, d and mu2, both
-    evaluated by `_vertex`.  Each split comes with its mirror at the same
-    weight, so a side is cached under its two pairs sorted."""
+    """`wdvv_check` proper, one spectator multiset nu at a time.
+
+    A side sums its one-edge strata by spectator split (mu1, mu2),
+    weighted by the multinomial count of such strata: one vertex holds a,
+    b and mu1, the other c, d and mu2, and the stratum's value is the
+    open row of the first contracted with the message of the second, both
+    leaf entries of `_vertex`.  So for each split the sides of all pairs
+    of sorted pairs come at once, S[P1][P2] += cf <row(P1 + mu1),
+    message(P2 + mu2)>, from one leaf entry per pair and sub-multiset,
+    all in integers over D^2 E (`_vertex`); a failure reports the two
+    sides as fractions.  Each split comes with its mirror at the same
+    weight, so S is symmetric and only its upper triangle is summed.
+    Only leaf entries enter `Potential._branches`: no root value does.
+    """
     _require_even(phi.metric, "constraint checking")
     rank = phi.metric.rank
     memo = phi._branches
+    pairs = list(combinations_with_replacement(range(rank), 2))
+    at = [
+        [pairs.index((min(a, b), max(a, b))) for b in range(rank)] for a in range(rank)
+    ]
+    scale = phi._numerators[0] ** 2 * phi.metric._casimir_num[0]
 
-    def side(pair1, pair2, splits, fcache):
-        key = (pair1, pair2) if pair1 <= pair2 else (pair2, pair1)
-        tot = fcache.get(key)
-        if tot is None:
-            low, high = key
-            tot = Fraction(0)
-            for mu1, mu2, cf in splits:
-                msg = _vertex(phi, False, tuple(sorted(high + mu2)), [], memo)
-                val = _vertex(phi, True, tuple(sorted(low + mu1)), [msg], memo)
-                if val:
-                    tot += cf * val
-            fcache[key] = tot
+    def leaves(mu):
+        return [_vertex(phi, False, tuple(sorted(p + mu)), [], memo) for p in pairs]
+
+    def sides(nu):
+        tot = [[0] * len(pairs) for _ in pairs]
+        for mu1, mu2, cf in _submultiset_splits(nu):
+            rows = [row for _, _, row in leaves(mu1)]
+            msgs = [msg for _, msg, _ in leaves(mu2)]
+            for i, row in enumerate(rows):
+                if not any(row):
+                    continue
+                here = tot[i]
+                for j in range(i, len(pairs)):
+                    v = sum([x * y for x, y in zip(row, msgs[j])])
+                    if v:
+                        here[j] += cf * v
+        for i in range(len(pairs)):
+            for j in range(i):
+                tot[i][j] = tot[j][i]
         return tot
 
     checked = 0
@@ -378,19 +416,14 @@ def _wdvv(phi: Potential, order: int) -> WdvvReport:
         if failure is not None:
             break
         for nu in combinations_with_replacement(range(rank), size):
-            splits = _submultiset_splits(nu)
-            fcache: dict = {}
+            tot = sides(nu)
             for quad in product(range(rank), repeat=4):
                 a, b, c, d = quad
-                lhs = side(
-                    tuple(sorted((a, b))), tuple(sorted((c, d))), splits, fcache
-                )
-                rhs = side(
-                    tuple(sorted((a, c))), tuple(sorted((b, d))), splits, fcache
-                )
+                lhs = tot[at[a][b]][at[c][d]]
+                rhs = tot[at[a][c]][at[b][d]]
                 checked += 1
                 if lhs != rhs:
-                    failure = (quad, nu, lhs, rhs)
+                    failure = (quad, nu, Fraction(lhs, scale), Fraction(rhs, scale))
                     break
             if failure is not None:
                 break
@@ -413,27 +446,33 @@ def _plan(tree: Tree):
 
 
 def _vertex(phi: Potential, root: bool, base: tuple, below: list, memo: dict):
-    """One vertex of a stratum: the root's value, or a branch's message.
+    """One vertex of a stratum: the root's value, or a branch's entry.
 
     ``base`` holds the sorted indices at the vertex's tails, and ``below``
-    the messages (id, vector) of its branches, each contracted with the
-    vertex's values on one flag.  A non-root vertex closes its last flag
-    off with the inverse pairing and returns the vector it sends up, with
-    a new small integer id.  ``memo`` hash-conses branches, keyed by
-    (root, base, the sorted ids below).  The key is exact: values are
-    looked up under sorted multi-indices, so the order of a vertex's
-    flags cannot matter, nor, `Fraction` addition being exact, that of
-    the summands; and callers require an even metric, so no Koszul sign
-    depends on it.  Callers pass `Potential._branches`, one per potential.
+    the entries of its branches, each of whose messages is contracted with
+    the vertex's values on one flag.  A non-root vertex leaves one flag
+    open: its entry is (id, message, row), where row[a] is its value with
+    a on the open flag, message is row closed off with the inverse
+    pairing, the vector it sends up, and id is a new small integer.
+    Everything is an integer: values are numerators over D
+    (`Potential._numerators`) and casimir weights over E
+    (`Metric._casimir_num`).  So the row of a vertex whose branch has V
+    vertices stands over D^V E^(V-1) and its message over D^V E^V, and
+    the root's value of a V-vertex stratum over D^V E^(V-1).  ``memo``
+    hash-conses entries, keyed by (root, base, the sorted ids below).  The key is exact: values are looked up under
+    sorted multi-indices, so the order of a vertex's flags cannot matter,
+    nor, integer addition being exact, that of the summands; and callers
+    require an even metric, so no Koszul sign depends on it.  Callers pass
+    `Potential._branches`, one per potential.
     """
-    key = (root, base, tuple(sorted([bid for bid, _ in below])))
+    key = (root, base, tuple(sorted([entry[0] for entry in below])))
     got = memo.get(key)
     if got is not None:
         return got
     rank = phi.metric.rank
-    ymap = phi._map
-    combos = [(base, Fraction(1))]
-    for _, vec in below:
+    ynum = phi._numerators[1]
+    combos = [(base, 1)]
+    for _, vec, _ in below:
         nxt = []
         for part, w in combos:
             for slot in range(rank):
@@ -444,23 +483,23 @@ def _vertex(phi: Potential, root: bool, base: tuple, below: list, memo: dict):
         if not combos:
             break
     if root:
-        got = Fraction(0)
+        got = 0
         for part, w in combos:
-            yv = ymap.get(tuple(sorted(part)))
+            yv = ynum.get(tuple(sorted(part)))
             if yv:
                 got += w * yv
     else:
-        raw = [Fraction(0)] * rank
+        row = [0] * rank
         for part, w in combos:
             for a in range(rank):
-                yv = ymap.get(tuple(sorted(part + (a,))))
+                yv = ynum.get(tuple(sorted(part + (a,))))
                 if yv:
-                    raw[a] += w * yv
-        out = [Fraction(0)] * rank
-        for a, b, w in phi.metric.casimir:
-            if raw[a]:
-                out[b] += w * raw[a]
-        got = (len(memo), out)
+                    row[a] += w * yv
+        out = [0] * rank
+        for a, b, w in phi.metric._casimir_num[1]:
+            if row[a]:
+                out[b] += w * row[a]
+        got = (len(memo), out, row)
     memo[key] = got
     return got
 
@@ -471,7 +510,10 @@ def _stratum_value(phi: Potential, tree: Tree, idx, memo=None) -> Fraction:
     Works up the tree from the leaves through `_vertex`: each component
     sends its parent a vector obtained by closing its own value off with
     the inverse pairing, and the root contracts everything that reaches
-    it.  Callers pass the potential's branch memo, `Potential._branches`;
+    it.  That contraction runs in integers, one value numerator over D
+    per vertex and one casimir numerator over E per edge, so the integral
+    is the root's value divided once by D^V E^(V-1) for V vertices.
+    Callers pass the potential's branch memo, `Potential._branches`;
     without one, a fresh dict makes this the memo-free reference.
     """
     if memo is None:
@@ -482,7 +524,10 @@ def _stratum_value(phi: Potential, tree: Tree, idx, memo=None) -> Fraction:
     for v in range(len(tails) - 1, 0, -1):
         base = tuple(sorted([idx[t] for t in tails[v]]))
         sent[parent[v - 1]].append(_vertex(phi, False, base, sent[v], memo))
-    return _vertex(phi, True, tuple(sorted([idx[t] for t in tails[0]])), sent[0], memo)
+    num = _vertex(phi, True, tuple(sorted([idx[t] for t in tails[0]])), sent[0], memo)
+    nv = len(tails)
+    den = phi._numerators[0] ** nv * phi.metric._casimir_num[0] ** (nv - 1)
+    return Fraction(num, den)
 
 
 def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fraction]:

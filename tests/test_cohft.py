@@ -237,17 +237,6 @@ class TestWdvv:
         # the one-edge strata that separate one pair of labels from the
         # other, and their difference pairs c_n with keel_relation
         rnd = random.Random(1994)
-
-        def separating(n, pair, other):
-            pm, qm = (sum(1 << (k - 1) for k in p) for p in (pair, other))
-            full = (1 << n) - 1
-            return [
-                Tree(n, (s,))
-                for s in stable_splits(n)
-                if (s & pm == pm and (full ^ s) & qm == qm)
-                or (s & qm == qm and (full ^ s) & pm == pm)
-            ]
-
         failing, spectators = 0, set()
         for trial in range(30):
             # associative below `low` insertions, random from there on, so
@@ -291,6 +280,18 @@ class TestWdvv:
         assert failing >= 20 and {len(nu) for nu in spectators} == {0, 1, 2}
         assert (0, 0) in spectators
 
+    def test_check_stores_no_root_values(self):
+        # the check contracts leaf entries of `_vertex` only, so the branch
+        # memo it leaves behind holds no root value
+        phi = direct_sum(
+            [Fraction(2, 9), 5, Fraction(-4, 11), 3],
+            [1, Fraction(7, 13), -2, Fraction(1, 6)],
+            6,
+        )
+        assert wdvv_check(phi).passed
+        assert phi._branches
+        assert not [key for key in phi._branches if key[0]]
+
     @given(
         st.lists(
             st.fractions(min_value=-5, max_value=5, max_denominator=12),
@@ -304,6 +305,92 @@ class TestWdvv:
         # the same contraction, so associativity holds identically
         phi = potential_from_coordinates(coords)
         assert wdvv_check(phi).passed
+
+
+def separating(n, pair, other):
+    """The one-edge trees on n labels that split pair from other."""
+    pm, qm = (sum(1 << (k - 1) for k in p) for p in (pair, other))
+    full = (1 << n) - 1
+    return [
+        Tree(n, (s,))
+        for s in stable_splits(n)
+        if (s & pm == pm and (full ^ s) & qm == qm)
+        or (s & qm == qm and (full ^ s) & pm == pm)
+    ]
+
+
+def one_edge_report(phi, order, brute):
+    """`wdvv_check(phi, order).to_dict()`, rebuilt from brute-force strata.
+
+    Each constraint compares the sums of ``brute`` over the one-edge
+    trees separating {1, 2} from {3, 4} and {1, 3} from {2, 4}, with the
+    quadruple at labels 1..4 and the spectators after them; the first
+    failure in `product` order ends the check.
+    """
+    rank = phi.metric.rank
+    checked = 0
+    for size in range(order - 3):
+        n = 4 + size
+        left, right = separating(n, (1, 2), (3, 4)), separating(n, (1, 3), (2, 4))
+        for nu in itertools.combinations_with_replacement(range(rank), size):
+            for quad in itertools.product(range(rank), repeat=4):
+                lhs = sum(brute(t, quad + nu) for t in left)
+                rhs = sum(brute(t, quad + nu) for t in right)
+                checked += 1
+                if lhs != rhs:
+                    failure = {
+                        "quadruple": list(quad),
+                        "spectators": list(nu),
+                        "lhs": str(lhs),
+                        "rhs": str(rhs),
+                    }
+                    return {
+                        "order": order,
+                        "checked": checked,
+                        "passed": False,
+                        "failure": failure,
+                    }
+    return {"order": order, "checked": checked, "passed": True, "failure": None}
+
+
+def _diag_sum(k):
+    return {(0,) * k: Fraction(k - 5, k), (1,) * k: Fraction(2, k + 1)}
+
+
+def _block_sum(k):
+    out = {(0,) * k: Fraction(3, k - 1), (2,) * k: Fraction(k - 7, 2)}
+    if k == 3:
+        out[(1, 1, 2)] = Fraction(1, 3)
+    return out
+
+
+_DIAG = ((3, 0), (0, 1))
+_BLOCK = ((2, 0, 0), (0, 0, Fraction(1, 3)), (0, Fraction(1, 3), 0))
+_DENSE = ((1, Fraction(1, 3)), (Fraction(1, 3), 2))
+# (gram, associative values, count of insertions from which values are
+# random): diag(3, 1) and a rank-3 gram with a 1/3 entry carry sums of
+# theories that do not mix their blocks, associative until the random
+# values start; the dense gram's random values start at once
+DENOMINATOR_CASES = [
+    *((_DIAG, _diag_sum, low) for low in (3, 4, 5, 7)),
+    *((_BLOCK, _block_sum, low) for low in (3, 4, 5, 7)),
+    (_DENSE, None, 3),
+]
+
+
+def denominator_potential(case, order=6):
+    """Seeded potential of DENOMINATOR_CASES[case], truncated at order."""
+    gram, base, low = DENOMINATOR_CASES[case]
+    met = Metric(gram, (0,) * len(gram))
+    rnd = random.Random(2024 + case)
+    coeffs = {}
+    for k in range(3, order + 1):
+        if k < low:
+            coeffs.update(base(k))
+            continue
+        for m in itertools.combinations_with_replacement(range(met.rank), k):
+            coeffs[m] = Fraction(rnd.randint(-3, 3), rnd.randint(1, 4))
+    return Potential.build(met, coeffs, order)
 
 
 def brute_strata(phi):
@@ -388,6 +475,35 @@ def direct_sum(f, g, order=5):
         coeffs[(0,) * k] = f[k - 3]
         coeffs[(1,) * k] = g[k - 3]
     return Potential.build(Metric.standard(2), coeffs, order)
+
+
+class TestWdvvWithDenominators:
+    @pytest.mark.parametrize("case", range(len(DENOMINATOR_CASES)))
+    def test_reports_match_brute_force_with_denominators(self, case):
+        # values and inverse pairings with denominators, so that the
+        # integers of `_vertex` stand over D and E other than 1: every
+        # report up to the truncation, failure values included, must be
+        # the one rebuilt from brute-force one-edge strata, and so must
+        # every stratum value
+        phi = denominator_potential(case)
+        assert lcm(*(v.denominator for _, v in phi.terms)) > 1
+        assert lcm(*(w.denominator for _, _, w in phi.metric.casimir)) > 1
+        brute = brute_strata(phi)
+        for order in range(4, phi.order + 1):
+            assert wdvv_check(phi, order).to_dict() == one_edge_report(phi, order, brute)
+        for n in range(3, 6):
+            for m in itertools.combinations_with_replacement(range(phi.metric.rank), n):
+                for tree in iter_all_trees(n):
+                    got = cohft._stratum_value(phi, tree, m, phi._branches)
+                    assert got == brute(tree, m), (tree, m)
+
+    def test_denominator_cases_cover_every_outcome(self):
+        # the cases above pass, and fail with 0, 1 and 2 spectators
+        outcomes = set()
+        for case in range(len(DENOMINATOR_CASES)):
+            rep = wdvv_check(denominator_potential(case))
+            outcomes.add(None if rep.passed else len(rep.failure[1]))
+        assert outcomes == {None, 0, 1, 2}
 
 
 class TestStrataIntegrals:
