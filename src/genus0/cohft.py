@@ -667,6 +667,10 @@ def reconstruct_classes(phi: Potential, n: int) -> dict[tuple[int, ...], RingEle
 
 
 def _require_associative(phi: Potential, order: int | None = None) -> None:
+    """ValueError unless phi passes `wdvv_check`; below order 4 there is
+    no constraint to check."""
+    if (phi.order if order is None else order) < 4:
+        return
     report = wdvv_check(phi, order)
     if not report.passed:
         quad, nu, _, _ = report.failure
@@ -727,8 +731,7 @@ def tensor_potential(
     met = tensor_metric(phi1.metric, phi2.metric)
     r2 = phi2.metric.rank
     coeffs: dict[tuple[int, ...], Fraction] = {}
-    if order >= 4:
-        _require_associative(phi2, order)
+    _require_associative(phi2, order)
     _require_associative(phi1)
     for n in range(3, order + 1):
         rec1 = _reconstruct_all(phi1, n)

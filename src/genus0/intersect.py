@@ -9,12 +9,12 @@ orientation giving every vertex as many incoming arrows as its valency
 exceeds three.  Their agreement on every complementary pair is one of the
 acceptance gates of the package.
 
-The production pairing is tabulated here, once per complementary pair of
-degrees, as sparse integer rows over the tree enumeration order
-(`_sp_rows`), and summed by relabelling orbit into invariant blocks
-(`_invariant_block`).  Every consumer reads those tables: class equality
-and the Betti certificate in `keelring` (through `_pairings`), the dense
-`pairing_matrix`, and reconstruction in `cohft`.
+The production pairing is tabulated here, once per degree, as sparse
+integer rows of that degree's trees against the complementary degree in
+the tree enumeration order (`_sp_rows`), and summed by relabelling orbit
+into invariant blocks (`_invariant_block`).  Every consumer reads those
+tables: class equality and the Betti certificate in `keelring` (through
+`_pairings`), the dense `pairing_matrix`, and reconstruction in `cohft`.
 """
 
 from __future__ import annotations
@@ -144,44 +144,45 @@ def _check_complementary(m1: Tree, m2: Tree) -> None:
 # sparse pairing rows
 
 
-def _build_sp(n: int, lo: int, hi: int) -> list:
-    """Sparse pairing rows of the degree-lo trees against degree hi.
+def _build_sp(n: int, d: int, c: int) -> list:
+    """Sparse pairing rows of the degree-d trees against degree c.
 
     Only the first row of each relabelling orbit is evaluated, pair by
     pair, over the columns the compatibility graph allows.  The other rows
     of the orbit are filled from rows already filled, one adjacent
     transposition at a time.  Swapping labels k+1 and k+2 carries the tree
-    at row position s to `_tree_transpositions(n, lo)[k, s]` and each
-    column tree at position j to `_tree_transpositions(n, hi)[k, j]`, and
+    at row position s to `_tree_transpositions(n, d)[k, s]` and each
+    column tree at position j to `_tree_transpositions(n, c)[k, j]`, and
     relabelling preserves the pairing; so that row holds the values of row
     s at the mapped columns, sorted back into ascending order.  The
     integer values are copied, so every row equals its pair-by-pair
     evaluation entry for entry.
 
-    For lo = 0 the one row is the unit against every trivalent tree.
-    Each such stratum is a point, which integrates to 1, so that row is
-    all ones and needs no evaluation.
+    A trivalent tree paired with the unit is a point, which integrates
+    to 1, so such rows need no evaluation: for d = 0 the one row is all
+    ones, and for c = 0 every row is the one entry 1 at column 0.
     """
-    rows_parts = _families(n, lo)
-    cols_parts = _families(n, hi)
-    if lo == 0:
+    rows_parts = _families(n, d)
+    cols_parts = _families(n, c)
+    if d == 0:
         ones = np.ones(len(cols_parts), dtype=np.int64)
         return [(np.arange(len(cols_parts), dtype=np.int64), ones)]
+    if c == 0:
+        unit = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))
+        return [unit] * len(rows_parts)
     sid = _split_index(n)
     nsplit = len(sid)
-    full = (1 << nsplit) - 1
-    col_ids = _tree_ids(n, hi)
+    col_ids = _tree_ids(n, c)
     adj = _compat_graph(n)
-    row_moves = _tree_transpositions(n, lo).tolist()
-    col_moves = _tree_transpositions(n, hi)
+    row_moves = _tree_transpositions(n, d).tolist()
+    col_moves = _tree_transpositions(n, c)
     out: list = [None] * len(rows_parts)
     for i, parts in enumerate(rows_parts):
         if out[i] is not None:
             continue
-        sig = full
+        sig = -1
         for part in parts:
-            k = sid[part]
-            sig &= adj[k] | 1 << k
+            sig &= adj[sid[part]]
         allowed = np.array([sig >> k & 1 for k in range(nsplit)], dtype=bool)
         ok = allowed[col_ids].all(axis=1)
         cs: list[int] = []
@@ -212,26 +213,13 @@ def _sp_rows(n: int, d: int) -> list:
 
     Row i lists the complementary-degree trees its tree pairs nonzero
     with, as (column indices, values), the columns strictly ascending.
-    Built once per complementary pair of degrees, by `_build_sp`, with
-    the lower degree's trees as rows; the flipped orientation is its
-    transpose.
+    Built by `_build_sp` with the degree-d trees as rows, in either
+    orientation of a complementary pair of degrees.
     """
     c = n - 3 - d
     if d < 0 or c < 0:
         raise ValueError("degree out of range")
-    lo, hi = min(d, c), max(d, c)
-    if d != lo:
-        base = _sp_rows(n, lo)
-        acc: list[tuple[list[int], list[int]]] = [([], []) for _ in _families(n, hi)]
-        for i, (cols, vals) in enumerate(base):
-            for j, v in zip(cols.tolist(), vals.tolist()):
-                acc[j][0].append(i)
-                acc[j][1].append(v)
-        return [
-            (np.asarray(cs, dtype=np.int64), np.asarray(vs, dtype=np.int64))
-            for cs, vs in acc
-        ]
-    return _build_sp(n, lo, hi)
+    return _build_sp(n, d, c)
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ on the boundary divisors without a restriction (`splitting_failures`).
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,7 @@ from itertools import combinations
 from math import lcm
 
 from . import linalg
-from .intersect import _pairings, _sp_rows
+from .intersect import _pairings, _positions, _sp_rows
 from .trees import (
     Split,
     Tree,
@@ -170,7 +171,7 @@ class Ring:
     good monomials times words of boundary divisors, one pass per
     monomial.  A monomial is keyed by a bitset over `stable_splits(n)`,
     and carries one compatibility bitmask, the AND of its edges' rows of
-    `trees._compat_graph(n)` (each row with its own bit set).  A divisor
+    `trees._compat_graph(n)`, each of which holds its own bit.  A divisor
     whose split crosses an edge multiplies the monomial to zero and is
     dropped by that AND; a new compatible divisor extends it by one OR.
     Neither builds a tree or does `Fraction` arithmetic: only a divisor
@@ -184,10 +185,9 @@ class Ring:
         self.n = n
         self._full = full_mask(n)
         sides = stable_splits(n)
-        graph = _compat_graph(n)
         self._bit = {s: 1 << i for i, s in enumerate(sides)}
         self._side = {1 << i: s for i, s in enumerate(sides)}
-        self._row = {s: graph[i] | 1 << i for i, s in enumerate(sides)}
+        self._row = dict(zip(sides, _compat_graph(n)))
         # The memo holds square rewrites, the only products that reach
         # mul_divisor_raw.  On the psi_monomial lattice at n = 7 they
         # repeat across elements: 856k asked, 4,816 distinct (hit ratio
@@ -532,6 +532,11 @@ def _relation_terms(n: int, fi: int, fj: int, fk: int, sums: list):
     return [u if u & 1 else f ^ u for u in plus], [u if u & 1 else f ^ u for u in minus]
 
 
+def _unions(masks: list) -> list:
+    """The union of each subset of disjoint masks, in `combinations` order."""
+    return [sum(x) for k in range(len(masks) + 1) for x in combinations(masks, k)]
+
+
 def _relations(n: int, d: int):
     """Every canonical relation among degree-d good monomials.
 
@@ -551,8 +556,7 @@ def _relations(n: int, d: int):
                 continue
             for quad in combinations(range(len(branch)), 4):
                 a, b, c, e = quad
-                rest = [m for i, m in enumerate(branch) if i not in quad]
-                sums = [sum(x) for k in range(len(rest) + 1) for x in combinations(rest, k)]
+                sums = _unions([m for i, m in enumerate(branch) if i not in quad])
                 # grouping a flag set and its complement insert the same
                 # edge, so each foursome has three distinct pair sums; two
                 # differences with a common middle term span all of them
@@ -578,21 +582,18 @@ def keel_relation(n: int, i: int, j: int, k: int, l: int) -> RingElement:
     """The classical four-point relation pulled up to n labels.
 
     Sum of divisors separating {i,j} from {k,l} minus those separating
-    {k,j} from {i,l}; its product with anything reduces to zero.
+    {k,j} from {i,l}; its product with anything reduces to zero.  It is
+    the canonical relation of the tails i, j, k, l at the one vertex of
+    the tree without edges (`_relation_terms`).
     """
     if len({i, j, k, l}) != 4:
         raise ValueError("labels must be distinct")
-    terms: dict[Tree, Fraction] = {}
-    mij = mask_of([i, j], n)
-    mkl = mask_of([k, l], n)
-    mkj = mask_of([k, j], n)
-    mil = mask_of([i, l], n)
-    for side in stable_splits(n):
-        far = full_mask(n) ^ side
-        for a, b, sign in ((mij, mkl, 1), (mkj, mil, -1)):
-            if (side & a == a and far & b == b) or (side & b == b and far & a == a):
-                t = Tree(n, (side,))
-                terms[t] = terms.get(t, 0) + sign
+    four = mask_of([i, j, k, l], n)
+    rest = [1 << x for x in range(n) if not four >> x & 1]
+    fi, fj, fk = (1 << x - 1 for x in (i, j, k))
+    plus, minus = _relation_terms(n, fi, fj, fk, _unions(rest))
+    terms = {Tree(n, (s,)): 1 for s in plus}
+    terms.update((Tree(n, (s,)), -1) for s in minus)
     return RingElement(n, terms)
 
 
@@ -628,15 +629,16 @@ def equal_mod_relations(x: RingElement, y: RingElement) -> bool:
 
 
 def _relation_rows(n: int, d: int) -> list:
-    """Canonical degree-d relations as sparse (cols, vals) rows, the terms
-    found by their keys: bit i stands for the edge ``stable_splits(n)[i]``."""
-    bit = ring(n)._bit
-    index = {sum(map(bit.get, parts)): i for i, parts in enumerate(_families(n, d))}
-    rows, last = [], None
+    """Canonical degree-d relations as sparse (cols, vals) rows, each term
+    found at its position in the tree enumeration (`intersect._positions`)
+    once its new edge is inserted among the old ones."""
+    index = _positions(n, d)
+    rows = []
     for parts, _, _, plus, minus in _relations(n, d):
-        if parts is not last:  # the relations of one tree come together
-            last, key = parts, sum(map(bit.get, parts))
-        cols = [index[key | bit[s]] for s in plus + minus]
+        cols = []
+        for s in plus + minus:
+            at = bisect(parts, s)
+            cols.append(index[(*parts[:at], s, *parts[at:])])
         rows.append((cols, [1] * len(plus) + [-1] * len(minus)))
     return rows
 
@@ -673,7 +675,7 @@ def betti(n: int, r: int | None = None):
         ncomp = len(_families(n, c))
         # the pairing matrices of d and c are transposes with one rank,
         # taken once per prime; the narrower one keeps the dense sweep
-        # small (167 against 293 MB peak for betti(8), in the same time)
+        # small (120 against 304 MB peak for betti(8), in the same time)
         side, width = (d, ncomp) if ncomp <= ngood else (c, ngood)
         relations = _relation_rows(n, d)
         for p in linalg.PRIMES[:3]:

@@ -18,12 +18,12 @@ The GF(p) arithmetic reduces lazily.  A float64 holds every integer below
 2^53 exactly, and one update ``row - f * pivot_row`` with f and the pivot
 row in [0, p) moves an entry by less than (p - 1)^2 < 2^40.  So a row is
 reduced (`_reduce_mod`) only after `_LAZY` = 8192 updates, a product only
-after min(`_CHUNK`, `_LAZY`) terms, and either before it is tested or
-stored; the difference of two reduced values only needs p added where it
-is negative.  Both bounds are checked for `PRIMES` at import, and for any
-other p by `mod_matmul` and `ModEliminator.feed`, which raise ValueError
-if p is too large.  The reduction is a floor quotient, measured against
-`np.mod` and `np.fmod`.
+after `_LAZY` terms, and either before it is tested or stored; the
+difference of two reduced values only needs p added where it is negative.
+That one bound is checked for `PRIMES` at import, and for any other p by
+`mod_matmul` and `ModEliminator.feed`, which raise ValueError if p is too
+large.  The reduction is a floor quotient, measured against `np.mod` and
+`np.fmod`.
 
 `ModEliminator.feed` eliminates recursively, after Dumas, Giorgi and
 Pernet (FFLAS/FFPACK, ACM TOMS 2008): the top half, then the bottom half
@@ -71,25 +71,20 @@ PRIMES = (
     1047961, 1047941, 1047929, 1047923, 1047887, 1047883, 1047881, 1047859,
 )
 
-_CHUNK = 8192
-
 
 def _inexact(terms: int, p: int) -> bool:
     """Whether terms products of residues mod p plus one reach 2^53 - p."""
     return terms * (p - 1) ** 2 + 2 * p >= 2**53
 
 
-# mod_matmul sums up to _CHUNK products of entries below p in float64 and
-# adds a residue before reducing.  Checked here rather than asserted so
-# that it also holds under ``python -O``.
-if _inexact(_CHUNK, max(PRIMES)):
-    raise RuntimeError("_CHUNK and PRIMES break float64 exactness in mod_matmul")
-
 # ModEliminator.feed subtracts f * row with f and row in [0, p), so less
-# than (p - 1)^2, and reduces a row after at most _LAZY such updates.
+# than (p - 1)^2, and reduces a row after at most _LAZY such updates;
+# mod_matmul sums up to _LAZY products of entries below p and adds a
+# residue before reducing.  Checked here rather than asserted so that it
+# also holds under ``python -O``.
 _LAZY = 8192
 if _inexact(_LAZY, max(PRIMES)):
-    raise RuntimeError("_LAZY and PRIMES break float64 exactness in feed")
+    raise RuntimeError("_LAZY and PRIMES break float64 exactness in feed, mod_matmul")
 
 # At _BASE = 8, 16 or 32 the feeds of betti(7) and p1xp1 --order 7 took
 # 53-86 and 5.4-9.4 ms, row by row 115-180 and 7.9-8.4 ms (2-core x86-64).
@@ -144,14 +139,13 @@ def _sub_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p for float64 matrices with entries in [0, p),
-    in products of at most min(`_CHUNK`, `_LAZY`) terms, each reduced once;
-    a prime too large for such a product raises ValueError."""
-    step = min(_CHUNK, _LAZY)
-    if _inexact(step, p):
+    in products of at most `_LAZY` terms, each reduced once; a prime too
+    large for such a product raises ValueError."""
+    if _inexact(_LAZY, p):
         raise ValueError(f"p = {p} is too large for exact float64 products")
-    out = _reduce_mod(a[:, :step] @ b[:step], p)
-    for lo in range(step, a.shape[1], step):
-        out = _reduce_mod(out + a[:, lo : lo + step] @ b[lo : lo + step], p)
+    out = _reduce_mod(a[:, :_LAZY] @ b[:_LAZY], p)
+    for lo in range(_LAZY, a.shape[1], _LAZY):
+        out = _reduce_mod(out + a[:, lo : lo + _LAZY] @ b[lo : lo + _LAZY], p)
     return out
 
 
@@ -241,9 +235,9 @@ class ModEliminator:
     float that is not a finite integer raises TypeError, one too large
     ValueError.  Stored rows and multipliers are reduced into [0, p); a
     swept row is reduced after at most `_LAZY` updates, and a product sums
-    at most min(`_CHUNK`, `_LAZY`) terms, so every entry stays below
-    _LAZY * (p - 1)^2 + p and exact.  `feed` raises ValueError, storing
-    nothing, for a p where that reaches 2^53 - p.
+    at most `_LAZY` terms, so every entry stays below _LAZY * (p - 1)^2 + p
+    and exact.  `feed` raises ValueError, storing nothing, for a p where
+    that reaches 2^53 - p.
     """
 
     def __init__(self, ncols: int, p: int):

@@ -347,11 +347,15 @@ def _split_index(n: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _compat_graph(n: int) -> tuple[int, ...]:
-    """Adjacency bitsets of the compatibility graph on stable_splits(n)."""
+    """Adjacency bitsets of the compatibility graph on stable_splits(n).
+
+    Compatibility is reflexive (`compatible_masks(n, s, s)`), so row i
+    holds bit i: the AND of the rows of a tree's edges keeps every edge.
+    """
     sp = stable_splits(n)
     adj = [0] * len(sp)
     for i in range(len(sp)):
-        for j in range(i + 1, len(sp)):
+        for j in range(i, len(sp)):
             if compatible_masks(n, sp[i], sp[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
@@ -567,9 +571,9 @@ def orbit_reps(n: int, r: int) -> tuple[tuple[Tree, int], ...]:
 
     The representative is the orbit's first tree in enumeration order.
     """
-    trees = enumerate_stable_trees(n, r)
+    fams = _families(n, r)
     firsts, sizes, _ = orbit_sizes(n, r, (n,))
-    return tuple((trees[i], s) for i, s in zip(firsts.tolist(), sizes.tolist()))
+    return tuple((Tree(n, fams[i]), int(s)) for i, s in zip(firsts, sizes))
 
 
 def iter_all_trees(n: int) -> Iterator[Tree]:

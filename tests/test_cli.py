@@ -223,6 +223,27 @@ class TestPotentialPipeline:
         ]
         assert three["terms"]
 
+    def test_order_three_files(self, tmp_path, capsys):
+        # tensor multiplies two order-3 files, with no constraint to
+        # check; wdvv still refuses to check one
+        path = tmp_path / "p1.json"
+        path.write_text(json.dumps(p1_potential(3).to_dict()))
+        argv = ("--left", str(path), "--right", str(path), "--format", "json")
+        status, out = run_main(capsys, "tensor", *argv)
+        assert status == 0
+        data = json.loads(out)
+        assert data["order"] == 3 and data["rank"] == 4 and data["terms"]
+        status, out = run_main(capsys, "wdvv", "--input", str(path))
+        assert status == 1
+        assert "between 4 and the truncation order" in out
+
+    def test_p1xp1_order_three(self, capsys):
+        status, out = run_main(capsys, "p1xp1", "--order", "3", "--format", "json")
+        data = json.loads(out)
+        assert status == 0 and data["passed"] and data["wdvv_passed"]
+        got = {tuple(r["bidegree"]): r["tensor"] for r in data["numbers"]}
+        assert got == {(1, 0): "1", (0, 1): "1"}
+
     def test_p1xp1(self, capsys):
         status, out = run_main(capsys, "p1xp1", "--order", "5", "--format", "json")
         data = json.loads(out)

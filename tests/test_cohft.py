@@ -619,6 +619,16 @@ class TestReconstruction:
             classes = reconstruct_classes(phi, n)
             assert classes[(0,) * n] == RingElement.unit(n)
 
+    def test_order_three(self):
+        # a 3-point class is its value times the unit; below four points
+        # no associativity constraint is checked
+        phi = p1_potential(3)
+        got = reconstruct_classes(phi, 3)
+        assert got == {
+            m: RingElement.unit(3).scale(phi.y(m))
+            for m in itertools.combinations_with_replacement(range(2), 3)
+        }
+
     def test_integrals_reproduce_the_potential(self):
         phi = p1_potential(6)
         for n in (4, 5, 6):
@@ -777,6 +787,12 @@ class TestTensor:
         assert ext[(1, 1)] == 1 and ext[(2, 1)] == 1
         assert wdvv_check(sq).passed
 
+    def test_factors_of_order_three(self):
+        three = tensor_potential(p1_potential(3), p1_potential(3))
+        four = tensor_potential(p1_potential(4), p1_potential(4), order=3)
+        assert three.order == 3 and three.metric == four.metric
+        assert three.terms == four.terms and three.terms
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tensor_potential(p1_potential(6), p1_potential(6), order=7)
@@ -802,6 +818,11 @@ class TestRankOne:
         t, u = Fraction(2, 3), Fraction(-5, 4)
         lhs = RankOneTheory.scaling(t, 6).tensor(RankOneTheory.scaling(u, 6))
         assert lhs.equals(RankOneTheory.scaling(t * u, 6))
+
+    def test_from_coordinates_order_three(self):
+        # one coordinate: no associativity constraint, the scaled unit
+        th = RankOneTheory.from_coordinates([2])
+        assert th.nmax == 3 and th.equals(RankOneTheory.scaling(2, 3))
 
     def test_from_coordinates_scaling(self):
         t = Fraction(3, 2)

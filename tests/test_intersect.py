@@ -312,10 +312,9 @@ class TestPairingMatrix:
                 assert rank == betti(n, r)
 
     def test_sparse_rows_match_dense(self):
-        # The sparse builder (one evaluated row per relabelling orbit,
-        # transposed orientation for the larger degree) against the
-        # pair-by-pair reference, and the greedy basis selection against
-        # the plain rank.
+        # The sparse builder (one evaluated row per relabelling orbit, in
+        # either orientation) against the pair-by-pair reference, and the
+        # greedy basis selection against the plain rank.
         p = linalg.PRIMES[0]
         for n in (3, 4, 5, 6, 7):
             for d in range(n - 2):
@@ -337,12 +336,15 @@ class TestPairingMatrix:
 
     def test_point_class_row(self):
         # the unit against every trivalent tree: each pairing is the
-        # integral of a point, and the row is filled with ones unevaluated
+        # integral of a point, and the row is filled with ones unevaluated;
+        # in the other orientation each row is the one entry 1
         for n in (3, 4, 5, 6, 7):
             row = intersect._build_sp(n, 0, n - 3)
             want = dense_pairings(n, 0)
             assert len(row) == 1 and np.all(want == 1)
             assert np.array_equal(linalg.densify(row, want.shape[1]), want)
+            col = intersect._build_sp(n, n - 3, 0)
+            assert np.array_equal(linalg.densify(col, 1), want.T)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_sparse_columns_ascend(self, n):

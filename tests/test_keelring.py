@@ -449,6 +449,29 @@ class TestRelations:
         )
         assert got == want
 
+    def test_keel_relation_matches_a_scan_of_the_splits(self):
+        # every divisor separating {i,j} from {k,l}, minus every one
+        # separating {k,j} from {i,l}, found by testing each stable split
+        def scanned(n, i, j, k, l):
+            terms = {}
+            full = (1 << n) - 1
+            mij, mkl, mkj, mil = (
+                trees.mask_of(pair, n) for pair in ([i, j], [k, l], [k, j], [i, l])
+            )
+            for side in stable_splits(n):
+                far = full ^ side
+                for a, b, sign in ((mij, mkl, 1), (mkj, mil, -1)):
+                    if (side & a == a and far & b == b) or (
+                        side & b == b and far & a == a
+                    ):
+                        t = Tree(n, (side,))
+                        terms[t] = terms.get(t, 0) + sign
+            return RingElement(n, terms)
+
+        for n in (4, 5, 6):
+            for quad in itertools.permutations(range(1, n + 1), 4):
+                assert keel_relation(n, *quad) == scanned(n, *quad), quad
+
     def test_keel_relations_are_zero_classes(self):
         for n in (4, 5, 6):
             for i, j, k, l in itertools.permutations(range(1, 5)):

@@ -33,7 +33,7 @@ class TestModMatmul:
     def test_chunking_is_exact(self):
         # force several chunks on the inner dimension
         p = la.PRIMES[0]
-        k = 3 * la._CHUNK + 17
+        k = 3 * la._LAZY + 17
         a = np.full((1, k), float(p - 1))
         b = np.full((k, 1), float(p - 1))
         got = int(la.mod_matmul(a, b, p)[0, 0])
@@ -44,7 +44,7 @@ class TestModMatmul:
         # chunk's product must be reduced before the next is added.
         p = la.PRIMES[0]
         rng = np.random.default_rng(0)
-        k = 2 * la._CHUNK + 5
+        k = 2 * la._LAZY + 5
         a = rng.integers(p - 1000, p, size=(3, k))
         b = rng.integers(p - 1000, p, size=(k, 4))
         got = la.mod_matmul(a.astype(np.float64), b.astype(np.float64), p)
@@ -435,16 +435,10 @@ class TestReduceMod:
 
 
 class TestExactnessGuard:
-    def test_import_refuses_inexact_chunk(self):
-        # Doubling the chunk lets float64 partial sums pass 2^53; the
-        # module must refuse to load rather than compute wrong residues.
-        path = Path(la.__file__)
-        src = path.read_text().replace("_CHUNK = 8192", "_CHUNK = 2 * 8192")
-        with pytest.raises(RuntimeError, match="exactness"):
-            exec(compile(src, str(path), "exec"), {"__name__": "linalg_copy"})
-
     def test_import_refuses_inexact_lazy_bound(self):
-        # Twice as many unreduced updates per row would pass 2^53 in feed.
+        # Twice as many unreduced updates per row, or terms per product,
+        # would pass 2^53 in feed and mod_matmul; the module must refuse
+        # to load rather than compute wrong residues.
         path = Path(la.__file__)
         src = path.read_text().replace("_LAZY = 8192", "_LAZY = 2 * 8192")
         with pytest.raises(RuntimeError, match="exactness in feed"):

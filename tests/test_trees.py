@@ -130,6 +130,15 @@ class TestEnumeration:
                         a_value(edge_partition(t, e), edge_partition(t, g)) == 3
                     )
 
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_compat_graph_is_the_reflexive_relation(self, n):
+        # each row holds the split's own bit, as compatible_masks(n, s, s)
+        sp = T.stable_splits(n)
+        adj = T._compat_graph(n)
+        for i, s in enumerate(sp):
+            for j, t in enumerate(sp):
+                assert adj[i] >> j & 1 == T.compatible_masks(n, s, t)
+
 
 class TestTreeStructure:
     def test_edge_partition_round_trip(self):
