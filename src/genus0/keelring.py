@@ -538,29 +538,35 @@ def _unions(masks: list) -> list:
 
 
 def _relations(n: int, d: int):
-    """Every canonical relation among degree-d good monomials.
+    """A basis of the canonical relations among degree-d good monomials.
 
     Yields (parts, vertex, foursome, plus, minus): the edges of a
     degree-(d-1) tree, a fat vertex, the branch masks (i, j, k, l) of
     four of its flags, and the new edges' sides of the terms with
-    coefficient +1 and -1 (see `_relation_terms`).  Both independent flag
-    pairings are taken for each foursome at each fat vertex; the
-    redundancy is harmless for rank purposes and needed for the spanning
-    property at small n.
+    coefficient +1 and -1 (see `_relation_terms`).
+
+    At a vertex of valency k, with its branches numbered 0..k-1 as
+    `_tree_model` lists them, the foursomes are {0, 1, x, y} with
+    2 <= x < y, each with the pairing (0, 1, x, y), and for x = 2 also
+    (0, 2, 1, y): k(k-3)/2 relations, not all 2 C(k, 4).  Each way of
+    splitting the branches is T plus one new edge, so the relations at
+    (T, v) are the degree-1 four-point relations of M̄₀,ₖ with the branches
+    as labels, under an injective map on columns.  Those span the kernel
+    of the divisors onto H², of dimension (2^(k-1) - k - 1) -
+    (2^(k-1) - C(k, 2) - 1) = k(k-3)/2 (Keel 1992).  The chosen ones are
+    independent: (0, 1, x, y) is the only one of the first kind that holds
+    the divisor {x, y}, which none of the second kind holds, and
+    (0, 2, 1, y) the only one of the second kind that holds {1, y}.  So
+    they span every relation, in every degree.
     """
     if d < 1:
         return
     for parts in _families(n, d - 1):
         for v, branch in enumerate(_tree_model(n, parts)[0]):
-            if len(branch) < 4:
-                continue
-            for quad in combinations(range(len(branch)), 4):
-                a, b, c, e = quad
+            for x, y in combinations(range(2, len(branch)), 2):
+                quad = (0, 1, x, y)
                 sums = _unions([m for i, m in enumerate(branch) if i not in quad])
-                # grouping a flag set and its complement insert the same
-                # edge, so each foursome has three distinct pair sums; two
-                # differences with a common middle term span all of them
-                for i, j, k, l in ((a, b, c, e), (a, c, b, e)):
+                for i, j, k, l in (quad, (0, 2, 1, y)) if x == 2 else (quad,):
                     four = (branch[i], branch[j], branch[k], branch[l])
                     plus, minus = _relation_terms(n, *four[:3], sums)
                     yield parts, v, four, plus, minus
@@ -574,7 +580,8 @@ def _as_relation(tree: Tree, v: int, foursome: tuple, plus: list, minus: list):
 
 
 def relations_of_degree(n: int, d: int) -> list[Relation]:
-    """Every canonical relation among degree-d good monomials, as elements."""
+    """The basis of `_relations` among degree-d good monomials, as elements;
+    they span every canonical relation of degree d."""
     return [_as_relation(Tree(n, parts), *rest) for parts, *rest in _relations(n, d)]
 
 
@@ -653,9 +660,11 @@ def betti(n: int, r: int | None = None):
     lies in the kernel of P, and dim R + rank P <= ngood.  Mod p the rank
     of P, and the rank of any subset of the relation rows, can only fall
     short of the rational ones.  So once rank_p(P) + rank_p(subset) =
-    ngood, every inequality is an equality and rank_p(P) is exact.  The
-    pairing rank comes first, and the relation sweep stops as soon as its
-    rank reaches ngood - rank_p(P).  A bad prime leaves the squeeze open
+    ngood, every inequality is an equality and rank_p(P) is exact.  Any
+    valid relations keep the squeeze sound; the rows are the basis of R
+    that `_relations` builds, so that it can also close.  The pairing
+    rank comes first, and the relation sweep stops as soon as its rank
+    reaches ngood - rank_p(P).  A bad prime leaves the squeeze open
     and triggers a retry with a fresh prime; persistent failure is an
     engine bug worth a crash.
 

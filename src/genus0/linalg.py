@@ -290,16 +290,18 @@ class ModEliminator:
 
 def _sparse_row(cols, vals, p: int) -> dict[int, int]:
     """Integer sparse row as a dict column -> residue in [0, p), zeros
-    dropped; any other entry raises TypeError."""
+    dropped.  A non-integer entry raises TypeError; a repeated column, or
+    a value count that differs from the column count, raises ValueError,
+    as a dict would keep one of the values and miscount the rank."""
     if isinstance(cols, np.ndarray):
         cols = cols.tolist()
     if isinstance(vals, np.ndarray):
         vals = vals.tolist()
-    row = {}
-    for c, v in zip(cols, vals):
-        v = operator.index(v) % p
-        if v:
-            row[c] = v
+    row = {c: operator.index(v) % p for c, v in zip(cols, vals)}
+    if len(row) != len(cols) or len(cols) != len(vals):
+        raise ValueError("a sparse row needs one value for each of its distinct columns")
+    if 0 in row.values():
+        row = {c: v for c, v in row.items() if v}
     return row
 
 
@@ -365,11 +367,14 @@ def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) ->
 
     Either is a lower bound for the rational rank.  ``rows`` is an integer
     matrix or a list of sparse (column indices, integer values) rows with
-    distinct columns.  The sparse phase (module docstring) takes the rows shortest
+    distinct columns; a repeated column or a negative ``target`` is a
+    ValueError.  The sparse phase (module docstring) takes the rows shortest
     first; rows past the `_HEAVY` or `_FILL` bound wait, and their Schur
     complement on the columns the sparse pivots leave free goes to
     `ModEliminator.feed_all`.
     """
+    if target is not None and target < 0:
+        raise ValueError(f"target {target} is negative")
     if target is None or target > ncols:
         target = ncols
     if isinstance(rows, np.ndarray):

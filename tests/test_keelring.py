@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genus0 import keelring, trees
-from genus0.linalg import FractionRREF
+from genus0.linalg import PRIMES, FractionRREF, rank_mod
 from genus0.keelring import (
     RingElement,
     betti,
@@ -338,8 +338,13 @@ class TestAveragedSquare:
             ), str(s)
 
 
-def ref_relation_rows(n, d):
-    """Canonical relations as sparse rows, each term one insert_edge call."""
+def ref_relation_rows(n, d, every=False):
+    """Canonical relations as sparse rows, each term one insert_edge call.
+
+    At each vertex, the foursomes that hold its first two flags, with the
+    second pairing only when the third flag is one of the other two; with
+    ``every``, all foursomes with both pairings, which span the same space.
+    """
     index = {t.parts: i for i, t in enumerate(enumerate_stable_trees(n, d))}
     rows = []
     for tree in enumerate_stable_trees(n, d - 1):
@@ -347,8 +352,11 @@ def ref_relation_rows(n, d):
             flags = flags_at(tree, v)
             for quad in itertools.combinations(flags, 4):
                 a, b, c, _ = quad
+                if not every and (a, b) != flags[:2]:
+                    continue
                 rest = [f for f in flags if f not in quad]
-                for fi, fj, fk in ((a, b, c), (a, c, b)):
+                both = every or c == flags[2]
+                for fi, fj, fk in ((a, b, c), (a, c, b)) if both else ((a, b, c),):
                     cols, vals = [], []
                     for pair, sign in (((fi, fj), 1), ((fk, fj), -1)):
                         for k in range(len(rest) + 1):
@@ -361,8 +369,8 @@ def ref_relation_rows(n, d):
 
 
 RELATION_ROW_DIGESTS = """
-    4/1:812e1167 5/1:cef43f41 5/2:524e5028 6/1:fcdd0023 6/2:bdfc9c68
-    6/3:3a5a55d2 7/1:2fd5b15d 7/2:12fcecca 7/3:b058b487 7/4:8674894e
+    4/1:812e1167 5/1:9c9db6cf 5/2:524e5028 6/1:44eb0841 6/2:3727b079
+    6/3:3a5a55d2 7/1:b514738e 7/2:24c6b471 7/3:4ae835f2 7/4:8674894e
 """
 
 
@@ -429,6 +437,26 @@ class TestRelations:
                     h.update(np.array(vals, dtype=np.int64).tobytes() + b"#")
                 got.append(f"{n}/{d}:{h.hexdigest()[:8]}")
         assert got == RELATION_ROW_DIGESTS.split()
+
+    @pytest.mark.parametrize("k", range(4, 12))
+    def test_one_vertex_basis(self, k):
+        # k(k-3)/2 relations at a vertex of valency k, independent, and
+        # spanning every foursome's relations in both pairings
+        rows = keelring._relation_rows(k, 1)
+        every = ref_relation_rows(k, 1, every=True)
+        assert len(rows) == k * (k - 3) // 2 and len(every) == 2 * comb(k, 4)
+        ncols = len(stable_splits(k))
+        for p in PRIMES[:2]:
+            assert rank_mod(rows, ncols, p) == len(rows)
+            assert rank_mod(rows + every, ncols, p) == len(rows)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_rows_span_the_relations(self, n):
+        # the rank of the degree-d rows closes the gap between the good
+        # monomials and Keel's Betti number
+        for d, b in enumerate(keel_poincare(n)):
+            ngood = len(enumerate_stable_trees(n, d))
+            assert rank_mod(keelring._relation_rows(n, d), ngood, PRIMES[0]) == ngood - b
 
     @pytest.mark.slow
     def test_relations_vanish_n7(self):

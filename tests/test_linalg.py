@@ -229,6 +229,25 @@ class TestSparseRank:
             with patch.object(la, "_HEAVY", heavy):
                 assert la.rank_mod(m, 3) == la.rank_mod(sparse, 3) == 2
 
+    def test_repeated_columns_are_refused(self):
+        # a dict would keep one value of a repeated column: [0, 0] with
+        # values 1, -1 sums to zero, but its last value alone has rank 1
+        for rows in (
+            [([0, 0], [1, -1])],
+            [([0, 1, 1], [1, 1, -1]), ([0], [1])],
+            [(np.array([2, 2]), np.array([3, 3]))],
+            [([0, 1], [1])],
+        ):
+            for heavy in (1, la._HEAVY):
+                with patch.object(la, "_HEAVY", heavy), pytest.raises(ValueError):
+                    la.rank_mod(rows, 3)
+
+    def test_negative_target_is_refused(self):
+        rows = [([0], [1]), ([1], [1])]
+        with pytest.raises(ValueError, match="negative"):
+            la.rank_mod(rows, 3, target=-1)
+        assert la.rank_mod(rows, 3, target=0) == 0
+
 
 class RefEliminator(la.ModEliminator):
     """The row-by-row engine that reduces after every update."""
