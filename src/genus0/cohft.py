@@ -82,7 +82,7 @@ class Metric:
     parities: tuple[int, ...]
 
     def __post_init__(self):
-        gram = tuple(tuple(Fraction(x) for x in row) for row in self.gram)
+        gram = tuple(tuple(_exact(x) for x in row) for row in self.gram)
         parities = tuple(int(p) % 2 for p in self.parities)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "parities", parities)
@@ -154,8 +154,7 @@ class Metric:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Metric":
-        gram = tuple(tuple(_exact(x) for x in row) for row in obj["gram"])
-        return cls(gram, tuple(_integer(p) for p in obj["parities"]))
+        return cls(obj["gram"], tuple(_integer(p) for p in obj["parities"]))
 
 
 def _require_even(metric: Metric, what: str) -> None:
@@ -186,7 +185,7 @@ class Potential:
             raise ValueError("truncation order must be at least 3")
         norm: dict[tuple[int, ...], Fraction] = {}
         for key, val in coeffs.items():
-            v = Fraction(val)
+            v = _exact(val)
             k = tuple(int(i) for i in key)
             if len(k) < 3:
                 raise ValueError("a term needs at least three insertions")
@@ -248,7 +247,7 @@ class Potential:
         try:
             metric = Metric.from_dict(obj)
             coeffs = {
-                tuple(_integer(i) for i in t["multi_index"]): _exact(t["coeff"])
+                tuple(_integer(i) for i in t["multi_index"]): t["coeff"]
                 for t in obj["terms"]
             }
             return cls.build(metric, coeffs, _integer(obj["order"]))
@@ -269,7 +268,7 @@ def potential_from_coordinates(coords, order: int | None = None) -> Potential:
     The k-th entry of ``coords`` is the integral of the (k+3)-point
     class, which is exactly the coefficient Y(gamma_0^{k+3}).
     """
-    vals = [Fraction(c) for c in coords]
+    vals = [_exact(c) for c in coords]
     if not vals:
         raise ValueError("need at least the three-point value")
     if order is None:
@@ -822,7 +821,7 @@ class RankOneTheory:
     @classmethod
     def scaling(cls, t, nmax: int) -> "RankOneTheory":
         """The theory t^(n-2) times the unit; these form the scalars."""
-        t = Fraction(t)
+        t = _exact(t)
         return cls(
             tuple(
                 RingElement.unit(n).scale(t ** (n - 2)) for n in range(3, nmax + 1)
@@ -841,7 +840,7 @@ class RankOneTheory:
     @classmethod
     def from_kappa(cls, s, nmax: int) -> "RankOneTheory":
         """Exponential of a kappa-class combination, sum of s_a kappa_a."""
-        svals = [Fraction(x) for x in s]
+        svals = [_exact(x) for x in s]
         out = []
         for n in range(3, nmax + 1):
             x = RingElement(n, {})
@@ -879,7 +878,9 @@ class RankOneTheory:
         t = self.coordinate(3)
         if t == 0:
             raise ValueError("theory is not invertible")
-        unital = self.tensor(RankOneTheory.scaling(Fraction(1, 1) / t, self.nmax))
+        unital = RankOneTheory(
+            tuple(self.c(n).scale(t ** (2 - n)) for n in range(3, self.nmax + 1))
+        )
         for n in range(3, unital.nmax + 1):
             if unital.c(n).component(0) != RingElement.unit(n):
                 raise ArithmeticError("leading coefficients failed to normalize")
@@ -1000,7 +1001,7 @@ def matone_check(nmax: int = 12, volumes=None) -> MatoneReport:
         vols = _volumes(nmax + 1)
         seq = [vols[k] for k in range(3, nmax + 2)]
     else:
-        seq = [Fraction(x) for x in volumes]
+        seq = [_exact(x) for x in volumes]
         if len(seq) < nmax - 1:
             raise ValueError("need volumes up through v_{nmax+1}")
     g = [Fraction(0)] * (nmax + 1)

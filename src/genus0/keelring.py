@@ -39,8 +39,8 @@ from .trees import (
     _forget_images,
     _integer,
     _tree_model,
-    a_value_masks,
     canonical_side,
+    compatible_masks,
     full_mask,
     labels_of,
     mask_of,
@@ -70,7 +70,7 @@ class RingElement:
 
     @classmethod
     def monomial(cls, tree: Tree, coeff=1) -> "RingElement":
-        return cls(tree.n, {tree: Fraction(coeff)})
+        return cls(tree.n, {tree: _exact(coeff)})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -111,7 +111,7 @@ class RingElement:
         return RingElement(self.n, {relabel(t, perm): c for t, c in self.terms.items()})
 
     def scale(self, c) -> "RingElement":
-        c = Fraction(c)
+        c = _exact(c)
         return RingElement(self.n, {t: c * v for t, v in self.terms.items()})
 
     def _check(self, other: "RingElement") -> None:
@@ -817,7 +817,7 @@ class DivisorGeometry:
         if t_side == sig:
             return self._marker_sums()
         n = self.n
-        if a_value_masks(n, sig, t_side) == 4:
+        if not compatible_masks(n, sig, t_side):
             return None
         f = full_mask(n)
         other = f ^ sig

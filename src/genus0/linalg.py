@@ -7,12 +7,18 @@ exact residual check, so every answer returned by this module is provably
 correct, never "probably".  `FractionRREF` is the one elimination over
 `fractions.Fraction`, for the exact rank of a small system.
 
-The GF(p) layer takes integer matrices only: `rank_mod` refuses any other
-entry with TypeError, and `solve_certified` clears the denominators of
-exact rationals itself (`_integral`) and refuses a float, which is not an
-exact value.  A x = b is solved by eliminating the augmented matrix
-[A | b] with a plain `ModEliminator`: a pivot in a column of b means no
-solution mod p; otherwise the pivot rows' trailing entries are one.
+The GF(p) layer takes integers only, with one check where each row
+enters.  `ModEliminator.feed`, and `feed_all` on a matrix, take an integer
+array: an integer dtype, or objects that are all integers.  Any other
+block, a float array among them, raises TypeError and stores nothing;
+a block is reduced once, by `rows_mod`.  Sparse (column indices, values)
+rows, given to `rank_mod` or `feed_all`, are checked by `_sparse_row`:
+integer values, one for each of distinct columns in 0..ncols-1.
+`solve_certified` clears the denominators of exact rationals itself
+(`_integral`) and refuses a float, which is not an exact value.  A x = b
+is solved by eliminating the augmented integer matrix [A | b] with a
+plain `ModEliminator`: a pivot in a column of b means no solution mod
+p; otherwise the pivot rows' trailing entries are one.
 
 The GF(p) arithmetic reduces lazily.  A float64 holds every integer below
 2^53 exactly, and one update ``row - f * pivot_row`` with f and the pivot
@@ -46,8 +52,8 @@ more than ncols / `_HEAVY` entries on arrival, or more than ncols /
 reduced against every sparse pivot and restricted to the free columns.
 Those rows form the Schur complement: the sparse pivots have distinct
 pivot columns and the reduced rows vanish there, so the total rank is
-the sparse rank plus the complement's, which `ModEliminator.feed_all`
-computes.
+the sparse rank plus the complement's, which a `ModEliminator` computes
+from the complement's rows densified to int64, as checked already.
 """
 
 from __future__ import annotations
@@ -150,14 +156,15 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def rows_mod(rows: np.ndarray, p: int) -> np.ndarray:
-    """Dense float64 matrix of an integer array reduced mod p.
+    """Dense float64 matrix of an integer array reduced into [0, p).
 
-    ``rows`` is int64 or holds Python ints as objects (`_int_array`).
+    ``rows`` has an integer dtype or holds integers as objects (`_int_array`);
+    each residue is cast, exactly, as it is written, with no integer copy.
     """
-    return np.mod(rows, p).astype(np.float64)
+    return np.remainder(rows, p, out=np.empty(rows.shape), casting="unsafe")
 
 
-def densify(rows, width: int, dtype=np.float64) -> np.ndarray:
+def densify(rows, width: int, dtype=np.int64) -> np.ndarray:
     """Dense block of sparse (column indices, values) rows."""
     block = np.zeros((len(rows), width), dtype=dtype)
     for i, (cols, vals) in enumerate(rows):
@@ -230,12 +237,13 @@ class ModEliminator:
     column where it leaves the span of the rows before it, and the stored
     rows are the span's one basis that is the identity on those columns.
 
-    The entries fed are integers: an integer array, reduced exactly, or
-    float64 below 2^53 - p in magnitude, such as `rows_mod`'s residues; a
-    float that is not a finite integer raises TypeError, one too large
-    ValueError.  Stored rows and multipliers are reduced into [0, p); a
-    swept row is reduced after at most `_LAZY` updates, and a product sums
-    at most `_LAZY` terms, so every entry stays below _LAZY * (p - 1)^2 + p
+    A block fed is an integer array of ``ncols`` columns: an integer dtype,
+    or objects that are all integers, reduced exactly into [0, p) once by
+    `rows_mod`.  Any other block, a float array among them, raises
+    TypeError, one of another width ValueError, and neither changes the
+    state.  Stored rows and multipliers are reduced into [0, p); a swept
+    row is reduced after at most `_LAZY` updates, and a product sums at
+    most `_LAZY` terms, so every entry stays below _LAZY * (p - 1)^2 + p
     and exact.  `feed` raises ValueError, storing nothing, for a p where
     that reaches 2^53 - p.
     """
@@ -256,16 +264,15 @@ class ModEliminator:
         block, p = np.asarray(block), self.p
         if _inexact(_LAZY, p):
             raise ValueError(f"p = {p} is too large for exact float64 elimination")
-        if block.dtype.kind != "f":  # reduce integers before float64 rounds them
-            block = rows_mod(block, p)
-        elif block.size:
-            top = np.abs(block).max()  # nan if any entry is
-            if not np.isfinite(top) or not np.array_equal(np.trunc(block), block):
-                raise TypeError("float entries must be finite integers")
-            if top >= 2**53 - p:
-                raise ValueError(f"float entry {top} is not below 2^53 - p")
+        kind = block.dtype.kind
+        if kind not in "iuO" or kind == "O" and not all(
+            issubclass(t, numbers.Integral) for t in set(map(type, block.flat))
+        ):
+            raise TypeError(f"a block of {block.dtype} entries is not all integers")
+        if block.ndim != 2 or block.shape[1] != self.ncols:
+            raise ValueError(f"a block of shape {block.shape} is not {self.ncols} wide")
         src, self.piv_cols, self.rows = _join(
-            self.piv_cols, self.rows, _reduce_mod(block, p), p
+            self.piv_cols, self.rows, rows_mod(block, p), p
         )
         self.sources += [self.fed + i for i in src]
         self.fed += block.shape[0]
@@ -273,12 +280,20 @@ class ModEliminator:
     def feed_all(self, rows, block_size: int = 512, target: int | None = None) -> None:
         """Feed rows block by block until the rank reaches ``target``.
 
-        ``target`` defaults to every column.  ``rows`` is a matrix or a
-        list of sparse (column indices, values) rows, densified one block
-        at a time.  Blocks after the one that reaches the target are not
-        fed, so they are neither checked for consistency nor counted in
-        ``fed``.
+        ``target`` defaults to every column.  ``rows`` is an integer matrix,
+        each block checked by `feed`, or a list of sparse (column indices,
+        integer values) rows, all checked by `_sparse_row` before any is
+        fed and densified one block at a time.  Blocks after the one that
+        reaches the target are not fed, so they are neither checked for
+        consistency nor counted in ``fed``.
         """
+        if not isinstance(rows, np.ndarray):
+            rows = [_sparse_row(cols, vals, self.p, self.ncols) for cols, vals in rows]
+            rows = [(list(row), list(row.values())) for row in rows]
+        self._feed_blocks(rows, block_size, target)
+
+    def _feed_blocks(self, rows, block_size: int = 512, target: int | None = None):
+        """`feed_all`'s loop; sparse rows are densified as `_sparse_row` left them."""
         target = self.ncols if target is None else target
         sparse = not isinstance(rows, np.ndarray)
         for lo in range(0, len(rows), block_size):
@@ -288,11 +303,12 @@ class ModEliminator:
                 break
 
 
-def _sparse_row(cols, vals, p: int) -> dict[int, int]:
+def _sparse_row(cols, vals, p: int, ncols: int) -> dict[int, int]:
     """Integer sparse row as a dict column -> residue in [0, p), zeros
-    dropped.  A non-integer entry raises TypeError; a repeated column, or
+    dropped.  A non-integer entry raises TypeError.  A repeated column, or
     a value count that differs from the column count, raises ValueError,
-    as a dict would keep one of the values and miscount the rank."""
+    as a dict would keep one of the values and miscount the rank; so does
+    a column outside 0..ncols-1, which would pivot where no column is."""
     if isinstance(cols, np.ndarray):
         cols = cols.tolist()
     if isinstance(vals, np.ndarray):
@@ -300,6 +316,8 @@ def _sparse_row(cols, vals, p: int) -> dict[int, int]:
     row = {c: operator.index(v) % p for c, v in zip(cols, vals)}
     if len(row) != len(cols) or len(cols) != len(vals):
         raise ValueError("a sparse row needs one value for each of its distinct columns")
+    if row and not (0 <= min(row) and max(row) < ncols):
+        raise ValueError(f"a sparse row has a column outside 0..{ncols - 1}")
     if 0 in row.values():
         row = {c: v for c, v in row.items() if v}
     return row
@@ -367,11 +385,12 @@ def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) ->
 
     Either is a lower bound for the rational rank.  ``rows`` is an integer
     matrix or a list of sparse (column indices, integer values) rows with
-    distinct columns; a repeated column or a negative ``target`` is a
-    ValueError.  The sparse phase (module docstring) takes the rows shortest
-    first; rows past the `_HEAVY` or `_FILL` bound wait, and their Schur
-    complement on the columns the sparse pivots leave free goes to
-    `ModEliminator.feed_all`.
+    distinct columns in 0..ncols-1, each checked once (`_sparse_row`); a
+    column repeated or out of range or a negative ``target`` is a
+    ValueError.  The sparse phase (module docstring) takes the rows
+    shortest first; rows past the `_HEAVY` or `_FILL` bound wait, and their
+    Schur complement on the columns the sparse pivots leave free goes to
+    a `ModEliminator`, densified without a second check.
     """
     if target is not None and target < 0:
         raise ValueError(f"target {target} is negative")
@@ -386,7 +405,7 @@ def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) ->
     for cols, vals in sorted(rows, key=lambda r: len(r[0])):
         if len(pivots) >= target:
             return target
-        row = _sparse_row(cols, vals, p)
+        row = _sparse_row(cols, vals, p, ncols)
         c = None if len(row) > heavy else _reduce_sparse(row, pivots, p, fill)
         if c is None:
             deferred.append(row)
@@ -405,7 +424,7 @@ def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) ->
             _reduce_sparse(row, pivots, p)
         schur.append(([free[c] for c in row], list(row.values())))
     elim = ModEliminator(len(free), p)
-    elim.feed_all(schur, target=target - rank)
+    elim._feed_blocks(schur, target=target - rank)
     return min(rank + elim.rank, target)
 
 
@@ -525,17 +544,17 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
     column; a float raises TypeError, a column of another length
     ValueError.  Each column b_j becomes integer numerators over one
     denominator d_j, and each row of A (unless A is an integer ndarray)
-    integer numerators, its right-hand entries scaled alike.  Then [A | b]
-    is eliminated mod one or more primes, each time only until the rank
-    reaches A's width; a pivot in a column of b means no solution mod p,
-    else the pivot rows' trailing entries are one.  These are lifted by
-    rational reconstruction across the primes and only returned, divided
-    by the d_j, once the exact residual over every row, fed or not,
-    vanishes.  Raises Inconsistent when two primes find no solution, or
-    when the pivots fill every column of A and the lifted solution
-    satisfies the pivot rows exactly but not the rest: those rows are then
-    invertible over the rationals, so their one solution is the only
-    candidate left and the system has none.
+    integer numerators, its right-hand entries scaled alike.  Then the
+    integer matrix [A | b], built once, is eliminated mod one or more
+    primes, each time only until the rank reaches A's width; a pivot in a
+    column of b means no solution mod p, else the pivot rows' trailing
+    entries are one.  These are lifted by rational reconstruction across
+    the primes and only returned, divided by the d_j, once the exact
+    residual over every row, fed or not, vanishes.  Raises Inconsistent
+    when two primes find no solution, or when the pivots fill every column
+    of A and the lifted solution satisfies the pivot rows exactly but not
+    the rest: those rows are then invertible over the rationals, so their
+    one solution is the only candidate left and the system has none.
     """
     rhs_cols = list(rhs_cols)
     nrhs = len(rhs_cols)
@@ -549,7 +568,8 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
         nums = [[v * s for v, s in zip(col, scales)] for col in nums]
     rows = _int_array(rows)
     b = _int_array(nums).T
-    nrows, ncols = rows.shape
+    _, ncols = rows.shape
+    augmented = np.hstack([rows, b])
 
     acc: np.ndarray | None = None  # integer solutions mod `modulus`
     modulus = 1
@@ -558,10 +578,7 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
 
     for p in PRIMES:
         elim = ModEliminator(ncols + nrhs, p)
-        block = np.zeros((nrows, ncols + nrhs))
-        block[:, :ncols] = rows_mod(rows, p)
-        block[:, ncols:] = np.mod(b, p)
-        elim.feed_all(block, target=ncols)
+        elim.feed_all(augmented, target=ncols)
         if any(c >= ncols for c in elim.piv_cols):
             inconsistent_seen += 1
             if inconsistent_seen >= 2:

@@ -21,6 +21,7 @@ first; `intersect._orient` and `cohft._stratum_value` sweep that way.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,31 +64,10 @@ def canonical_side(n: int, mask: int) -> int:
     return mask if mask & 1 else full_mask(n) ^ mask
 
 
-def a_value_masks(n: int, s: int, t: int) -> int:
-    """Number of nonempty regions cut out by two canonical sides.
-
-    Returns 2 exactly when the partitions are equal, 3 when they are
-    compatible but distinct (one side contains another, or two sides are
-    disjoint), and 4 otherwise.  In the divisor ring, 4 means the two
-    boundary divisors have empty intersection.
-    """
-    if s == t:
-        return 2
-    f = full_mask(n)
-    count = 0
-    if s & t:
-        count += 1
-    if s & ~t & f:
-        count += 1
-    if t & ~s & f:
-        count += 1
-    if ~(s | t) & f:
-        count += 1
-    return count
-
-
 def compatible_masks(n: int, s: int, t: int) -> bool:
-    """True unless the two partitions cross (a-value 4)."""
+    """True unless the two partitions cross: s and t meet, neither holds
+    the other, and together they miss a label.  Crossing boundary
+    divisors have empty intersection."""
     f = full_mask(n)
     return not (s & t and s & ~t & f and t & ~s & f and ~(s | t) & f)
 
@@ -272,14 +252,15 @@ def _integer(value) -> int:
 
 
 def _exact(value) -> Fraction:
-    """A rational read from JSON: an integer or a string such as "p/q".
+    """An exact rational: an int, a `Fraction`, a numpy integer, or a
+    string such as "p/q", as JSON holds them.
 
     Floats are refused: the binary value of 0.1 is not one tenth, and an
     inexact number must not enter an exact computation.  So are bools,
     which Python counts as integers.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{value!r} is not an integer or a 'p/q' string")
+    if isinstance(value, bool) or not isinstance(value, (numbers.Rational, str)):
+        raise ValueError(f"{value!r} is not an exact rational or a 'p/q' string")
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:

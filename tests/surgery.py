@@ -8,6 +8,7 @@ set at a time, `insert_edge` builds canonical relations term by term,
 `relation` builds one of them from four branch masks, `tree_product`
 intersects strata edge set by edge set, `forget_and_stabilize` forgets a
 label on one tree, and `orbit` lists the trees that relabelling reaches.
+`a_value_masks` counts the regions that two splits cut out (`a_value`).
 `mul_divisor`, `reduce_product`, `tensor_unit` and `tensor_of_factors`
 build ring and tensor elements from divisors and factors,
 `p1xp1_potential` is the quadric surface's potential in closed form, and
@@ -41,7 +42,6 @@ from genus0.trees import (
     _families,
     _forget_images,
     _tree_model,
-    a_value_masks,
     canonical_side,
     compatible_masks,
     full_mask,
@@ -125,6 +125,29 @@ def edge_vertices(tree: Tree, e: int) -> tuple[int, int]:
 
 def edge_partition(tree: Tree, e: int) -> Split:
     return Split(tree.n, tree.parts[e])
+
+
+def a_value_masks(n: int, s: int, t: int) -> int:
+    """Number of nonempty regions cut out by two canonical sides.
+
+    Returns 2 exactly when the partitions are equal, 3 when they are
+    compatible but distinct (one side contains another, or two sides are
+    disjoint), and 4 otherwise.  In the divisor ring, 4 means the two
+    boundary divisors have empty intersection.
+    """
+    if s == t:
+        return 2
+    f = full_mask(n)
+    count = 0
+    if s & t:
+        count += 1
+    if s & ~t & f:
+        count += 1
+    if t & ~s & f:
+        count += 1
+    if ~(s | t) & f:
+        count += 1
+    return count
 
 
 def a_value(sigma: Split, tau: Split) -> int:

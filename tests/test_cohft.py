@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from math import lcm, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,27 @@ def assignment_class(classes, vec):
     srt = tuple(vec[i] for i in order)
     perm = tuple(i + 1 for i in order)
     return classes[srt].relabel(perm)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: Metric(((x,),), (0,)),
+        lambda x: Potential.build(Metric.standard(1), {(0, 0, 0): x}, 3),
+        lambda x: potential_from_coordinates([1, x]),
+        lambda x: RankOneTheory.scaling(x, 4),
+        lambda x: RankOneTheory.from_kappa([x], 4),
+        lambda x: matone_check(3, volumes=[1, x, 2]),
+    ],
+    ids=["metric", "build", "coordinates", "scaling", "from_kappa", "volumes"],
+)
+def test_constructors_take_exact_rationals_only(build):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not one tenth
+    for x in (0.1, 0.5, True):
+        with pytest.raises(ValueError):
+            build(x)
+    assert build(Fraction(1, 2)) == build("1/2")
+    assert build(np.int64(3)) == build(3)
 
 
 class TestMetric:

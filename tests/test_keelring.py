@@ -37,6 +37,7 @@ from genus0.trees import (
 
 from conftest import stable_trees
 from surgery import (
+    a_value_masks,
     edge_vertices,
     flags_at,
     insert_edge,
@@ -711,6 +712,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             RingElement.from_dict(obj)
 
+    @pytest.mark.parametrize("c", [0.1, 2.0, True])
+    def test_inexact_coefficients_are_refused(self, c):
+        t = Tree.from_splits([Split.parse("{12|34}")])
+        with pytest.raises(ValueError):
+            RingElement.monomial(t, c)
+        with pytest.raises(ValueError):
+            RingElement.monomial(t).scale(c)
+        assert RingElement.monomial(t, np.int64(2)) == RingElement.monomial(t).scale("2")
+
     @given(stable_trees(max_n=6))
     def test_monomial_round_trip(self, t):
         x = RingElement.monomial(t)
@@ -741,7 +751,7 @@ def ref_divisor_times(side, m):
                     t = transplant(m, e, grp)
                     out[t] = out.get(t, 0) - 1
         return out
-    if any(trees.a_value_masks(n, side, p) == 4 for p in m.parts):
+    if any(a_value_masks(n, side, p) == 4 for p in m.parts):
         return {}
     return {Tree(n, tuple(sorted(m.parts + (side,)))): 1}
 
