@@ -25,13 +25,20 @@ import numpy as np
 from .intersect import _invariant_block, integrate
 from .intersect import _build_sp  # noqa: F401  (perfbench/spans.py times it here)
 from .keelring import RingElement, equal_mod_relations, mul, splitting_failures
-from .linalg import FractionRREF, Inconsistent, ModEliminator, solve_certified
+from .linalg import (
+    FractionRREF,
+    Inconsistent,
+    ModEliminator,
+    _integral,
+    solve_certified,
+)
 from .taut import kappa, z
 from .trees import (
     Tree,
     _exact,
     _families,
     _fmt_coeff,
+    _index,
     _integer,
     _tree_model,
     enumerate_stable_trees,
@@ -83,7 +90,7 @@ class Metric:
 
     def __post_init__(self):
         gram = tuple(tuple(_exact(x) for x in row) for row in self.gram)
-        parities = tuple(int(p) % 2 for p in self.parities)
+        parities = tuple(_index(p) % 2 for p in self.parities)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "parities", parities)
         r = len(gram)
@@ -186,7 +193,7 @@ class Potential:
         norm: dict[tuple[int, ...], Fraction] = {}
         for key, val in coeffs.items():
             v = _exact(val)
-            k = tuple(int(i) for i in key)
+            k = tuple(_index(i) for i in key)
             if len(k) < 3:
                 raise ValueError("a term needs at least three insertions")
             if len(k) > order:
@@ -225,7 +232,7 @@ class Potential:
 
     def y(self, idx) -> Fraction:
         """The n-point value at a multi-index, in any insertion order."""
-        k = tuple(int(i) for i in idx)
+        k = tuple(_index(i) for i in idx)
         if len(k) > self.order:
             raise ValueError("index reaches beyond the truncation order")
         key, sign = _koszul_sort(k, self.metric.parities)
@@ -503,30 +510,41 @@ def _vertex(phi: Potential, root: bool, base: tuple, below: list, memo: dict):
     return got
 
 
-def _stratum_value(phi: Potential, tree: Tree, idx, memo=None) -> Fraction:
-    """One stratum's integral: vertex values contracted along the edges.
+def _stratum_numerator(phi: Potential, tree: Tree, idx, memo: dict) -> int:
+    """One stratum's integral times `_stratum_den`: the one stratum walk.
 
     Works up the tree from the leaves through `_vertex`: each component
     sends its parent a vector obtained by closing its own value off with
     the inverse pairing, and the root contracts everything that reaches
     it.  That contraction runs in integers, one value numerator over D
-    per vertex and one casimir numerator over E per edge, so the integral
-    is the root's value divided once by D^V E^(V-1) for V vertices.
-    Callers pass the potential's branch memo, `Potential._branches`;
-    without one, a fresh dict makes this the memo-free reference.
+    per vertex and one casimir numerator over E per edge, so the root's
+    value stands over D^V E^(V-1) for V vertices.  ``memo`` is the
+    potential's branch memo, `Potential._branches`, or a fresh dict.
     """
-    if memo is None:
-        memo = {}
     parent, tails = _plan(tree)
     # parent[e] <= e, so vertex v comes after every vertex below it
     sent: list[list] = [[] for _ in tails]
     for v in range(len(tails) - 1, 0, -1):
         base = tuple(sorted([idx[t] for t in tails[v]]))
         sent[parent[v - 1]].append(_vertex(phi, False, base, sent[v], memo))
-    num = _vertex(phi, True, tuple(sorted([idx[t] for t in tails[0]])), sent[0], memo)
-    nv = len(tails)
-    den = phi._numerators[0] ** nv * phi.metric._casimir_num[0] ** (nv - 1)
-    return Fraction(num, den)
+    return _vertex(phi, True, tuple(sorted([idx[t] for t in tails[0]])), sent[0], memo)
+
+
+def _stratum_den(phi: Potential, nv: int) -> int:
+    """D^V E^(V-1): the denominator of every stratum with V = nv vertices."""
+    return phi._numerators[0] ** nv * phi.metric._casimir_num[0] ** (nv - 1)
+
+
+def _stratum_value(phi: Potential, tree: Tree, idx, memo=None) -> Fraction:
+    """One stratum's integral: vertex values contracted along the edges.
+
+    The numerator comes from `_stratum_numerator` and is divided once by
+    `_stratum_den` of the tree's vertex count.  Callers pass the
+    potential's branch memo, `Potential._branches`; without one, a fresh
+    dict makes this the memo-free reference.
+    """
+    num = _stratum_numerator(phi, tree, idx, {} if memo is None else memo)
+    return Fraction(num, _stratum_den(phi, tree.degree + 1))
 
 
 def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fraction]:
@@ -543,7 +561,7 @@ def strata_integrals(phi: Potential, n: int, indices=None) -> dict[Tree, Fractio
         if phi.metric.rank != 1:
             raise ValueError("indices are required on a base of rank > 1")
         indices = (0,) * n
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(_index(i) for i in indices)
     if len(idx) != n:
         raise ValueError("need one basis index per label")
     if any(not 0 <= i < phi.metric.rank for i in idx):
@@ -602,8 +620,14 @@ def _solve_full_rank(
 
     ``rhs`` holds its pairings with the complementary representatives of
     `_invariant_block`, which goes to `solve_certified` as it is:
-    rank-deficient where the orbit sums are dependent in cohomology.
+    rank-deficient where the orbit sums are dependent in cohomology.  A
+    zero ``rhs`` is solved by the zero class, which pairs to zero with
+    every representative exactly, so it returns one zero per G_m-orbit of
+    degree r with no block and no eliminator built.  Their count comes
+    from the orbit table that `_stratum_column` reads at degree r anyway.
     """
+    if not any(rhs):
+        return (Fraction(0),) * len(orbit_sizes(n, r, _runs(m))[0])
     return tuple(solve_certified(_invariant_block(n, r, _runs(m)), [rhs])[0])
 
 
@@ -630,7 +654,9 @@ def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], tuple]:
     <x, g.R_q> = <g^-1.x, R_q> = <x, R_q> = v(R_q, m) = v(g.R_q, m), the
     last step by the orbit argument of `_stratum_column`.  So x pairs
     with every complementary stratum as c_n(m) does, and since the
-    pairing is perfect, x is c_n(m).
+    pairing is perfect, x is c_n(m).  Where every v(R_q, m) is zero, so
+    is c_n(m) in degree r: `_solve_full_rank` returns its zero vector
+    without a solve, and the callers skip that degree.
     """
     _require_even(phi.metric, "class reconstruction")
     if not 3 <= n <= phi.order:
@@ -651,13 +677,17 @@ def reconstruct_classes(phi: Potential, n: int) -> dict[tuple[int, ...], RingEle
     all complementary boundary monomials, with right-hand sides given by
     the stratum integrals; the potential must satisfy the associativity
     constraints for those equations to be consistent.  Each tree carries
-    the coefficient of its orbit sum in `_reconstruct_all`.
+    the coefficient of its orbit sum in `_reconstruct_all`; a degree
+    whose coefficients are all zero has no terms, and its orbit table is
+    not read.
     """
     _require_associative(phi)
     out = {}
     for m, ys in _reconstruct_all(phi, n).items():
         terms: dict[Tree, Fraction] = {}
         for r, y in enumerate(ys):
+            if not any(y):
+                continue
             slot = orbit_sizes(n, r, _runs(m))[2]
             trees = enumerate_stable_trees(n, r)
             terms.update((t, y[o]) for t, o in zip(trees, slot.tolist()) if y[o])
@@ -716,10 +746,16 @@ def tensor_potential(
     by the argument of `_stratum_column`.  H lies inside the first
     factor's stabiliser, so each orbit sum is a sum over H-orbits of size
     times the value at the first tree, evaluated only under a nonzero
-    coefficient.  Both factors must satisfy the associativity
-    constraints through the order (ValueError otherwise), and the output
-    is checked against them before it is returned.  Below order 4 there
-    are no constraints to check.
+    coefficient.  A degree whose first-factor coefficients are all zero
+    adds nothing, and its H-orbits are never asked for.  In degree r
+    every stratum has r + 1 vertices and so one denominator,
+    `_stratum_den`, and the coefficients come over one denominator
+    (`linalg._integral`): the degree's sum of coefficient times size
+    times `_stratum_numerator` runs in integers and is divided once.
+    Both factors must satisfy the associativity constraints through the
+    order (ValueError otherwise), and the output is checked against them
+    before it is returned.  Below order 4 there are no constraints to
+    check.
     """
     if order is None:
         order = min(phi1.order, phi2.order)
@@ -729,23 +765,34 @@ def tensor_potential(
     _require_even(phi2.metric, "tensor assembly")
     met = tensor_metric(phi1.metric, phi2.metric)
     r2 = phi2.metric.rank
+    memo = phi2._branches
     coeffs: dict[tuple[int, ...], Fraction] = {}
     _require_associative(phi2, order)
     _require_associative(phi1)
     for n in range(3, order + 1):
-        rec1 = _reconstruct_all(phi1, n)
+        # per first-factor index: (degree, numerators, denominator) of
+        # each nonzero degree of its class
+        classes = {
+            m: [(r, *_integral(y)) for r, y in enumerate(ys) if any(y)]
+            for m, ys in _reconstruct_all(phi1, n).items()
+        }
         for midx in combinations_with_replacement(range(met.rank), n):
             aseq = tuple(b // r2 for b in midx)
             cseq = tuple(b % r2 for b in midx)
             tot = Fraction(0)
-            for r, y in enumerate(rec1[aseq]):
+            for r, ynum, yden in classes[aseq]:
                 slot = orbit_sizes(n, r, _runs(aseq))[2]
                 firsts, sizes, _ = orbit_sizes(n, r, _runs(midx))
                 fams = _families(n, r)
-                for i, size in zip(firsts.tolist(), sizes.tolist()):
-                    if y[slot[i]]:
-                        v = _stratum_value(phi2, Tree(n, fams[i]), cseq, phi2._branches)
-                        tot += y[slot[i]] * size * v
+                num = 0
+                for i, o, size in zip(
+                    firsts.tolist(), slot[firsts].tolist(), sizes.tolist()
+                ):
+                    if ynum[o]:
+                        v = _stratum_numerator(phi2, Tree(n, fams[i]), cseq, memo)
+                        num += ynum[o] * size * v
+                if num:
+                    tot += Fraction(num, yden * _stratum_den(phi2, r + 1))
             if tot:
                 coeffs[midx] = tot
     out = Potential.build(met, coeffs, order)

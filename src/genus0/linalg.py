@@ -544,11 +544,13 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
     column; a float raises TypeError, a column of another length
     ValueError.  Each column b_j becomes integer numerators over one
     denominator d_j, and each row of A (unless A is an integer ndarray)
-    integer numerators, its right-hand entries scaled alike.  Then the
-    integer matrix [A | b], built once, is eliminated mod one or more
-    primes, each time only until the rank reaches A's width; a pivot in a
-    column of b means no solution mod p, else the pivot rows' trailing
-    entries are one.  These are lifted by rational reconstruction across
+    integer numerators, its right-hand entries scaled alike.  When every
+    b_j is zero, after those checks, every x_j is the zero vector: A 0 = 0
+    exactly, as certain as any residual check, and no eliminator is
+    built.  Otherwise the integer matrix [A | b], built once, is
+    eliminated mod one or more primes, each time only until the rank
+    reaches A's width; a pivot in a column of b means no solution mod p,
+    else the pivot rows' trailing entries are one.  These are lifted by rational reconstruction across
     the primes and only returned, divided by the d_j, once the exact
     residual over every row, fed or not, vanishes.  Raises Inconsistent
     when two primes find no solution, or when the pivots fill every column
@@ -567,8 +569,10 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
         rows, scales = zip(*map(_integral, rows))
         nums = [[v * s for v, s in zip(col, scales)] for col in nums]
     rows = _int_array(rows)
-    b = _int_array(nums).T
     _, ncols = rows.shape
+    if not any(map(any, nums)):
+        return [[Fraction(0)] * ncols for _ in range(nrhs)]
+    b = _int_array(nums).T
     augmented = np.hstack([rows, b])
 
     acc: np.ndarray | None = None  # integer solutions mod `modulus`

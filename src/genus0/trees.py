@@ -251,6 +251,17 @@ def _integer(value) -> int:
     return value
 
 
+def _index(value) -> int:
+    """An integer given in code: an int or a numpy integer, as an int.
+
+    Floats are refused rather than truncated, and so are bools, as
+    `_exact` refuses them.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _exact(value) -> Fraction:
     """An exact rational: an int, a `Fraction`, a numpy integer, or a
     string such as "p/q", as JSON holds them.

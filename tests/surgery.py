@@ -11,8 +11,9 @@ label on one tree, and `orbit` lists the trees that relabelling reaches.
 `a_value_masks` counts the regions that two splits cut out (`a_value`).
 `mul_divisor`, `reduce_product`, `tensor_unit` and `tensor_of_factors`
 build ring and tensor elements from divisors and factors,
-`p1xp1_potential` is the quadric surface's potential in closed form, and
-`solve_fraction` solves a small system over the rationals.
+`p1xp1_potential` is the quadric surface's potential in closed form,
+`tensor_reference` assembles a tensor product one stratum value at a
+time, and `solve_fraction` solves a small system over the rationals.
 """
 
 from __future__ import annotations
@@ -20,12 +21,20 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from genus0.cohft import Metric, Potential, p1xp1_numbers, tensor_metric
+from genus0.cohft import (
+    Metric,
+    Potential,
+    _reconstruct_all,
+    _runs,
+    _stratum_value,
+    p1xp1_numbers,
+    tensor_metric,
+)
 from genus0.keelring import (
     Relation,
     RingElement,
@@ -46,6 +55,7 @@ from genus0.trees import (
     compatible_masks,
     full_mask,
     orbit_labels,
+    orbit_sizes,
 )
 
 
@@ -343,6 +353,37 @@ def p1xp1_potential(order: int = 8) -> Potential:
                         val += nv * a**p * b**q
                 if val:
                     coeffs[(1,) * q + (2,) * p + (3,) * m] = val
+    return Potential.build(met, coeffs, order)
+
+
+def tensor_reference(phi1: Potential, phi2: Potential, order: int) -> Potential:
+    """The tensor product as `cohft.tensor_potential` once assembled it;
+    the reference for its assembly.
+
+    Every degree of every product index asks for the orbits of its own
+    block pattern, whether or not the first factor's class vanishes
+    there, and every stratum value is a `Fraction` of its own, summed as
+    one.  The product's associativity is not checked.
+    """
+    met = tensor_metric(phi1.metric, phi2.metric)
+    r2 = phi2.metric.rank
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for n in range(3, order + 1):
+        rec1 = _reconstruct_all(phi1, n)
+        for midx in combinations_with_replacement(range(met.rank), n):
+            aseq = tuple(b // r2 for b in midx)
+            cseq = tuple(b % r2 for b in midx)
+            tot = Fraction(0)
+            for r, y in enumerate(rec1[aseq]):
+                slot = orbit_sizes(n, r, _runs(aseq))[2]
+                firsts, sizes, _ = orbit_sizes(n, r, _runs(midx))
+                fams = _families(n, r)
+                for i, size in zip(firsts.tolist(), sizes.tolist()):
+                    if y[slot[i]]:
+                        v = _stratum_value(phi2, Tree(n, fams[i]), cseq, phi2._branches)
+                        tot += y[slot[i]] * size * v
+            if tot:
+                coeffs[midx] = tot
     return Potential.build(met, coeffs, order)
 
 

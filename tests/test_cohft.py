@@ -48,10 +48,17 @@ from genus0.trees import (
     _tree_model,
     enumerate_stable_trees,
     iter_all_trees,
+    orbit_sizes,
     stable_splits,
 )
 
-from surgery import orbit, p1xp1_potential, solve_fraction, tensor_of_factors
+from surgery import (
+    orbit,
+    p1xp1_potential,
+    solve_fraction,
+    tensor_of_factors,
+    tensor_reference,
+)
 
 
 def odd_pair_metric():
@@ -102,6 +109,24 @@ def test_constructors_take_exact_rationals_only(build):
             build(x)
     assert build(Fraction(1, 2)) == build("1/2")
     assert build(np.int64(3)) == build(3)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda i: Potential.build(Metric.standard(2), {(i, 0, 0): 1}, 3),
+        lambda i: Metric(((1, 0), (0, 1)), (0, i)),
+        lambda i: p1_potential(4).y((i, 1, 1)),
+        lambda i: strata_integrals(p1_potential(4), 4, (0, 1, 1, i)),
+    ],
+    ids=["build", "parities", "y", "strata_integrals"],
+)
+def test_indices_and_parities_are_integers_only(use):
+    # int(0.9) is 0 and int(True) is 1: either would stand for another index
+    for x in (0.9, 1.0, True, np.float64(1)):
+        with pytest.raises(ValueError):
+            use(x)
+    assert use(np.int64(1)) == use(1)
 
 
 class TestMetric:
@@ -676,6 +701,30 @@ class TestReconstruction:
                     got = {d: list(piece) for d, piece in class_vector(cls)}
                     assert got == want, (n, m)
 
+    def test_zero_pairings_build_no_block(self, monkeypatch):
+        # every pairing of the degree-2 class at m is zero, so its orbit
+        # sums are zero with no block built and no system solved
+        def refuse(*args):
+            raise AssertionError("a solve for a zero class")
+
+        m = (0, 0, 1, 1, 1, 1)
+        count = len(orbit_sizes(6, 2, cohft._runs(m))[0])
+        rhs = [Fraction(0)] * len(orbit_sizes(6, 1, cohft._runs(m))[0])
+        monkeypatch.setattr(cohft, "_invariant_block", refuse)
+        monkeypatch.setattr(cohft, "solve_certified", refuse)
+        assert cohft._solve_full_rank(6, 2, m, rhs) == (0,) * count and count > 1
+
+    def test_zero_degrees_are_skipped(self):
+        # a semisimple base's mixed classes vanish in every degree
+        phi = direct_sum([1, 0, 2, 0], [Fraction(1, 2), 3, 0, -1], order=6)
+        for n in (4, 5, 6):
+            ys = cohft._reconstruct_all(phi, n)
+            assert not any(map(any, ys[(0,) * (n - 1) + (1,)]))
+            classes = reconstruct_classes(phi, n)
+            assert classes[(0,) * (n - 1) + (1,)] == RingElement(n, {})
+            for m, cls in classes.items():
+                assert integrate(cls) == phi.y(m)
+
     def test_coefficients_past_int64(self):
         # numerators above 2^70 take the exact object path through the
         # columns, the solve and the residual; the classes must equal the
@@ -808,6 +857,61 @@ class TestTensor:
         assert ext[(1, 0)] == 1 and ext[(0, 1)] == 1
         assert ext[(1, 1)] == 1 and ext[(2, 1)] == 1
         assert wdvv_check(sq).passed
+
+    @pytest.mark.parametrize(
+        "left, right, orders",
+        [
+            (p1_potential(7), p1_potential(7), (3, 4, 5, 6, 7)),
+            (p1_potential(6), potential_from_coordinates([1, 2, -3, 5]), (6,)),
+            (potential_from_coordinates([1, 2, -3, 5]), p1_potential(6), (6,)),
+            (
+                direct_sum([1, 0, 2, 0], [Fraction(1, 2), 3, 0, -1], order=6),
+                p1_potential(6),
+                (6,),
+            ),
+        ],
+        ids=["p1xp1", "p1xrank1", "rank1xp1", "zero-classes"],
+    )
+    def test_assembly_matches_the_reference(self, left, right, orders):
+        # one Fraction per stratum value and every orbit table asked for
+        for order in orders:
+            got = tensor_potential(left, right, order=order)
+            want = tensor_reference(left, right, order)
+            assert got.metric == want.metric and got.terms == want.terms, order
+
+    @pytest.mark.parametrize(
+        "left",
+        [identity_potential(6), direct_sum([1, 0, 2, 0], [1, 0, 0, 1], order=6)],
+        ids=["identity", "semisimple"],
+    )
+    def test_no_orbits_for_zero_classes(self, left, monkeypatch):
+        # the first factor's class vanishes in most degrees; no orbit table
+        # is asked for a product pattern in such a degree
+        right = p1_potential(6)
+        r2 = right.metric.rank
+        keys, skipped = set(), set()
+        for n in range(3, 7):
+            rec = cohft._reconstruct_all(left, n)
+            for m, ys in rec.items():
+                keys.update((n, r, cohft._runs(m)) for r in range(n - 2))
+            ranks = range(left.metric.rank * r2)
+            for midx in itertools.combinations_with_replacement(ranks, n):
+                ys = rec[tuple(b // r2 for b in midx)]
+                for r, y in enumerate(ys):
+                    key = (n, r, cohft._runs(midx))
+                    (keys if any(y) else skipped).add(key)
+        calls = []
+        record = cohft.orbit_sizes
+
+        def spy(*args):
+            calls.append(args)
+            return record(*args)
+
+        monkeypatch.setattr(cohft, "orbit_sizes", spy)
+        out = tensor_potential(left, right)
+        assert calls and skipped - keys
+        assert set(calls) <= keys
+        assert out.terms == tensor_reference(left, right, 6).terms
 
     def test_factors_of_order_three(self):
         three = tensor_potential(p1_potential(3), p1_potential(3))

@@ -561,6 +561,29 @@ class TestSolveCertified:
         half = np.array([[frac(1, 2), 0], [0, 1]], dtype=object)
         assert la.solve_certified(half, [[1, 2]]) == [[2, 2]]
 
+    def test_zero_columns_build_no_eliminator(self, monkeypatch):
+        # x = 0 solves A x = 0 exactly, so no prime is drawn for it; the
+        # input checks still come first
+        def refuse(*args):
+            raise AssertionError("an eliminator for a zero right-hand side")
+
+        monkeypatch.setattr(la, "ModEliminator", refuse)
+        rows = [[1, 2], [3, 4], [5, 6]]
+        got = la.solve_certified(rows, [[0, 0, 0], [frac(0), 0, np.int64(0)]])
+        assert got == [[0, 0], [0, 0]]
+        assert all(type(v) is Fraction for col in got for v in col)
+        assert la.solve_certified(np.array(rows), [[0, 0, 0]]) == [[0, 0]]
+        with pytest.raises(TypeError):
+            la.solve_certified([[1.0, 2], [3, 4], [5, 6]], [[0, 0, 0]])
+        with pytest.raises(TypeError):
+            la.solve_certified(np.array(rows, dtype=float), [[0, 0, 0]])
+        with pytest.raises(TypeError):
+            la.solve_certified(rows, [[0.0, 0, 0]])
+        with pytest.raises(ValueError):
+            la.solve_certified(rows, [[0, 0]])
+        with pytest.raises(ValueError):
+            la.solve_certified(rows, [[0, 0, 0], [0, 0]])
+
     def test_rows_past_full_rank_are_certified(self, monkeypatch):
         # The first block fills the rank, so the last row is never fed;
         # the exact residual over every row still has the final word.
