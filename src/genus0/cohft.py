@@ -24,7 +24,14 @@ import numpy as np
 
 from .intersect import _invariant_block, integrate
 from .intersect import _build_sp  # noqa: F401  (perfbench/spans.py times it here)
-from .keelring import RingElement, equal_mod_relations, mul, splitting_failures
+from .keelring import (
+    RingElement,
+    _orbit_element,
+    _solve_full_rank,
+    equal_mod_relations,
+    mul,
+    splitting_failures,
+)
 from .linalg import (
     FractionRREF,
     Inconsistent,
@@ -32,7 +39,7 @@ from .linalg import (
     _integral,
     solve_certified,
 )
-from .taut import kappa, z
+from .taut import _kappa_pairings, kappa, z
 from .trees import (
     Tree,
     _exact,
@@ -598,7 +605,7 @@ def _stratum_column(phi: Potential, n: int, d: int, idx: tuple[int, ...]) -> lis
 
 
 # ---------------------------------------------------------------------------
-# basis selection and the orbit-sum solve
+# basis selection
 
 
 def _greedy_rows(rows: list, width: int, p: int) -> tuple[int, ...]:
@@ -611,24 +618,6 @@ def _greedy_rows(rows: list, width: int, p: int) -> tuple[int, ...]:
     elim = ModEliminator(width, p)
     elim.feed_all(rows)
     return tuple(sorted(elim.sources))
-
-
-def _solve_full_rank(
-    n: int, r: int, m: tuple[int, ...], rhs: list[Fraction]
-) -> tuple[Fraction, ...]:
-    """Orbit-sum coefficients of a degree-r class invariant under G_m.
-
-    ``rhs`` holds its pairings with the complementary representatives of
-    `_invariant_block`, which goes to `solve_certified` as it is:
-    rank-deficient where the orbit sums are dependent in cohomology.  A
-    zero ``rhs`` is solved by the zero class, which pairs to zero with
-    every representative exactly, so it returns one zero per G_m-orbit of
-    degree r with no block and no eliminator built.  Their count comes
-    from the orbit table that `_stratum_column` reads at degree r anyway.
-    """
-    if not any(rhs):
-        return (Fraction(0),) * len(orbit_sizes(n, r, _runs(m))[0])
-    return tuple(solve_certified(_invariant_block(n, r, _runs(m)), [rhs])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +635,10 @@ def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], tuple]:
     c_n(m) = sum of y_o s_o (`_invariant_block`).  They solve the pairing
     equations at the first tree R_q of each G_m-orbit q of complementary
     strata, whose right-hand sides v(R_q, m) come from `_stratum_column`,
-    and `solve_certified` proves the residual on those rows.
+    and `keelring._solve_full_rank` proves the residual on those rows.
 
-    That residual is the residual on every complementary stratum.  A
-    stratum g.R_q with g in G_m is in the orbit of R_q; the solution x is
-    G_m-invariant, and relabelling preserves the pairing, so
-    <x, g.R_q> = <g^-1.x, R_q> = <x, R_q> = v(R_q, m) = v(g.R_q, m), the
+    By invariance that is the residual on every complementary stratum:
+    <x, g.R_q> = <x, R_q> = v(R_q, m) = v(g.R_q, m) for g in G_m, the
     last step by the orbit argument of `_stratum_column`.  So x pairs
     with every complementary stratum as c_n(m) does, and since the
     pairing is perfect, x is c_n(m).  Where every v(R_q, m) is zero, so
@@ -663,7 +650,7 @@ def _reconstruct_all(phi: Potential, n: int) -> dict[tuple[int, ...], tuple]:
         raise ValueError("label count must lie between 3 and the order")
     return {
         m: tuple(
-            _solve_full_rank(n, r, m, _stratum_column(phi, n, n - 3 - r, m))
+            _solve_full_rank(n, r, _runs(m), _stratum_column(phi, n, n - 3 - r, m))
             for r in range(n - 2)
         )
         for m in combinations_with_replacement(range(phi.metric.rank), n)
@@ -682,17 +669,10 @@ def reconstruct_classes(phi: Potential, n: int) -> dict[tuple[int, ...], RingEle
     not read.
     """
     _require_associative(phi)
-    out = {}
-    for m, ys in _reconstruct_all(phi, n).items():
-        terms: dict[Tree, Fraction] = {}
-        for r, y in enumerate(ys):
-            if not any(y):
-                continue
-            slot = orbit_sizes(n, r, _runs(m))[2]
-            trees = enumerate_stable_trees(n, r)
-            terms.update((t, y[o]) for t, o in zip(trees, slot.tolist()) if y[o])
-        out[m] = RingElement(n, terms)
-    return out
+    return {
+        m: _orbit_element(n, _runs(m), enumerate(ys))
+        for m, ys in _reconstruct_all(phi, n).items()
+    }
 
 
 def _require_associative(phi: Potential, order: int | None = None) -> None:
@@ -1127,8 +1107,9 @@ def a_coefficients(n: int, a: int) -> ACoefficients:
 
     The defining equations pair a symmetric degree-a boundary sum
     against every complementary monomial; the right-hand side is 1
-    exactly when the monomial's tree has a vertex of valency a + 3.  By
-    symmetry one equation per orbit suffices: the matrix M is
+    exactly when the monomial's tree has a vertex of valency a + 3
+    (`taut._kappa_pairings`).  By symmetry one equation per orbit
+    suffices: the matrix M is
     `_invariant_block` for the whole symmetric group.  The canonical
     solution y = M^T w lies in the row space; w solves the integer normal
     equations M M^T w = rhs, and M y = rhs is checked exactly.
@@ -1137,10 +1118,7 @@ def a_coefficients(n: int, a: int) -> ACoefficients:
         raise ValueError("need 1 <= a <= n - 3")
     unknowns = orbit_reps(n, a)
     block = _invariant_block(n, a, (n,))
-    rhs = [
-        int(any(v == a + 3 for v in t.valencies()))
-        for t, _ in orbit_reps(n, n - 3 - a)
-    ]
+    rhs = _kappa_pairings(n, a)
     rref = FractionRREF()
     for row in block.tolist():
         rref.add({j: x for j, x in enumerate(row) if x})

@@ -14,7 +14,10 @@ of classes needs no basis: the intersection pairing is perfect, so a
 class is zero exactly when it pairs to zero with every good monomial of
 the complementary degree (see `class_vector`), read off the pairing rows
 of `intersect`.  The same pairings decide the splitting law of a class
-on the boundary divisors without a restriction (`splitting_failures`).
+on the boundary divisors without a restriction (`splitting_failures`),
+and they give a class invariant under relabelling from its pairings
+with orbit representatives, in orbit sums (`_solve_full_rank`,
+`_orbit_element`): field-theory classes and kappa are found that way.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from itertools import combinations
 from math import lcm
 
 from . import linalg
-from .intersect import _pairings, _positions, _sp_rows
+from .intersect import _invariant_block, _pairings, _positions, _sp_rows
 from .trees import (
     Split,
     Tree,
@@ -41,9 +44,11 @@ from .trees import (
     _tree_model,
     canonical_side,
     compatible_masks,
+    enumerate_stable_trees,
     full_mask,
     labels_of,
     mask_of,
+    orbit_sizes,
     relabel,
     stable_splits,
     tree_dict,
@@ -633,6 +638,52 @@ def is_zero_class(x: RingElement) -> bool:
 
 def equal_mod_relations(x: RingElement, y: RingElement) -> bool:
     return is_zero_class(x - y)
+
+
+# ---------------------------------------------------------------------------
+# invariant classes from their pairings, in orbit sums
+
+
+def _solve_full_rank(
+    n: int, r: int, blocks: tuple[int, ...], rhs: list
+) -> tuple[Fraction, ...]:
+    """Orbit-sum coefficients of a degree-r class invariant under G.
+
+    G permutes labels within ``blocks`` (`trees.orbit_labels`).  ``rhs``
+    holds the class's pairings with the complementary representatives of
+    `_invariant_block`, which goes to `linalg.solve_certified` as it is:
+    rank-deficient where the orbit sums are dependent in cohomology.  A
+    zero ``rhs`` is solved by the zero class, which pairs to zero with
+    every representative exactly, so it returns one zero per G-orbit of
+    degree r with no block and no eliminator built.
+
+    The certified residual covers every complementary stratum, not just
+    the representatives: a stratum g.R_q is in the orbit of R_q, the
+    solution x is G-invariant, and relabelling preserves the pairing, so
+    <x, g.R_q> = <x, R_q>.  So when the class itself is G-invariant, x
+    pairs with every stratum as it does, and the pairing is perfect.
+    """
+    if not any(rhs):
+        return (Fraction(0),) * len(orbit_sizes(n, r, blocks)[0])
+    return tuple(linalg.solve_certified(_invariant_block(n, r, blocks), [rhs])[0])
+
+
+def _orbit_element(n: int, blocks: tuple[int, ...], ys) -> RingElement:
+    """The element with coefficient ys[o] on every tree of orbit o.
+
+    ``ys`` yields pairs (r, y) of a degree and one coefficient per orbit
+    of degree-r trees under relabelling within ``blocks``, numbered as
+    `orbit_sizes` numbers them.  A degree whose coefficients are all zero
+    has no terms, and its orbit table is not read.
+    """
+    terms: dict[Tree, Fraction] = {}
+    for r, y in ys:
+        if not any(y):
+            continue
+        slot = orbit_sizes(n, r, blocks)[2]
+        trees = enumerate_stable_trees(n, r)
+        terms.update((t, y[o]) for t, o in zip(trees, slot.tolist()) if y[o])
+    return RingElement(n, terms)
 
 
 def _relation_rows(n: int, d: int) -> list:

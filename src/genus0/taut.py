@@ -13,11 +13,23 @@ last factor of a kappa class is multiplied and pushed forward in one
 pass (`Ring.forget_product`), so its top power is never built; the
 pushforward maps edge tuples through a cached table of side images.  A
 `RingElement` is built once, for the class that is returned.
+
+A `TautClass` checks its arguments when it is made and builds each
+representative on first read.  The ring representative (``element``) is
+the pushforward above, term for term: `genus0 kappa`, powers and the
+omega integrals read it.  A kappa class also has an invariant
+representative (``invariant``), its class in S_n-orbit sums, solved from
+its pairings with strata and certified by the solve's residual and the
+perfect pairing.  By Arbarello-Cornalba, kappa_a restricts to a stratum
+as the sum of its vertices' kappa_a, and the integral of kappa_{k-3} over
+M̄₀,ₖ is 1, so kappa_a pairs with a complementary tree as the number of
+its vertices of valency a + 3 (`_kappa_pairings`).  `check_logarithmic`
+audits kappa through that representative, with no ring product.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 from .intersect import integrate
@@ -25,6 +37,8 @@ from .keelring import (
     RingElement,
     _element,
     _numerators,
+    _orbit_element,
+    _solve_full_rank,
     ring,
     splitting_failures,
 )
@@ -34,17 +48,34 @@ from .trees import (
     _forget_images,
     _integer,
     enumerate_stable_trees,
+    orbit_reps,
     stable_splits,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TautClass:
-    """A named tautological element of the divisor ring."""
+    """A named tautological class of the divisor ring on n labels.
+
+    ``element`` is its ring representative, made by ``build`` on first
+    read and kept.  ``invariant`` is its class in S_n-orbit sums, made by
+    ``build_invariant`` on first read, or None for a class without one
+    (psi is not S_n-invariant).  The two represent the same class but
+    are in general not the same element term for term.
+    """
 
     n: int
     kind: str
-    element: RingElement
+    build: Callable[[], RingElement] = field(repr=False)
+    build_invariant: Callable[[], RingElement] | None = field(default=None, repr=False)
+
+    @cached_property
+    def element(self) -> RingElement:
+        return self.build()
+
+    @cached_property
+    def invariant(self) -> RingElement | None:
+        return None if self.build_invariant is None else self.build_invariant()
 
     def to_dict(self) -> dict:
         d = self.element.to_dict()
@@ -78,6 +109,11 @@ def psi(n: int, i: int) -> TautClass:
         raise ValueError("need at least three labels")
     if not 1 <= _integer(i) <= n:
         raise ValueError(f"label {i} out of range for n={n}")
+    return TautClass(n, f"psi({i})", partial(_psi_element, n, i))
+
+
+def _psi_element(n: int, i: int) -> RingElement:
+    """psi's ring representative, for arguments `psi` has checked."""
     terms: dict[Tree, Fraction] = {}
     if n >= 4:
         bit = 1 << (i - 1)
@@ -88,7 +124,7 @@ def psi(n: int, i: int) -> TautClass:
             w = Fraction((n - size) * (n - size - 1), denom)
             if w:
                 terms[tree] = w
-    return TautClass(n, f"psi({i})", RingElement(n, terms))
+    return RingElement(n, terms)
 
 
 @lru_cache(maxsize=None)
@@ -161,28 +197,71 @@ def pushforward_forget(x: RingElement, label: int | None = None) -> RingElement:
 def kappa(n: int, a: int) -> TautClass:
     """The degree-a kappa class on n labels.
 
-    The forgetful pushforward of the (a+1)-st power of the psi class at
-    the extra label.  The a-th power comes from the prefix chain, and
-    its product with one more psi is pushed forward as it is formed
-    (`Ring.forget_product`), keeping only the terms that survive; the
-    representative is the pushforward of the full power, term for term.
-    Vanishes above the dimension; a = 0 gives n-2 times the unit.  Only
-    integers are accepted (see `psi`).
+    The arguments are checked here; each representative is built on its
+    first read.  The ring representative is the forgetful pushforward of
+    the (a+1)-st power of the psi class at the extra label
+    (`_kappa_element`); the invariant one is solved from the class's
+    pairings with strata (`_kappa_invariant`).  Vanishes above the
+    dimension; a = 0 gives n-2 times the unit.  Only integers are
+    accepted (see `psi`).
     """
     if _integer(n) < 3:
         raise ValueError("need at least three labels")
     if _integer(a) < 0:
         raise ValueError("negative degree")
+    return TautClass(
+        n, f"kappa({a})", partial(_kappa_element, n, a), partial(_kappa_invariant, n, a)
+    )
+
+
+def _kappa_element(n: int, a: int) -> RingElement:
+    """kappa's ring representative: the pushforward of psi_{n+1}^{a+1}.
+
+    The a-th power comes from the prefix chain, and its product with one
+    more psi is pushed forward as it is formed (`Ring.forget_product`),
+    keeping only the terms that survive; the representative is the
+    pushforward of the full power, term for term.
+    """
     if a > n - 3:
-        element = RingElement(n, {})
-    else:
-        # psi^a at the extra label sits on the psi_monomial prefix chain,
-        # so kappa_1, kappa_2, ... share their lower powers
-        nums, den = _psi_prefix(n + 1, (0,) * n + (a,))
-        ws, dw = _numerators(psi(n + 1, n + 1).element.terms)
-        weight = {s: w for (s,), w in ws.items()}
-        element = _element(n, ring(n + 1).forget_product(nums, weight), den * dw)
-    return TautClass(n, f"kappa({a})", element)
+        return RingElement(n, {})
+    # psi^a at the extra label sits on the psi_monomial prefix chain,
+    # so kappa_1, kappa_2, ... share their lower powers
+    nums, den = _psi_prefix(n + 1, (0,) * n + (a,))
+    ws, dw = _numerators(psi(n + 1, n + 1).element.terms)
+    weight = {s: w for (s,), w in ws.items()}
+    return _element(n, ring(n + 1).forget_product(nums, weight), den * dw)
+
+
+def _kappa_pairings(n: int, a: int) -> list[int]:
+    """<kappa_a, R_q> for the first tree R_q of each S_n-orbit q of
+    complementary trees, in the order of `orbit_reps(n, n - 3 - a)`.
+
+    kappa_a restricts to the stratum of a tree as the sum over its
+    vertices v of kappa_a on M̄₀,ₖ₍ᵥ₎, k(v) the valency (Arbarello-
+    Cornalba, J. Alg. Geom. 1996).  On the product of the vertex spaces
+    the term of v integrates to 1 when a = k(v) - 3 and every other vertex
+    is a point, and to 0 otherwise.  The valencies exceed 3 by a in all,
+    so the pairing counts the vertices of valency a + 3: n - 2 when
+    a = 0, and 0 or 1 when a >= 1.
+    """
+    return [
+        sum(v == a + 3 for v in t.valencies()) for t, _ in orbit_reps(n, n - 3 - a)
+    ]
+
+
+def _kappa_invariant(n: int, a: int) -> RingElement:
+    """kappa_a in S_n-orbit sums, solved from its pairings with strata.
+
+    kappa_a is S_n-invariant, so `keelring._solve_full_rank` on the
+    pairings of `_kappa_pairings` gives it: the certified residual on the
+    orbit representatives is the residual on every complementary
+    stratum, and the pairing is perfect.  Above the dimension the class
+    is zero, with no solve.
+    """
+    if a > n - 3:
+        return RingElement(n, {})
+    y = _solve_full_rank(n, a, (n,), _kappa_pairings(n, a))
+    return _orbit_element(n, (n,), [(a, y)])
 
 
 @dataclass(frozen=True)
@@ -224,16 +303,26 @@ def check_logarithmic(family: Callable[[int], RingElement], nmax: int) -> LogRep
     f(n1) ⊗ 1 + 1 ⊗ f(n2) with m1 ⊗ m2 is <f(n1), m1> <1, m2> + <1, m1>
     <f(n2), m2>.  By Künneth the pairing on the divisor is perfect and
     the products span, so comparing these numbers decides the identity
-    exactly.  A value of ``family(n)`` that is neither a `RingElement`
-    nor a `TautClass` on n labels is a ValueError, and so is nmax < 3.
+    exactly.
+
+    A `RingElement` is audited as it is.  A `TautClass` is audited
+    through its invariant representative where it has one, so a kappa
+    family forms no ring product, and through ``element`` otherwise.
+    Either way every class vector is computed against every
+    complementary tree (`keelring._pairings_by_tree`).  A value of
+    ``family(n)`` that is neither a `RingElement` nor a `TautClass` on n
+    labels is a ValueError, and so is an nmax that is not an integer of
+    at least 3.
     """
-    if nmax < 3:
+    if _integer(nmax) < 3:
         raise ValueError(f"nmax = {nmax}: need at least three labels")
 
     def element_of(n: int) -> RingElement:
         got = family(n)
         if isinstance(got, TautClass):
-            got = got.element
+            # an empty invariant representative is the zero class, not a
+            # missing one, so the choice is by None and not by truth
+            got = got.element if got.invariant is None else got.invariant
         if not isinstance(got, RingElement) or got.n != n:
             raise ValueError(f"family({n}) is not a class on {n} labels")
         return got
@@ -259,8 +348,9 @@ def z(n: int) -> Fraction:
     kappa_{n-3} is the pushforward of psi_{n+1}^{n-2} from n + 1 labels,
     and the integral of psi^(m-3) at one label over M̄₀,ₘ is the
     multinomial (m-3)!/(m-3)! = 1.  The ring route stays in the tests.
+    Only integers are accepted.
     """
-    if n < 3:
+    if _integer(n) < 3:
         raise ValueError("need at least three labels")
     return Fraction(1)
 

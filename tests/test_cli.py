@@ -1,6 +1,7 @@
 """Command-line interface: examples, determinism, caching, error objects."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -109,6 +110,26 @@ class TestSubcommands:
         data = json.loads(out)
         assert status == 0 and data["kind"] == "kappa(1)"
         assert [t["coeff"] for t in data["terms"]] == ["1/6", "5/12", "5/12"]
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("kappa", "--n", "7", "--a", "3", "--format", "json"),
+                "b4324fe82f2424929050b79e389f6209e7155e8de31e142da141b9b318a78715",
+            ),
+            (
+                ("kappa", "--n", "6", "--a", "2"),
+                "fc719631575c71cb73bb5296975c0a0098b59f33b0bb164e14c7a15d699bb61d",
+            ),
+        ],
+    )
+    def test_kappa_prints_the_ring_representative(self, argv, digest, capsys):
+        # `kappa` prints the pushforward term for term, never the orbit-sum
+        # representative that log-check audits
+        status, out = run_main(capsys, *argv)
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_log_check(self, capsys):
         status, out = run_main(

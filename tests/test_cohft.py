@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus0 import cohft
+from genus0 import cohft, keelring, linalg
 from genus0.cohft import (
     ACoefficients,
     Metric,
@@ -707,12 +707,12 @@ class TestReconstruction:
         def refuse(*args):
             raise AssertionError("a solve for a zero class")
 
-        m = (0, 0, 1, 1, 1, 1)
-        count = len(orbit_sizes(6, 2, cohft._runs(m))[0])
-        rhs = [Fraction(0)] * len(orbit_sizes(6, 1, cohft._runs(m))[0])
-        monkeypatch.setattr(cohft, "_invariant_block", refuse)
-        monkeypatch.setattr(cohft, "solve_certified", refuse)
-        assert cohft._solve_full_rank(6, 2, m, rhs) == (0,) * count and count > 1
+        blocks = cohft._runs((0, 0, 1, 1, 1, 1))
+        count = len(orbit_sizes(6, 2, blocks)[0])
+        rhs = [Fraction(0)] * len(orbit_sizes(6, 1, blocks)[0])
+        monkeypatch.setattr(keelring, "_invariant_block", refuse)
+        monkeypatch.setattr(linalg, "solve_certified", refuse)
+        assert cohft._solve_full_rank(6, 2, blocks, rhs) == (0,) * count and count > 1
 
     def test_zero_degrees_are_skipped(self):
         # a semisimple base's mixed classes vanish in every degree

@@ -8,12 +8,14 @@ from math import comb, factorial
 
 import pytest
 
+from genus0 import keelring, taut
 from genus0.intersect import integrate
 from genus0.keelring import (
     DivisorGeometry,
     RingElement,
     _element,
     _numerators,
+    class_vector,
     equal_mod_relations,
     is_zero_class,
     mul,
@@ -23,6 +25,7 @@ from genus0.keelring import (
 from genus0.taut import (
     LogReport,
     TautClass,
+    _kappa_pairings,
     _psi_prefix,
     _pushforward,
     check_logarithmic,
@@ -260,9 +263,12 @@ class TestKappa:
     def test_cached_identity(self):
         assert kappa(5, 1) is kappa(5, 1)
 
-    @pytest.mark.parametrize("n, a", [(5, 1.0), (5, True), (5.0, 1), (5, "1")])
+    @pytest.mark.parametrize(
+        "n, a", [(5, 1.0), (5, True), (5.0, 1), (5, "1"), (True, 1), (5, -1)]
+    )
     def test_non_integer_degree_refused(self, n, a):
         kappa(5, 1)  # a cached class must not answer for 1.0 or True
+        # the call refuses, not the first read of a representative
         with pytest.raises(ValueError):
             kappa(n, a)
 
@@ -273,6 +279,58 @@ class TestKappa:
 
     def test_pow_zero_is_the_unit(self):
         assert kappa(5, 1).pow(0) == RingElement.unit(5)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+class TestKappaInvariant:
+    """kappa's orbit-sum representative against its ring representative."""
+
+    @pytest.mark.slow
+    def test_same_class_as_the_ring(self):
+        for n in range(4, 9):
+            for a in range(n - 2):
+                k = kappa(n, a)
+                assert class_vector(k.invariant) == class_vector(k.element), (n, a)
+
+    def test_degree_zero_counts_vertices(self):
+        for n in range(3, 9):
+            # every vertex of a trivalent tree counts
+            assert set(_kappa_pairings(n, 0)) == {n - 2}
+            assert kappa(n, 0).invariant == RingElement.unit(n).scale(n - 2)
+
+    def test_top_degree_integrates_to_one(self):
+        for n in range(3, 9):
+            assert integrate(kappa(n, n - 3).invariant) == 1
+
+    def test_constant_on_orbits(self):
+        x = kappa(6, 2).invariant
+        perm = (3, 1, 2, 6, 4, 5)
+        assert x.relabel(perm) == x
+
+    def test_above_dimension_is_zero_with_no_solve(self, monkeypatch):
+        monkeypatch.setattr(taut, "_solve_full_rank", refuse)
+        kappa.cache_clear()
+        for n, a in ((3, 1), (4, 2), (5, 3), (6, 7)):
+            x = kappa(n, a).invariant
+            assert x is not None and x.n == n and x.terms == {}
+
+    def test_psi_has_none(self):
+        assert psi(5, 1).invariant is None
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 5])
+    def test_audit_forms_no_ring_product(self, a, monkeypatch):
+        # the audit reads the invariant representative, also where it is
+        # the zero class (a = 5 through seven labels), and builds no
+        # ring representative
+        monkeypatch.setattr(keelring.Ring, "forget_product", refuse)
+        monkeypatch.setattr(taut, "_psi_prefix", refuse)
+        kappa.cache_clear()
+        rep = check_logarithmic(lambda n: kappa(n, a), 7)
+        assert rep.passed and rep.checked == 3 + 10 + 25 + 56
+        assert all("element" not in vars(kappa(n, a)) for n in range(3, 8))
 
 
 class TestLogarithmic:
@@ -309,6 +367,11 @@ class TestLogarithmic:
         rep = check_logarithmic(lambda n: kappa(n, 3), 7)
         assert rep.passed
         assert rep.checked == 3 + 10 + 25 + 56
+
+    @pytest.mark.parametrize("nmax", [5.0, True, "5"])
+    def test_non_integer_nmax_refused(self, nmax):
+        with pytest.raises(ValueError):
+            check_logarithmic(lambda n: kappa(n, 1), nmax)
 
     def test_family_off_its_label_count_is_refused(self):
         with pytest.raises(ValueError, match=r"family\(4\)"):
@@ -396,6 +459,11 @@ class TestIntegrals:
         assert z(4) == 1
         assert z(5) == 1
         assert z(6) == 1
+
+    @pytest.mark.parametrize("n", [4.5, 5.0, True, "5"])
+    def test_z_refuses_non_integers(self, n):
+        with pytest.raises(ValueError):
+            z(n)
 
     def test_z_by_the_ring(self):
         # the closed form of z against the ring route it replaced
