@@ -33,7 +33,7 @@ from .keelring import (
     splitting_failures,
 )
 from .linalg import (
-    FractionRREF,
+    PRIMES,
     Inconsistent,
     ModEliminator,
     _integral,
@@ -472,10 +472,11 @@ def _vertex(phi: Potential, root: bool, base: tuple, below: list, memo: dict):
     (`Metric._casimir_num`).  So the row of a vertex whose branch has V
     vertices stands over D^V E^(V-1) and its message over D^V E^V, and
     the root's value of a V-vertex stratum over D^V E^(V-1).  ``memo``
-    hash-conses entries, keyed by (root, base, the sorted ids below).  The key is exact: values are looked up under
-    sorted multi-indices, so the order of a vertex's flags cannot matter,
-    nor, integer addition being exact, that of the summands; and callers
-    require an even metric, so no Koszul sign depends on it.  Callers pass
+    hash-conses entries, keyed by (root, base, the sorted ids below).
+    The key is exact: values are looked up under sorted multi-indices, so
+    the order of a vertex's flags cannot matter, nor, integer addition
+    being exact, that of the summands; and callers require an even
+    metric, so no Koszul sign depends on it.  Callers pass
     `Potential._branches`, one per potential.
     """
     key = (root, base, tuple(sorted([entry[0] for entry in below])))
@@ -929,13 +930,8 @@ class RankOneTheory:
 
         Pulling c_n back to a boundary divisor must give the outer
         product of the two smaller classes attached to its sides.  The
-        law is checked in pairing space, with no pullback computed (see
-        `keelring.splitting_failures`): by the projection formula the
-        restriction pairs with m1 ⊗ m2 as c_n pairs with the tree glued
-        from m1, the divisor's edge and m2, while c(n1) ⊗ c(n2) pairs
-        with it as <c(n1), m1> <c(n2), m2>.  By Künneth the pairing on
-        the divisor is perfect and the products m1 ⊗ m2 span, so equal
-        pairings mean equal classes.
+        law is checked in pairing space, with no pullback computed; the
+        argument is in `keelring.splitting_failures`.
         """
         return not splitting_failures(
             self.c(n), lambda n1, n2: [(self.c(n1), self.c(n2))]
@@ -1077,18 +1073,6 @@ class ACoefficients:
     entries: tuple[tuple[Tree, int, Fraction], ...]
     kernel_dim: int
 
-    @cached_property
-    def _lookup(self) -> dict[Tree, Fraction]:
-        # entries come in the order of orbit_sizes, as orbit_reps lists them
-        slot = orbit_sizes(self.n, self.a, (self.n,))[2]
-        trees = enumerate_stable_trees(self.n, self.a)
-        return {t: self.entries[k][2] for t, k in zip(trees, slot.tolist())}
-
-    def value(self, tree: Tree) -> Fraction:
-        if tree.degree != self.a or tree.n != self.n:
-            raise ValueError("tree does not match this coefficient table")
-        return self._lookup[tree]
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -1109,27 +1093,38 @@ def a_coefficients(n: int, a: int) -> ACoefficients:
     against every complementary monomial; the right-hand side is 1
     exactly when the monomial's tree has a vertex of valency a + 3
     (`taut._kappa_pairings`).  By symmetry one equation per orbit
-    suffices: the matrix M is
-    `_invariant_block` for the whole symmetric group.  The canonical
-    solution y = M^T w lies in the row space; w solves the integer normal
-    equations M M^T w = rhs, and M y = rhs is checked exactly.
+    suffices: the matrix M is `_invariant_block` for the whole symmetric
+    group.  The canonical solution y = M^T w lies in the row space; w
+    solves the integer normal equations M M^T w = rhs, and M y = rhs is
+    checked exactly.  ``kernel_dim`` counts the independent relations
+    among the orbit sums, M's kernel.  The pivot columns P of M mod p are
+    independent over the rationals, and a certified solve of M[:, P] x =
+    -M[:, f] puts each other column f in their span; a prime that drops
+    the rank leaves some f outside it, and the next prime is tried.
     """
     if not 1 <= a <= n - 3:
         raise ValueError("need 1 <= a <= n - 3")
     unknowns = orbit_reps(n, a)
     block = _invariant_block(n, a, (n,))
     rhs = _kappa_pairings(n, a)
-    rref = FractionRREF()
-    for row in block.tolist():
-        rref.add({j: x for j, x in enumerate(row) if x})
-    kernel_dim = len(unknowns) - rref.rank
+    for p in PRIMES[:3]:
+        elim = ModEliminator(len(unknowns), p)
+        elim.feed_all(block)
+        free = [-block[:, f] for f in range(len(unknowns)) if f not in elim.piv_cols]
+        try:
+            solve_certified(block[:, elim.piv_cols], [col.tolist() for col in free])
+            break
+        except Inconsistent:
+            pass
+    else:
+        raise RuntimeError("the kernel dimension failed to certify with three primes")
     m = block.astype(object)
     (w,) = solve_certified((m @ m.T).tolist(), [rhs])
     y = [Fraction(v) for v in m.T @ np.array(w, dtype=object)]
     if (m @ np.array(y, dtype=object)).tolist() != rhs:
         raise ArithmeticError("row-space solution failed verification")
     entries = tuple((rep, size, y[k]) for k, (rep, size) in enumerate(unknowns))
-    return ACoefficients(n=n, a=a, entries=entries, kernel_dim=kernel_dim)
+    return ACoefficients(n=n, a=a, entries=entries, kernel_dim=len(free))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ of classes needs no basis: the intersection pairing is perfect, so a
 class is zero exactly when it pairs to zero with every good monomial of
 the complementary degree (see `class_vector`), read off the pairing rows
 of `intersect`.  The same pairings decide the splitting law of a class
-on the boundary divisors without a restriction (`splitting_failures`),
-and they give a class invariant under relabelling from its pairings
+on the boundary divisors without a restriction (`splitting_failures`);
+only the tests compute one (`pullback_to_divisor`), as a reference.
+They also give a class invariant under relabelling from its pairings
 with orbit representatives, in orbit sums (`_solve_full_rank`,
 `_orbit_element`): field-theory classes and kappa are found that way.
 """
@@ -36,6 +37,7 @@ from .trees import (
     Split,
     Tree,
     _compat_graph,
+    _cut_images,
     _exact,
     _families,
     _fmt_coeff,
@@ -276,15 +278,15 @@ class Ring:
             mask &= self._row[p]
         return mask
 
-    def _times(self, key, parts, c, weight, singles, out) -> None:
+    def _times(self, key, parts, mask, c, weight, singles, out) -> None:
         """Add c * m * sum(weight[b] * D_b), b over the bits of singles, to out.
 
-        m is the monomial with this key and these edges; ``out`` maps keys
-        to integers.  Divisors crossing an edge of m fall out of the AND
-        with its mask, new ones are one OR each, and m's own edges are
-        squared through `mul_divisor_raw`.
+        m is the monomial with this key, these edges and this `_mask`;
+        ``out`` maps keys to integers.  Divisors crossing an edge of m fall
+        out of the AND with its mask, new ones are one OR each, and m's own
+        edges are squared through `mul_divisor_raw`.
         """
-        new = self._mask(parts) & singles & ~key
+        new = mask & singles & ~key
         while new:
             b = new & -new
             new ^= b
@@ -325,8 +327,8 @@ class Ring:
         out: dict = {}
         for parts, c in terms.items():
             key = sum(bit[p] for p in parts)
-            self._times(key, parts, c, weight, singles, out)
             mask = self._mask(parts)
+            self._times(key, parts, mask, c, weight, singles, out)
             for bits, w, need, tree in longer:
                 if mask & need != need:
                     continue
@@ -339,7 +341,8 @@ class Ring:
                     for k, v in cur.items():
                         # only the first divisor meets the monomial itself
                         edges = parts if k == key else self._edges(k)
-                        self._times(k, edges, v, {b: 1}, b, nxt)
+                        here = mask if k == key else self._mask(edges)
+                        self._times(k, edges, here, v, {b: 1}, b, nxt)
                     cur = nxt
                 for k, v in cur.items():
                     out[k] = out.get(k, 0) + v
@@ -965,23 +968,6 @@ def _factor_products(pairs, shift: int) -> tuple[dict, int]:
     return {key: v for key, v in out.items() if v}, den
 
 
-def _cut_codes(n: int, sigma: int) -> dict:
-    """The edges that can share a tree with σ, coded on the factors of D_σ.
-
-    Every such edge restricts to one divisor on one factor, with
-    coefficient 1; its code is that divisor's side, tagged by ``1 << n``
-    on the second factor (see `_factor_products`).
-    """
-    geo = DivisorGeometry(Split(n, sigma))
-    out = {}
-    for p in stable_splits(n):
-        rules = geo.restrict_divisor(p) if p != sigma else None
-        if rules is not None:
-            ((which, side, _),) = rules
-            out[p] = side | which << n
-    return out
-
-
 def splitting_failures(x: RingElement, pairs) -> list[int]:
     """Sides of the boundary divisors where x breaks a splitting law.
 
@@ -996,7 +982,8 @@ def splitting_failures(x: RingElement, pairs) -> list[int]:
     so the law holds at σ exactly when x's class vector on the trees
     through σ, each cut at σ into (m1, m2), equals the factors' products.
     Both sides are compared as sparse integer vectors, so only pairs
-    where one of them is nonzero are visited.  Sides are returned in the
+    where one of them is nonzero are visited, the cut trees keyed as in
+    `_factor_products` (`trees._cut_images`).  Sides are returned in the
     order of `stable_splits`.
     """
     n = x.n
@@ -1009,7 +996,7 @@ def splitting_failures(x: RingElement, pairs) -> list[int]:
         sizes = (k + 1, n - k + 1)
         if sizes not in expected:
             expected[sizes] = _factor_products(pairs(*sizes), n)
-        laws[s] = (_cut_codes(n, s), *expected[sizes])
+        laws[s] = (_cut_images(n, s), *expected[sizes])
     # Cutting T at σ is injective, so σ passes when every pairing of x
     # through it matches and the matches number as many as the factor
     # vector's terms.

@@ -4,8 +4,8 @@ Linear systems are eliminated over GF(p) for word-sized primes using
 float64 matrix products (exact below 2^53), lifted back to rationals by
 Wang's reconstruction with Chinese-remainder widening, and certified by an
 exact residual check, so every answer returned by this module is provably
-correct, never "probably".  `FractionRREF` is the one elimination over
-`fractions.Fraction`, for the exact rank of a small system.
+correct, never "probably".  `FractionRREF`, elimination over
+`fractions.Fraction`, is kept as the tests' reference for exact ranks.
 
 The GF(p) layer takes integers only, with one check where each row
 enters.  `ModEliminator.feed`, and `feed_all` on a matrix, take an integer
@@ -550,13 +550,14 @@ def solve_certified(rows, rhs_cols) -> list[list[Fraction]]:
     built.  Otherwise the integer matrix [A | b], built once, is
     eliminated mod one or more primes, each time only until the rank
     reaches A's width; a pivot in a column of b means no solution mod p,
-    else the pivot rows' trailing entries are one.  These are lifted by rational reconstruction across
-    the primes and only returned, divided by the d_j, once the exact
-    residual over every row, fed or not, vanishes.  Raises Inconsistent
-    when two primes find no solution, or when the pivots fill every column
-    of A and the lifted solution satisfies the pivot rows exactly but not
-    the rest: those rows are then invertible over the rationals, so their
-    one solution is the only candidate left and the system has none.
+    else the pivot rows' trailing entries are one.  These are lifted by
+    rational reconstruction across the primes and only returned, divided
+    by the d_j, once the exact residual over every row, fed or not,
+    vanishes.  Raises Inconsistent when two primes find no solution, or
+    when the pivots fill every column of A and the lifted solution
+    satisfies the pivot rows exactly but not the rest: those rows are
+    then invertible over the rationals, so their one solution is the only
+    candidate left and the system has none.
     """
     rhs_cols = list(rhs_cols)
     nrhs = len(rhs_cols)

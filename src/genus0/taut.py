@@ -296,14 +296,9 @@ def check_logarithmic(family: Callable[[int], RingElement], nmax: int) -> LogRep
     obey this are exactly the logarithmic ones; the report lists every
     divisor where the identity breaks.
 
-    No restriction is computed (see `keelring.splitting_failures`).  By
-    the projection formula the restriction pairs with a product m1 ⊗ m2
-    of good monomials on the two factors as the ambient class pairs with
-    the tree glued from m1, the divisor's edge and m2; and the pairing of
-    f(n1) ⊗ 1 + 1 ⊗ f(n2) with m1 ⊗ m2 is <f(n1), m1> <1, m2> + <1, m1>
-    <f(n2), m2>.  By Künneth the pairing on the divisor is perfect and
-    the products span, so comparing these numbers decides the identity
-    exactly.
+    No restriction is computed: `keelring.splitting_failures` compares
+    pairings with the products of good monomials on the two factors,
+    which decides the identity exactly.
 
     A `RingElement` is audited as it is.  A `TautClass` is audited
     through its invariant representative where it has one, so a kappa

@@ -392,7 +392,7 @@ def enumerate_stable_trees(n: int, r: int) -> tuple[Tree, ...]:
 
 
 # ---------------------------------------------------------------------------
-# forgetting a label
+# forgetting a label, and cutting at a boundary divisor
 
 
 @lru_cache(maxsize=None)
@@ -410,6 +410,27 @@ def _forget_images(n: int, label: int) -> dict[int, int]:
         q = (p & low) | ((p >> 1) & ~low)
         k = q.bit_count()
         out[p] = 0 if k < 2 or (n - 1) - k < 2 else q if q & 1 else f ^ q
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cut_images(n: int, sigma: int) -> dict[int, int]:
+    """Each other side of ``stable_splits(n)`` compatible with σ -> its
+    code on the factors of D_σ: factor 1 has σ's labels and factor 2 the
+    others, renumbered in order, each with the node as a last label.
+    Such a split has one side properly inside σ or inside its complement,
+    where it is a split of that factor; its code is that split's
+    canonical side, tagged by ``1 << n`` on the second factor."""
+    f = full_mask(n)
+    sides = (sigma, f ^ sigma)
+    bits = [[1 << i for i in range(n) if side >> i & 1] for side in sides]
+    out = {}
+    for p in stable_splits(n):
+        cut = p if p & sigma == p else f ^ p  # p holds label 1, as σ does
+        for which, side in enumerate(sides):
+            if cut != side and cut & side == cut:
+                q = sum(1 << k for k, b in enumerate(bits[which]) if cut & b)
+                out[p] = canonical_side(len(bits[which]) + 1, q) | which << n
     return out
 
 

@@ -15,8 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genus0 import keelring, linalg
 from genus0.cli import main
-from genus0.cohft import Metric, Potential, p1_potential
+from genus0.cohft import (
+    Metric,
+    Potential,
+    RankOneTheory,
+    a_coefficients,
+    omega_recursion,
+    p1_potential,
+)
 
 
 def run_main(capsys, *argv):
@@ -165,6 +173,39 @@ class TestSubcommands:
         data = json.loads(out)
         assert status == 0
         assert data["recursion"] == data["direct"] == "1"
+
+
+class TestLivePaths:
+    def test_no_fraction_rref_or_divisor_geometry(self, capsys, monkeypatch):
+        # exact ranks and cut codes come from the GF(p) engine and the
+        # trees' mask tables; FractionRREF and DivisorGeometry are the
+        # tests' references, and no command may reach them
+        def refuse(*args, **kwargs):
+            raise AssertionError("a live path built a test-only reference")
+
+        monkeypatch.setattr(linalg.FractionRREF, "__init__", refuse)
+        monkeypatch.setattr(keelring.DivisorGeometry, "__init__", refuse)
+        a_coefficients.cache_clear()
+        omega_recursion.cache_clear()
+        for argv, digest in (
+            (
+                ("a-coeffs", "--n", "8", "--a", "3"),
+                "87febf393c0158d367b6fb152edfc4eb82f148e2f632fa49889c9a361449e140",
+            ),
+            (
+                ("omega", "--n", "7", "--a", "2"),
+                "3e5fece26890f06d4d1bb923569ee507946a6989275af2f7a7f6c9c2fc456c9e",
+            ),
+            (
+                ("log-check", "--a", "3", "--nmax", "7"),
+                "5293c7e58adeba5ecfc32bc7899f44cf5030b8f2f929c0d9fa51d1d421ce2bd4",
+            ),
+        ):
+            status, out = run_main(capsys, *argv)
+            assert status == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        th = RankOneTheory.from_kappa([Fraction(1, 2), Fraction(-1, 3)], 6)
+        assert th.verify_splitting(6)
 
 
 class TestPotentialPipeline:

@@ -31,7 +31,7 @@ from genus0.cohft import (
     wdvv_check,
     wp_volumes,
 )
-from genus0.intersect import integrate, pair_kaufmann
+from genus0.intersect import _invariant_block, integrate, pair_kaufmann
 from genus0.linalg import FractionRREF
 from genus0.keelring import (
     RingElement,
@@ -1083,6 +1083,11 @@ class TestVolumes:
             matone_check(6, volumes=[1, 1, 5])
 
 
+def tree_values(ac):
+    """Each degree-a tree's coefficient, read off its orbit's entry."""
+    return {t: val for rep, _, val in ac.entries for t in orbit(rep)}
+
+
 class TestACoefficients:
     def test_four_labels(self):
         ac = a_coefficients(4, 1)
@@ -1127,23 +1132,65 @@ class TestACoefficients:
         from genus0.intersect import pair_kaufmann
 
         for n, a in ((5, 1), (5, 2), (6, 1), (6, 2)):
-            ac = a_coefficients(n, a)
+            values = tree_values(a_coefficients(n, a))
             for t in enumerate_stable_trees(n, n - 3 - a):
                 got = sum(
-                    ac.value(sigma) * pair_kaufmann(sigma, t)
+                    values[sigma] * pair_kaufmann(sigma, t)
                     for sigma in enumerate_stable_trees(n, a)
                 )
                 want = int(any(v == a + 3 for v in t.valencies()))
                 assert got == want, (n, a, t)
 
     def test_value_lookup(self):
-        ac = a_coefficients(5, 1)
-        for sigma in orbit(ac.entries[0][0]):
-            assert ac.value(sigma) == Fraction(1, 2)
-        with pytest.raises(ValueError):
-            ac.value(Tree(5, ()))
+        # the entries' orbits hold every degree-a tree once, each as many
+        # times as its entry's size says
+        for n, a in ((5, 1), (6, 2), (7, 2)):
+            ac = a_coefficients(n, a)
+            assert [len(orbit(rep)) for rep, _, _ in ac.entries] == [
+                size for _, size, _ in ac.entries
+            ]
+            trees = enumerate_stable_trees(n, a)
+            assert sum(size for _, size, _ in ac.entries) == len(trees)
+            assert set(tree_values(ac)) == set(trees)
+        assert set(tree_values(a_coefficients(5, 1)).values()) == {Fraction(1, 2)}
         with pytest.raises(ValueError):
             a_coefficients(5, 3)
+
+    @pytest.mark.slow
+    def test_kernel_dim_against_fraction_rref(self):
+        # the certified GF(p) kernel against exact elimination over Q
+        for n in range(4, 10):
+            for a in range(1, n - 2):
+                block = _invariant_block(n, a, (n,))
+                rref = FractionRREF()
+                for row in block.tolist():
+                    rref.add({j: x for j, x in enumerate(row) if x})
+                want = block.shape[1] - rref.rank
+                assert a_coefficients(n, a).kernel_dim == want, (n, a)
+        assert [a_coefficients(9, a).kernel_dim for a in range(1, 7)] == [
+            0, 0, 6, 13, 12, 5
+        ]
+
+    def test_kernel_dim_retries_a_prime_that_drops_the_rank(self, monkeypatch):
+        # an eliminator that loses every row finds no pivot, so no column
+        # lies in the span of the pivots; the solve refuses, and the next
+        # prime certifies.  Three such primes are an error.
+        lossy = {linalg.PRIMES[0]}
+
+        class Lossy(linalg.ModEliminator):
+            def feed_all(self, rows, *args, **kwargs):
+                if self.p not in lossy:
+                    super().feed_all(rows, *args, **kwargs)
+
+        monkeypatch.setattr(cohft, "ModEliminator", Lossy)
+        a_coefficients.cache_clear()
+        try:
+            assert a_coefficients(7, 3).kernel_dim == 2
+            lossy.update(linalg.PRIMES[:3])
+            with pytest.raises(RuntimeError):
+                a_coefficients(7, 1)
+        finally:
+            a_coefficients.cache_clear()
 
     def test_dict(self):
         d = a_coefficients(4, 1).to_dict()

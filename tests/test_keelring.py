@@ -167,6 +167,23 @@ class TestMul:
         z = RingElement.monomial(t3)
         assert mul(mul(x, y), z) == mul(x, mul(y, z))
 
+    def test_one_mask_per_monomial(self, monkeypatch):
+        # a product ANDs each monomial's compatibility rows once, however
+        # many one-divisor words it meets
+        calls = []
+        mask = keelring.Ring._mask
+
+        def counted(self, parts):
+            calls.append(parts)
+            return mask(self, parts)
+
+        monkeypatch.setattr(keelring.Ring, "_mask", counted)
+        x = psi(6, 1).element
+        got = keelring.ring(6)._product(
+            {t.parts: 1 for t in x.terms}, [((s,), 1) for s in stable_splits(6)[:9]]
+        )
+        assert got and sorted(calls) == sorted(t.parts for t in x.terms)
+
     def test_grading_truncates(self):
         # Degrees add; anything past the top dimension n-3 vanishes.
         top = enumerate_stable_trees(5, 2)[0]
@@ -1135,6 +1152,23 @@ class TestPairingAgainstRelationReduction:
         assert (pulled + zero - pulled).is_zero_class()
         for te in (pulled, pulled + zero, pulled - zero.scale(Fraction(1, 2))):
             assert te.is_zero_class() == ref_tensor_is_zero(te)
+
+
+class TestCutImages:
+    def test_against_divisor_geometry(self):
+        # the live cut codes are built on masks; the pullback route's
+        # relabelling, restrict_divisor, is the reference
+        for n in range(4, 9):
+            for sigma in stable_splits(n):
+                geo = keelring.DivisorGeometry(Split(n, sigma))
+                want = {}
+                for p in stable_splits(n):
+                    rules = geo.restrict_divisor(p) if p != sigma else None
+                    if rules is not None:
+                        ((which, side, coeff),) = rules
+                        assert coeff == 1
+                        want[p] = side | which << n
+                assert trees._cut_images(n, sigma) == want, (n, sigma)
 
 
 class TestSplittingAgainstPullbacks:
