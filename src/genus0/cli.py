@@ -34,6 +34,11 @@ from .trees import Tree, _fmt_coeff, enumerate_stable_trees, iter_all_trees
 
 
 def _parse_monomial(text: str, n: int) -> Tree:
+    """A monomial on n labels.  The unit, printed "{}" by `trees` and "1"
+    by `mul`, is the one-vertex tree, which `Tree.parse` refuses as it has
+    no label count."""
+    if text.strip() in ("{}", "1"):
+        return Tree.one_vertex(n)
     tree = Tree.parse(text)
     if tree.n != n:
         raise ValueError(f"monomial {text!r} does not live on {n} labels")

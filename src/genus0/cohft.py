@@ -43,6 +43,7 @@ from .taut import _kappa_pairings, kappa, z
 from .trees import (
     Tree,
     _exact,
+    _exacts,
     _families,
     _fmt_coeff,
     _index,
@@ -96,7 +97,7 @@ class Metric:
     parities: tuple[int, ...]
 
     def __post_init__(self):
-        gram = tuple(tuple(_exact(x) for x in row) for row in self.gram)
+        gram = tuple(tuple(_exacts(row)) for row in self.gram)
         parities = tuple(_index(p) % 2 for p in self.parities)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "parities", parities)
@@ -282,7 +283,7 @@ def potential_from_coordinates(coords, order: int | None = None) -> Potential:
     The k-th entry of ``coords`` is the integral of the (k+3)-point
     class, which is exactly the coefficient Y(gamma_0^{k+3}).
     """
-    vals = [_exact(c) for c in coords]
+    vals = _exacts(coords)
     if not vals:
         raise ValueError("need at least the three-point value")
     if order is None:
@@ -609,12 +610,14 @@ def _stratum_column(phi: Potential, n: int, d: int, idx: tuple[int, ...]) -> lis
 # basis selection
 
 
-def _greedy_rows(rows: list, width: int, p: int) -> tuple[int, ...]:
-    """Indices of a maximal set of rows independent mod p, greedily.
+def _greedy_rows(rows, width: int, p: int) -> tuple[int, ...]:
+    """Indices of a maximal set of rows of an integer matrix that are
+    independent mod p, greedily.
 
     Independence mod p implies independence over the rationals, so the
-    selection is always safe; completeness is certified downstream by the
-    exact solvers that consume it.
+    selection is safe, but it may miss rows that are independent only
+    over the rationals.  Nothing in the package calls it: the tests check
+    it against the plain rank, and the bench times it.
     """
     elim = ModEliminator(width, p)
     elim.feed_all(rows)
@@ -868,7 +871,7 @@ class RankOneTheory:
     @classmethod
     def from_kappa(cls, s, nmax: int) -> "RankOneTheory":
         """Exponential of a kappa-class combination, sum of s_a kappa_a."""
-        svals = [_exact(x) for x in s]
+        svals = _exacts(s)
         out = []
         for n in range(3, nmax + 1):
             x = RingElement(n, {})
@@ -1024,7 +1027,7 @@ def matone_check(nmax: int = 12, volumes=None) -> MatoneReport:
         vols = _volumes(nmax + 1)
         seq = [vols[k] for k in range(3, nmax + 2)]
     else:
-        seq = [_exact(x) for x in volumes]
+        seq = _exacts(volumes)
         if len(seq) < nmax - 1:
             raise ValueError("need volumes up through v_{nmax+1}")
     g = [Fraction(0)] * (nmax + 1)

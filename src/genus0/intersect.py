@@ -13,8 +13,9 @@ The production pairing is tabulated here, once per degree, as sparse
 integer rows of that degree's trees against the complementary degree in
 the tree enumeration order (`_sp_rows`), and summed by relabelling orbit
 into invariant blocks (`_invariant_block`).  Every consumer reads those
-tables: class equality and the Betti certificate in `keelring` (through
-`_pairings`), the dense `pairing_matrix`, and reconstruction in `cohft`.
+tables: class equality in `keelring` (through `_pairings`), the Betti
+certificate there, which ranks the rows themselves, the dense
+`pairing_matrix`, and reconstruction in `cohft`.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def pairing_matrix_int(n: int, r: int) -> np.ndarray:
     The sparse pairing rows of `_sp_rows`, densified.
     """
     width = len(_families(n, n - 3 - r))
-    return densify(_sp_rows(n, r), width, np.int64)
+    return densify(_sp_rows(n, r), width)
 
 
 @dataclass(frozen=True)

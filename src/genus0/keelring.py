@@ -198,11 +198,11 @@ class Ring:
         # The memo holds square rewrites, the only products that reach
         # mul_divisor_raw.  On the psi_monomial lattice at n = 7 they
         # repeat across elements: 856k asked, 4,816 distinct (hit ratio
-        # 0.994), and the memo halves the time.  The psi powers behind
-        # kappa never repeat one (`kappa_splitting` asks 3,861 at n = 8,
-        # all distinct, so a memo there would save nothing; the last psi
-        # factor asks none, see `forget_product`), and n = 8 lattices are
-        # out of reach.
+        # 0.994), and the memo halves the time.  At n = 8 none repeats:
+        # `genus0 kappa --n 8 --a 4` asks 180,403 and `omega --n 8 --a 1`
+        # 99,481, all distinct, so a memo there would save nothing (the
+        # last psi factor of kappa asks none, see `forget_product`), and
+        # n = 8 lattices are out of reach.
         self._mul_cache: dict | None = {} if n <= 7 else None
 
     def mul_divisor_raw(self, side: int, parts: tuple[int, ...]) -> tuple:
@@ -232,8 +232,9 @@ class Ring:
         every vertex.  Reading `_tree_model` gives identical tuples for
         every (edge, tree) with n <= 8 but took twice as long on a 2-core
         x86-64 host: 5.1-5.7 against 2.6-2.9 us per rewrite at n = 8, and
-        10-11 against 5 us at n = 9.  `kappa_splitting` computes 4,868
-        rewrites with no memo hit, all for the psi powers below the last.
+        10-11 against 5 us at n = 9.  `genus0 kappa --n 8 --a 4` computes
+        180,403 rewrites and `omega --n 8 --a 1` 99,481, with no memo at
+        n = 8; the bench's `psi_products` computes 245 with the memo on.
         """
         f = self._full
         # each other edge has one side inside the cover of one endpoint

@@ -7,12 +7,12 @@ exact residual check, so every answer returned by this module is provably
 correct, never "probably".  `FractionRREF`, elimination over
 `fractions.Fraction`, is kept as the tests' reference for exact ranks.
 
-The GF(p) layer takes integers only, with one check where each row
-enters.  `ModEliminator.feed`, and `feed_all` on a matrix, take an integer
-array: an integer dtype, or objects that are all integers.  Any other
-block, a float array among them, raises TypeError and stores nothing;
-a block is reduced once, by `rows_mod`.  Sparse (column indices, values)
-rows, given to `rank_mod` or `feed_all`, are checked by `_sparse_row`:
+The GF(p) layer takes integers only, one row format per front end, with
+one check where each row enters.  `ModEliminator` takes an integer matrix
+(an integer array, an object array of integers, or a list of integer
+lists) and reduces each block once, by `rows_mod`; any other block, a
+float array among them, raises TypeError and stores nothing.  `rank_mod`
+takes sparse (column indices, values) rows, each checked by `_sparse_row`:
 integer values, one for each of distinct columns in 0..ncols-1.
 `solve_certified` clears the denominators of exact rationals itself
 (`_integral`) and refuses a float, which is not an exact value.  A x = b
@@ -53,7 +53,7 @@ reduced against every sparse pivot and restricted to the free columns.
 Those rows form the Schur complement: the sparse pivots have distinct
 pivot columns and the reduced rows vanish there, so the total rank is
 the sparse rank plus the complement's, which a `ModEliminator` computes
-from the complement's rows densified to int64, as checked already.
+from the complement's rows, densified `_BLOCK` at a time.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ if _inexact(_LAZY, max(PRIMES)):
 # At _BASE = 8, 16 or 32 the feeds of betti(7) and p1xp1 --order 7 took
 # 53-86 and 5.4-9.4 ms, row by row 115-180 and 7.9-8.4 ms (2-core x86-64).
 _BASE = 16
+
+_BLOCK = 512  # rows per block fed by feed_all and by rank_mod's Schur phase
 
 # rank_mod's sparse phase takes a row with at most ncols / _HEAVY entries
 # and keeps it while it holds at most ncols / _FILL; the others go to the
@@ -164,9 +166,9 @@ def rows_mod(rows: np.ndarray, p: int) -> np.ndarray:
     return np.remainder(rows, p, out=np.empty(rows.shape), casting="unsafe")
 
 
-def densify(rows, width: int, dtype=np.int64) -> np.ndarray:
-    """Dense block of sparse (column indices, values) rows."""
-    block = np.zeros((len(rows), width), dtype=dtype)
+def densify(rows, width: int) -> np.ndarray:
+    """int64 block of sparse (column indices, values) rows."""
+    block = np.zeros((len(rows), width), dtype=np.int64)
     for i, (cols, vals) in enumerate(rows):
         if len(cols):
             block[i, cols] = vals
@@ -237,14 +239,14 @@ class ModEliminator:
     column where it leaves the span of the rows before it, and the stored
     rows are the span's one basis that is the identity on those columns.
 
-    A block fed is an integer array of ``ncols`` columns: an integer dtype,
-    or objects that are all integers, reduced exactly into [0, p) once by
-    `rows_mod`.  Any other block, a float array among them, raises
-    TypeError, one of another width ValueError, and neither changes the
-    state.  Stored rows and multipliers are reduced into [0, p); a swept
-    row is reduced after at most `_LAZY` updates, and a product sums at
-    most `_LAZY` terms, so every entry stays below _LAZY * (p - 1)^2 + p
-    and exact.  `feed` raises ValueError, storing nothing, for a p where
+    A block fed is an integer matrix of ``ncols`` columns (module
+    docstring), reduced exactly into [0, p) once by `rows_mod`; sparse
+    rows go to `rank_mod`.  Any other block, a float array among them,
+    raises TypeError, one of another width ValueError, and neither changes
+    the state.  Stored rows and multipliers are reduced into [0, p); a
+    swept row is reduced after at most `_LAZY` updates, and a product sums
+    at most `_LAZY` terms, so every entry stays below _LAZY * (p - 1)^2 +
+    p and exact.  `feed` raises ValueError, storing nothing, for a p where
     that reaches 2^53 - p.
     """
 
@@ -277,28 +279,18 @@ class ModEliminator:
         self.sources += [self.fed + i for i in src]
         self.fed += block.shape[0]
 
-    def feed_all(self, rows, block_size: int = 512, target: int | None = None) -> None:
-        """Feed rows block by block until the rank reaches ``target``.
+    def feed_all(self, rows, *, target: int | None = None) -> None:
+        """Feed an integer matrix `_BLOCK` rows at a time until the rank
+        reaches ``target``, every column by default.
 
-        ``target`` defaults to every column.  ``rows`` is an integer matrix,
-        each block checked by `feed`, or a list of sparse (column indices,
-        integer values) rows, all checked by `_sparse_row` before any is
-        fed and densified one block at a time.  Blocks after the one that
-        reaches the target are not fed, so they are neither checked for
-        consistency nor counted in ``fed``.
+        ``rows`` is an integer array, an object array of integers, or a
+        list of integer lists; `feed` checks each block.  Blocks after the
+        one that reaches the target are not fed, so they are neither
+        checked nor counted in ``fed``.
         """
-        if not isinstance(rows, np.ndarray):
-            rows = [_sparse_row(cols, vals, self.p, self.ncols) for cols, vals in rows]
-            rows = [(list(row), list(row.values())) for row in rows]
-        self._feed_blocks(rows, block_size, target)
-
-    def _feed_blocks(self, rows, block_size: int = 512, target: int | None = None):
-        """`feed_all`'s loop; sparse rows are densified as `_sparse_row` left them."""
         target = self.ncols if target is None else target
-        sparse = not isinstance(rows, np.ndarray)
-        for lo in range(0, len(rows), block_size):
-            block = rows[lo : lo + block_size]
-            self.feed(densify(block, self.ncols) if sparse else block)
+        for lo in range(0, len(rows), _BLOCK):
+            self.feed(rows[lo : lo + _BLOCK])
             if self.rank >= target:
                 break
 
@@ -383,21 +375,20 @@ def _reduce_sparse(row: dict, pivots: dict, p: int, limit: int | None = None):
 def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) -> int:
     """Rank over GF(p), or ``target`` once the rank reaches it.
 
-    Either is a lower bound for the rational rank.  ``rows`` is an integer
-    matrix or a list of sparse (column indices, integer values) rows with
-    distinct columns in 0..ncols-1, each checked once (`_sparse_row`); a
-    column repeated or out of range or a negative ``target`` is a
-    ValueError.  The sparse phase (module docstring) takes the rows
-    shortest first; rows past the `_HEAVY` or `_FILL` bound wait, and their
-    Schur complement on the columns the sparse pivots leave free goes to
-    a `ModEliminator`, densified without a second check.
+    Either is a lower bound for the rational rank.  ``rows`` is a list of
+    sparse (column indices, integer values) rows with distinct columns in
+    0..ncols-1, each checked once (`_sparse_row`); a column repeated or out
+    of range or a negative ``target`` is a ValueError, and a dense matrix,
+    whose rows have no column list, a TypeError.  The sparse phase (module
+    docstring) takes the rows shortest first; rows past the `_HEAVY` or
+    `_FILL` bound wait.  Their Schur complement on the columns the sparse
+    pivots leave free is densified `_BLOCK` rows at a time and fed to a
+    `ModEliminator` until the rank reaches ``target``.
     """
     if target is not None and target < 0:
         raise ValueError(f"target {target} is negative")
     if target is None or target > ncols:
         target = ncols
-    if isinstance(rows, np.ndarray):
-        rows = [(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in rows]
     # at least 1, so that below _HEAVY columns a one-entry row stays sparse
     heavy, fill = max(1, ncols // _HEAVY), max(1, ncols // _FILL)
     pivots: dict[int, tuple[list[int], list[int], int]] = {}
@@ -424,7 +415,10 @@ def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) ->
             _reduce_sparse(row, pivots, p)
         schur.append(([free[c] for c in row], list(row.values())))
     elim = ModEliminator(len(free), p)
-    elim._feed_blocks(schur, target=target - rank)
+    for lo in range(0, len(schur), _BLOCK):
+        elim.feed(densify(schur[lo : lo + _BLOCK], len(free)))
+        if rank + elim.rank >= target:
+            break
     return min(rank + elim.rank, target)
 
 

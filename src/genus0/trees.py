@@ -15,7 +15,7 @@ as a bitmask; a tail is a branch of one label.  At each vertex the edge
 towards label 1 comes first, then the edges away from it by index, then
 the tails in ascending order.  Every edge's endpoint towards label 1
 has the smaller number, so descending vertex numbers walk a tree leaves
-first; `intersect._orient` and `cohft._stratum_value` sweep that way.
+first; `intersect._orient` and `cohft._stratum_numerator` sweep that way.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _tree_model(n: int, parts: tuple[int, ...]) -> tuple[list, list]:
     vertex v in the order of the module docstring, and edge e joins
     ``parent[e]``, its endpoint on the label-1 side, to vertex e+1.
     parent[e] <= e, so every vertex outnumbers its parent: the order that
-    `intersect._orient` and `cohft._stratum_value` read.
+    `intersect._orient` and `cohft._stratum_numerator` read.
     Raises ValueError on a repeated side, a crossing pair, or a vertex of
     valency below 3.
     """
@@ -276,6 +276,17 @@ def _exact(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError as exc:
         raise ValueError(f"{value!r} has a zero denominator") from exc
+
+
+def _exacts(values) -> list[Fraction]:
+    """A sequence of exact rationals, each read by `_exact`.
+
+    A string or bytes is refused rather than split: "12" would otherwise
+    read as [1, 2], and b"12" as [49, 50].
+    """
+    if isinstance(values, (str, bytes)):
+        raise ValueError(f"{values!r} is a string, not a list of exact rationals")
+    return [_exact(x) for x in values]
 
 
 def _fmt_coeff(c) -> str:

@@ -99,6 +99,25 @@ class TestSubcommands:
         assert status == 0
         assert out == "-1*{12|345}{125|34}\n"
 
+    def test_unit_monomial_reads_back(self, capsys):
+        # trees prints the unit as {} and mul as 1; both read back on the
+        # --n given, while Tree.parse alone cannot know the label count
+        status, out = run_main(capsys, "trees", "--n", "5", "--degree", "0")
+        assert (status, out) == (0, "{}\n")
+        point = "{12|345}{125|34}"
+        for unit in ("{}", "1"):
+            status, out = run_main(
+                capsys, "pair", "--n", "5", "--m1", point, "--m2", unit
+            )
+            assert (status, out) == (0, "1\n")
+            status, out = run_main(
+                capsys, "mul", "--n", "5", "--factors", unit, "{12|345}"
+            )
+            assert (status, out) == (0, "1*{12|345}\n")
+        status, out = run_main(capsys, "mul", "--n", "2", "--factors", "{}")
+        assert status == 1
+        assert json.loads(out)["error"]["type"] == "ValueError"
+
     def test_mul_crossing_is_zero(self, capsys):
         status, out = run_main(
             capsys, "mul", "--n", "5", "--factors", "{12|345}", "{13|245}"
@@ -379,6 +398,17 @@ class TestErrorObjects:
                     ([0, 0, 0], "3", 0),
                     ([0, 0, 0], 3, 0.7),
                 )
+            ),
+            # a gram row given as a string, which would read as its
+            # characters: the row "1" as [1], "12" as [1, 2]
+            *(
+                {
+                    "gram": gram,
+                    "parities": [0] * len(gram),
+                    "order": 4,
+                    "terms": [{"multi_index": [0, 0, 0], "coeff": "1"}],
+                }
+                for gram in (["1"], ["12", "21"])
             ),
         ],
     )

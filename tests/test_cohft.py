@@ -112,6 +112,29 @@ def test_constructors_take_exact_rationals_only(build):
 
 
 @pytest.mark.parametrize(
+    "build, texts",
+    [
+        (lambda x: Metric(x, (0,)), ("1", [b"1"])),
+        (lambda x: Metric(x, (0, 0)), (["12", "21"], [b"12", b"21"])),
+        (potential_from_coordinates, ("12", b"12")),
+        (RankOneTheory.from_coordinates, ("11", b"11")),
+        (lambda x: RankOneTheory.from_kappa(x, 5), ("1", b"1")),
+        (lambda x: matone_check(4, volumes=x), ("1561", b"1561")),
+    ],
+    ids=[
+        "metric", "metric-rows", "coordinates", "from_coordinates", "from_kappa",
+        "volumes",
+    ],
+)
+def test_sequences_of_exact_rationals_are_not_strings(build, texts):
+    # iterating "12" gives "1" and "2", each a valid exact rational, so a
+    # string where a list belongs would read as [1, 2], and b"12" as [49, 50]
+    for value in texts:
+        with pytest.raises(ValueError, match="string"):
+            build(value)
+
+
+@pytest.mark.parametrize(
     "use",
     [
         lambda i: Potential.build(Metric.standard(2), {(i, 0, 0): 1}, 3),

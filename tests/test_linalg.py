@@ -16,6 +16,11 @@ def frac(p, q=1):
     return Fraction(p, q)
 
 
+def sparse_rows(m):
+    """The rows of an integer matrix as sparse (column indices, values)."""
+    return [(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in np.asarray(m)]
+
+
 class TestModMatmul:
     def test_matches_python_ints(self):
         rng = np.random.default_rng(7)
@@ -55,11 +60,11 @@ class TestModMatmul:
 class TestEliminator:
     def test_rank_of_identityish(self):
         m = np.eye(5, dtype=np.int64) * 3
-        assert la.rank_mod(m, 5) == 5
+        assert la.rank_mod(sparse_rows(m), 5) == 5
 
     def test_rank_with_dependent_rows(self):
         rows = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])
-        assert la.rank_mod(rows, 3) == 2
+        assert la.rank_mod(sparse_rows(rows), 3) == 2
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
@@ -70,20 +75,21 @@ class TestEliminator:
         left = rng.integers(-5, 6, size=(8, r))
         right = rng.integers(-5, 6, size=(r, 6))
         m = left @ right
-        got = la.rank_mod(m, 6)
+        got = la.rank_mod(sparse_rows(m), 6)
         assert got <= r
         # mod-p rank can only undershoot; a second prime settles ties
         if got < r:
-            alt = la.rank_mod(m, 6, p=la.PRIMES[1])
+            alt = la.rank_mod(sparse_rows(m), 6, p=la.PRIMES[1])
             assert alt <= r
 
     def test_incremental_matches_batch(self):
         rng = np.random.default_rng(3)
         m = rng.integers(0, 50, size=(60, 23))
         e1 = la.ModEliminator(23, la.PRIMES[0])
-        e1.feed_all(m, block_size=7)
+        with patch.object(la, "_BLOCK", 7):
+            e1.feed_all(m)
         e2 = la.ModEliminator(23, la.PRIMES[0])
-        e2.feed_all(m, block_size=512)
+        e2.feed_all(m)
         assert e1.rank == e2.rank
         assert sorted(e1.piv_cols) == sorted(e2.piv_cols)
 
@@ -91,21 +97,22 @@ class TestEliminator:
     def test_sources_name_the_pivot_rows(self):
         m = np.array([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])
         e = la.ModEliminator(3, la.PRIMES[0])
-        e.feed_all(m, block_size=2)
+        with patch.object(la, "_BLOCK", 2):
+            e.feed_all(m)
         assert e.sources == [1, 3]
 
     def test_feed_all_stops_at_full_rank(self):
         m = np.vstack([np.eye(3, dtype=np.int64), np.ones((700, 3), dtype=np.int64)])
         e = la.ModEliminator(3, la.PRIMES[0])
-        e.feed_all(m, block_size=512)
-        assert e.rank == 3 and e.fed == 512
+        e.feed_all(m)
+        assert e.rank == 3 and e.fed == la._BLOCK == 512
 
     def test_sparse_rows_match_dense(self):
         rng = np.random.default_rng(5)
         m = rng.integers(-3, 4, size=(40, 9)) * (rng.random((40, 9)) < 0.3)
         sparse = [(np.nonzero(r)[0], r[np.nonzero(r)[0]]) for r in m]
         assert np.array_equal(la.densify(sparse, 9), m)
-        assert la.rank_mod(sparse, 9) == la.rank_mod(m, 9)
+        assert la.rank_mod(sparse, 9) == plain_rank(sparse, 9, la.PRIMES[0])
 
     def test_integers_past_float64_are_reduced_exactly(self):
         # float64 rounds 2^53 + 1; an integer block is reduced first
@@ -160,7 +167,7 @@ class TestEliminator:
 
         monkeypatch.setattr(la.ModEliminator, "__init__", spy)
         assert la.rank_mod([([0], [2])] * 945, 1) == 1
-        assert la.rank_mod(np.eye(9, dtype=np.int64)[::-1] * 5, 9) == 9
+        assert la.rank_mod(sparse_rows(np.eye(9, dtype=np.int64)[::-1] * 5), 9) == 9
         assert built == []
 
 
@@ -196,36 +203,63 @@ def sparse_systems(draw):
 
 
 def plain_rank(rows, ncols, p):
+    """The dense sweep's rank of sparse rows."""
     elim = la.ModEliminator(ncols, p)
-    elim.feed_all(rows)
+    elim.feed_all(la.densify(rows, ncols))
     return elim.rank
 
 
 class TestSparseRank:
     # The sparse phase with the dense sweep on its Schur complement must
     # give the rank of the plain dense sweep, at every hand-off point: the
-    # bounds are shrunk so that systems of 60 columns mix both phases.
+    # bounds are shrunk so that systems of 60 columns mix both phases, and
+    # the Schur complement is fed in blocks that end anywhere.
     @given(
         sparse_systems(),
         st.sampled_from([7, 101, la.PRIMES[0]]),
         st.sampled_from([1, 8, la._HEAVY]),
         st.sampled_from([1, 4, la._FILL]),
+        st.sampled_from([1, 3, la._BLOCK]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_matches_dense_sweep(self, system, p, heavy, fill):
+    def test_matches_dense_sweep(self, system, p, heavy, fill, block):
         rows, ncols = system
         want = plain_rank(rows, ncols, p)
-        with patch.object(la, "_HEAVY", heavy), patch.object(la, "_FILL", fill):
+        with (
+            patch.object(la, "_HEAVY", heavy),
+            patch.object(la, "_FILL", fill),
+            patch.object(la, "_BLOCK", block),
+        ):
             assert la.rank_mod(rows, ncols, p) == want
             for target in range(want + 3):
                 assert la.rank_mod(rows, ncols, p, target) == min(target, want)
 
     def test_dense_and_sparse_input_agree(self):
         m = np.array([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])
-        sparse = [(np.flatnonzero(r), r[np.flatnonzero(r)]) for r in m]
+        sparse = sparse_rows(m)
+        want = plain_rank(sparse, 3, la.PRIMES[0])
         for heavy in (1, la._HEAVY):
             with patch.object(la, "_HEAVY", heavy):
-                assert la.rank_mod(m, 3) == la.rank_mod(sparse, 3) == 2
+                assert la.rank_mod(sparse, 3) == want == 2
+
+    def test_each_front_end_takes_its_own_format(self):
+        # feed_all reads a list of integer lists as the matrix it is, not
+        # as sparse rows; rank_mod refuses a matrix, and feed_all sparse
+        # rows, storing nothing
+        m = [[1, 0, 2], [0, 1, 0], [1, 1, 2], [2**70, 0, 1]]
+        for rows, want in ((m, 3), (m[:3], 2), ([[1, 0], [0, 1]], 2)):
+            for matrix in (rows, np.array(rows)):
+                e = la.ModEliminator(len(rows[0]), la.PRIMES[0])
+                e.feed_all(matrix)
+                assert e.rank == want
+        for dense in (np.eye(3, dtype=np.int64), [[1, 0, 0], [0, 1, 0]]):
+            with pytest.raises(TypeError):
+                la.rank_mod(dense, 3)
+        e = la.ModEliminator(3, la.PRIMES[0])
+        for rows in ([([0, 1], [1, 1])], [([0], [1]), ([1, 2], [1, 1])]):
+            with pytest.raises(ValueError):
+                e.feed_all(rows)
+        assert (e.rank, e.fed, e.rows.shape) == (0, 0, (0, 3))
 
     def test_repeated_columns_are_refused(self):
         # a dict, or a dense block, would keep one value of a repeated
@@ -245,10 +279,6 @@ class TestSparseRank:
             for heavy in (1, la._HEAVY):
                 with patch.object(la, "_HEAVY", heavy), pytest.raises(ValueError):
                     la.rank_mod(rows, 3)
-            e = la.ModEliminator(3, la.PRIMES[0])
-            with pytest.raises(ValueError):
-                e.feed_all(rows)
-            assert (e.rank, e.fed, e.rows.shape) == (0, 0, (0, 3))
 
     def test_negative_target_is_refused(self):
         rows = [([0], [1]), ([1], [1])]
@@ -340,11 +370,12 @@ class TestLazyFeedAgainstReference:
     @settings(max_examples=150, deadline=None)
     def test_random_systems(self, system, p, block_size, lazy):
         a, ncols = system
-        want = RefEliminator(ncols, p)
-        want.feed_all(a, block_size)
-        got = la.ModEliminator(ncols, p)
-        with patch.object(la, "_LAZY", lazy):
-            got.feed_all(a, block_size)
+        with patch.object(la, "_BLOCK", block_size):
+            want = RefEliminator(ncols, p)
+            want.feed_all(a)
+            got = la.ModEliminator(ncols, p)
+            with patch.object(la, "_LAZY", lazy):
+                got.feed_all(a)
         assert_same_state(got, want)
 
     def test_dense_block_of_600(self):
@@ -353,9 +384,10 @@ class TestLazyFeedAgainstReference:
         p = la.PRIMES[0]
         a = np.random.default_rng(11).integers(0, p, size=(600, 600))
         want = RefEliminator(600, p)
-        want.feed_all(a, block_size=600)
         got = la.ModEliminator(600, p)
-        got.feed_all(a, block_size=600)
+        with patch.object(la, "_BLOCK", 600):
+            want.feed_all(a)
+            got.feed_all(a)
         assert got.rank == 600
         assert_same_state(got, want)
 
@@ -369,10 +401,10 @@ class TestLazyFeedAgainstReference:
         assert 2 * (p - 1) ** 2 + p < 2**53 < 3 * (p - 1) ** 2
         a = np.random.default_rng(5).integers(0, p, size=(40, 60))
         want = RefEliminator(60, p)
-        want.feed_all(a, block_size=40)
+        want.feed_all(a)
         got = la.ModEliminator(60, p)
         with patch.object(la, "_LAZY", 2):
-            got.feed_all(a, block_size=40)
+            got.feed_all(a)
         assert got.rank == 40
         assert_same_state(got, want)
 
@@ -396,9 +428,10 @@ class TestBlockRecursion:
         a = low_rank(rng, 600, 120, 60, p)
         a[::20] = rng.integers(0, p, size=(30, 120))
         want = RefEliminator(120, p)
-        want.feed_all(a, block_size)
         got = la.ModEliminator(120, p)
-        got.feed_all(a, block_size)
+        with patch.object(la, "_BLOCK", block_size):
+            want.feed_all(a)
+            got.feed_all(a)
         assert got.rank == 90
         assert_same_state(got, want)
 
@@ -406,11 +439,12 @@ class TestBlockRecursion:
     @settings(max_examples=100, deadline=None)
     def test_random_systems_at_every_split(self, system, block_size, base):
         a, ncols = system
-        want = RefEliminator(ncols, la.PRIMES[0])
-        want.feed_all(a, block_size)
-        got = la.ModEliminator(ncols, la.PRIMES[0])
-        with patch.object(la, "_BASE", base):
-            got.feed_all(a, block_size)
+        with patch.object(la, "_BLOCK", block_size):
+            want = RefEliminator(ncols, la.PRIMES[0])
+            want.feed_all(a)
+            got = la.ModEliminator(ncols, la.PRIMES[0])
+            with patch.object(la, "_BASE", base):
+                got.feed_all(a)
         assert_same_state(got, want)
 
     def test_runs_of_zero_and_repeated_rows(self):
@@ -425,9 +459,10 @@ class TestBlockRecursion:
         a = np.vstack([head, zeros, repeats, tail, zeros, repeats, tail])
         for block_size in (len(a), 257, la._BASE):
             want = RefEliminator(120, p)
-            want.feed_all(a, block_size)
             got = la.ModEliminator(120, p)
-            got.feed_all(a, block_size)
+            with patch.object(la, "_BLOCK", block_size):
+                want.feed_all(a)
+                got.feed_all(a)
             assert got.rank == 90
             assert_same_state(got, want)
 
@@ -437,10 +472,11 @@ class TestBlockRecursion:
         p = 67108859
         a = low_rank(np.random.default_rng(13), 600, 200, 150, p)
         want = RefEliminator(200, p)
-        want.feed_all(a, block_size=600)
         got = la.ModEliminator(200, p)
-        with patch.object(la, "_LAZY", 2):
-            got.feed_all(a, block_size=600)
+        with patch.object(la, "_BLOCK", 600):
+            want.feed_all(a)
+            with patch.object(la, "_LAZY", 2):
+                got.feed_all(a)
         assert got.rank == 150
         assert_same_state(got, want)
 
@@ -483,7 +519,7 @@ class TestExactnessGuard:
                 got.feed(block)
             assert (got.rank, got.fed, got.rows.shape) == (0, 0, (0, 200))
         with pytest.raises(ValueError, match="too large"):
-            la.rank_mod(a, 200, p)
+            la.rank_mod(sparse_rows(a), 200, p)
 
     def test_mod_matmul_refuses_a_large_prime(self):
         p = 67108859
