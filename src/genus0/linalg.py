@@ -13,7 +13,7 @@ one check where each row enters.  `ModEliminator` takes an integer matrix
 lists) and reduces each block once, by `rows_mod`; any other block, a
 float array among them, raises TypeError and stores nothing.  `rank_mod`
 takes sparse (column indices, values) rows, each checked by `_sparse_row`:
-integer values, one for each of distinct columns in 0..ncols-1.
+integer values, one for each of distinct integer columns in 0..ncols-1.
 `solve_certified` clears the denominators of exact rationals itself
 (`_integral`) and refuses a float, which is not an exact value.  A x = b
 is solved by eliminating the augmented integer matrix [A | b] with a
@@ -41,15 +41,17 @@ Ranks (`rank_mod`) start with a sparse phase, structured Gaussian
 elimination after LaMacchia and Odlyzko (CRYPTO '90), in front of that
 dense sweep.  Rows are taken shortest first, each a dict from column to
 residue.  The residues are Python ints in [0, p), exact at any size, so
-no float64 bound applies there.  A row is reduced against the stored
-pivot rows in increasing column order and pivots on its smallest
-remaining column, so the pivot rows stay in echelon form; a row that
-vanishes was dependent.  The sweep returns as soon as the rank reaches
-the caller's target, which is sound because the rank mod p of any subset
-of the rows is still a lower bound of the rational rank.  A row with
-more than ncols / `_HEAVY` entries on arrival, or more than ncols /
-`_FILL` during its reduction, waits.  At the end each waiting row is
-reduced against every sparse pivot and restricted to the free columns.
+no float64 bound applies there.  Column c is stored as ncols - 1 - c, so
+a row is reduced against the stored pivot rows in decreasing column order
+and pivots on its largest remaining column; the pivot rows stay in echelon
+form, and since a column permutation keeps the rank, nothing else sees
+the order.  A row that vanishes was dependent.  The sweep returns as soon
+as the rank reaches the caller's target, which is sound because the rank
+mod p of any subset of the rows is still a lower bound of the rational
+rank.  A row with more than max(8, ncols / `_HEAVY`) entries on
+arrival, or more than max(ncols / `_FILL`, ncols - target) during its
+reduction, waits.  At the end each waiting row is reduced against every
+sparse pivot and restricted to the free columns.
 Those rows form the Schur complement: the sparse pivots have distinct
 pivot columns and the reduced rows vanish there, so the total rank is
 the sparse rank plus the complement's, which a `ModEliminator` computes
@@ -98,19 +100,26 @@ _BASE = 16
 
 _BLOCK = 512  # rows per block fed by feed_all and by rank_mod's Schur phase
 
-# rank_mod's sparse phase takes a row with at most ncols / _HEAVY entries
-# and keeps it while it holds at most ncols / _FILL; the others go to the
-# dense sweep.  Measured on a 2-core x86-64 host, best of 2-3 runs:
+# rank_mod's sparse phase takes a row with at most max(8, ncols / _HEAVY)
+# entries and keeps it while it holds at most max(ncols / _FILL, ncols -
+# target); the others go to the dense sweep.  Measured on a 2-core x86-64
+# host, pivoting on the last column:
 # - Pairing rows, at least 16 entries in 1,918 columns at n = 8, degree 3,
-#   with rank 715, must go dense: 1.8 s at _HEAVY = 256, 1.9 s at 128,
-#   4.8 s at 64.  Relation rows have 2 to 2^(n-3) entries.
-# - Relation rows at n = 8, degree 2 (1,918 columns, rank target 1,203):
-#   0.8 s at 256, 1.7 s at 128, 1.2 s at 1024.  At n = 7, degree 3: 0.11 s
-#   at 256, 0.68 s at 1024.
-# - Relation rows fill up to 26 entries at n = 7 and 375 at n = 8, degree 3
-#   (9,450 columns), where _FILL = 16 (a bound of 590) defers none: 10.7 s.
-#   _FILL = 64 defers the fullest rows and takes 31 s, as their Schur
-#   complement is dense and wide.
+#   with rank 715, must go dense: betti(8) spent 1.2-1.5 s on pairing
+#   ranks at this bound, 7.9-9.7 s at max(32, .), max(64, .) or at an
+#   arrival bound of ncols / _FILL.  Narrow rows go dense faster too:
+#   17,325 x 119 with 4 to 7 entries a row took 0.2 s at max(1, .), 0.6-0.8
+#   s here, so betti ranks its 119 x 17,325 transpose.
+# - Relation rows have 2 to 2^(n-3) entries.  At n = 7, degree 2 (490
+#   columns, target 363) the floor of 8 took 0.02 s, a floor of 1 0.18 s.
+#   At n = 8, degrees 2 to 5, floors 8 to 64 and _HEAVY = 64 or 256 all
+#   took 1.4 s, a floor of 4 1.9 s; at n = 9, degrees 2 and 3, floors 8 and
+#   32 took 1.4 and 0.8 s, then 11.1 and 8.6 s, within the host's drift.
+# - _FILL = 4, 16 or 64 took 1.6-1.9 s for n = 8, degrees 2 to 5.  With the
+#   first column as pivot, 16 took 10.7 s for degree 3 alone and 64 31 s.
+#   At n = 7, degree 2, ncols / _FILL = 30 deferred 63 rows, and the dense
+#   sweep took them over 128 free columns for the last pivot; ncols -
+#   target = 127 keeps them sparse.  That term moved no time at n = 7 to 9.
 _HEAVY = 256
 _FILL = 16
 
@@ -296,16 +305,22 @@ class ModEliminator:
 
 
 def _sparse_row(cols, vals, p: int, ncols: int) -> dict[int, int]:
-    """Integer sparse row as a dict column -> residue in [0, p), zeros
-    dropped.  A non-integer entry raises TypeError.  A repeated column, or
-    a value count that differs from the column count, raises ValueError,
-    as a dict would keep one of the values and miscount the rank; so does
-    a column outside 0..ncols-1, which would pivot where no column is."""
+    """Integer sparse row as a dict ncols - 1 - column -> residue in [0,
+    p), zeros dropped, so that the sparse phase pivots on the last column.
+    A value or column that is not an integer, or a bool column, raises
+    TypeError, since a float column would fall between columns.  A repeated
+    column, or a value count that differs from the column count, raises
+    ValueError, as a dict would keep one of the values and miscount the
+    rank; so does a column outside 0..ncols-1, which would pivot where no
+    column is."""
     if isinstance(cols, np.ndarray):
         cols = cols.tolist()
     if isinstance(vals, np.ndarray):
         vals = vals.tolist()
-    row = {c: operator.index(v) % p for c, v in zip(cols, vals)}
+    if bool in set(map(type, cols)):
+        raise TypeError("a sparse row has a bool column")
+    last = ncols - 1
+    row = {last - operator.index(c): operator.index(v) % p for c, v in zip(cols, vals)}
     if len(row) != len(cols) or len(cols) != len(vals):
         raise ValueError("a sparse row needs one value for each of its distinct columns")
     if row and not (0 <= min(row) and max(row) < ncols):
@@ -376,21 +391,27 @@ def rank_mod(rows, ncols: int, p: int = PRIMES[0], target: int | None = None) ->
     """Rank over GF(p), or ``target`` once the rank reaches it.
 
     Either is a lower bound for the rational rank.  ``rows`` is a list of
-    sparse (column indices, integer values) rows with distinct columns in
-    0..ncols-1, each checked once (`_sparse_row`); a column repeated or out
-    of range or a negative ``target`` is a ValueError, and a dense matrix,
-    whose rows have no column list, a TypeError.  The sparse phase (module
-    docstring) takes the rows shortest first; rows past the `_HEAVY` or
-    `_FILL` bound wait.  Their Schur complement on the columns the sparse
-    pivots leave free is densified `_BLOCK` rows at a time and fed to a
-    `ModEliminator` until the rank reaches ``target``.
+    sparse (column indices, integer values) rows with distinct integer
+    columns in 0..ncols-1, each checked once (`_sparse_row`); a column
+    repeated or out of range or a negative ``target`` is a ValueError, and
+    a non-integer column or value, or a dense matrix, whose rows have no
+    column list, a TypeError.  The sparse phase (module docstring) takes
+    the rows shortest first and pivots each on its last remaining column;
+    a row of more than max(8, ncols / `_HEAVY`) entries, or one that fills
+    past max(ncols / `_FILL`, ncols - target), waits.  Their Schur
+    complement on the columns the sparse pivots leave free is densified
+    `_BLOCK` rows at a time and fed to a `ModEliminator` until the rank
+    reaches ``target``.
     """
     if target is not None and target < 0:
         raise ValueError(f"target {target} is negative")
     if target is None or target > ncols:
         target = ncols
-    # at least 1, so that below _HEAVY columns a one-entry row stays sparse
-    heavy, fill = max(1, ncols // _HEAVY), max(1, ncols // _FILL)
+    # at least 8, so that at any width a short row stays sparse; and a row
+    # that waits is densified over at least ncols - target free columns,
+    # so one filled to no more than that stays too
+    heavy = max(8, ncols // _HEAVY)
+    fill = max(1, ncols // _FILL, ncols - target)
     pivots: dict[int, tuple[list[int], list[int], int]] = {}
     deferred = []
     for cols, vals in sorted(rows, key=lambda r: len(r[0])):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genus0 import keelring, trees
+from genus0 import keelring, linalg, trees
+from genus0.intersect import _sp_rows
 from genus0.linalg import PRIMES, FractionRREF, rank_mod
 from genus0.keelring import (
     RingElement,
@@ -614,6 +615,44 @@ class TestBetti:
     def test_single_degree(self):
         assert betti(5, 1) == 5
         assert betti(6, 2) == 16
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_rank_mod_matches_the_dense_sweep(self, n):
+        # the relation rows, and the pairing rows in both orientations,
+        # against a plain ModEliminator on the densified rows, with and
+        # without the target the squeeze gives each
+        def plain(rows, width, p):
+            elim = linalg.ModEliminator(width, p)
+            elim.feed_all(linalg.densify(rows, width))
+            return elim.rank
+
+        for d in range(n - 2):
+            c = n - 3 - d
+            ngood, ncomp = len(trees._families(n, d)), len(trees._families(n, c))
+            relations = keelring._relation_rows(n, d)
+            for p in PRIMES[:2]:
+                relrank = plain(relations, ngood, p)
+                pairrank = plain(_sp_rows(n, d), ncomp, p)
+                assert plain(_sp_rows(n, c), ngood, p) == pairrank
+                for rows, width, want, target in (
+                    (relations, ngood, relrank, ngood - pairrank),
+                    (_sp_rows(n, d), ncomp, pairrank, ngood - relrank),
+                    (_sp_rows(n, c), ngood, pairrank, ngood - relrank),
+                ):
+                    assert rank_mod(rows, width, p) == want
+                    assert rank_mod(rows, width, p, target) == min(target, want)
+
+    def test_degree_two_relations_at_n7_stay_sparse(self, monkeypatch):
+        # 434 rows of 2 to 8 entries in 490 columns, target 363: the
+        # arrival bound of 8 and the fill bound of 490 - 363 keep every
+        # row sparse, so no dense sweep is built
+        def refuse(self, ncols, p):
+            raise AssertionError(f"a dense sweep of {ncols} columns was built")
+
+        monkeypatch.setattr(linalg.ModEliminator, "__init__", refuse)
+        rows = keelring._relation_rows(7, 2)
+        for p in PRIMES[:2]:
+            assert rank_mod(rows, 490, p, target=363) == 363
 
     def test_open_squeeze_raises(self, monkeypatch):
         # Ranks that fall short on every prime leave the squeeze open;

@@ -157,7 +157,8 @@ class TestEliminator:
     def test_narrow_one_entry_rows_stay_sparse(self, monkeypatch):
         # Below _HEAVY columns, ncols // _HEAVY is 0; a one-entry row must
         # still go through the sparse phase, not wait for the dense sweep,
-        # as in the 945 x 1 degree-0 pairing of betti(7).
+        # as in the 945 x 1 degree-0 pairing of betti(7), and so must a
+        # row of 8 entries.
         built = []
         init = la.ModEliminator.__init__
 
@@ -168,6 +169,8 @@ class TestEliminator:
         monkeypatch.setattr(la.ModEliminator, "__init__", spy)
         assert la.rank_mod([([0], [2])] * 945, 1) == 1
         assert la.rank_mod(sparse_rows(np.eye(9, dtype=np.int64)[::-1] * 5), 9) == 9
+        lower = np.tril(np.ones((8, 8), dtype=np.int64))
+        assert la.rank_mod(sparse_rows(lower), 8) == 8
         assert built == []
 
 
@@ -175,7 +178,7 @@ class TestEliminator:
 def sparse_systems(draw):
     """Sparse integer rows with zero, repeated, dependent and heavy rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    ncols = draw(st.integers(1, 60))
+    ncols = draw(st.integers(1, 60) | st.integers(61, 2047))
     rows = []
     for _ in range(draw(st.integers(0, 80))):
         kind = rng.integers(0, 6) if rows else rng.integers(0, 3)
@@ -192,10 +195,11 @@ def sparse_systems(draw):
         else:
             if kind == 0:
                 k = 0  # a zero row
-            elif kind == 1:
-                k = int(rng.integers(ncols // 2, ncols + 1))  # a heavy row
+            elif kind == 1:  # a heavy row; a wide one just past 8 entries
+                lo, hi = (ncols // 2, ncols) if ncols <= 60 else (9, 60)
+                k = int(rng.integers(lo, hi + 1))
             else:
-                k = int(rng.integers(1, min(ncols, 4) + 1))
+                k = int(rng.integers(1, min(ncols, 8) + 1))
             cols = rng.choice(ncols, size=k, replace=False).tolist()
             vals = [int(v) or 1 for v in rng.integers(-5, 6, size=k)]
             rows.append((cols, vals))
@@ -213,7 +217,9 @@ class TestSparseRank:
     # The sparse phase with the dense sweep on its Schur complement must
     # give the rank of the plain dense sweep, at every hand-off point: the
     # bounds are shrunk so that systems of 60 columns mix both phases, and
-    # the Schur complement is fed in blocks that end anywhere.
+    # the Schur complement is fed in blocks that end anywhere.  Below 2,048
+    # columns the arrival bound is 8, so wider systems draw rows of up to
+    # 8 entries and heavy rows just past them.
     @given(
         sparse_systems(),
         st.sampled_from([7, 101, la.PRIMES[0]]),
@@ -260,6 +266,18 @@ class TestSparseRank:
             with pytest.raises(ValueError):
                 e.feed_all(rows)
         assert (e.rank, e.fed, e.rows.shape) == (0, 0, (0, 3))
+
+    def test_non_integer_columns_are_refused(self):
+        # a float column would land between columns: [0.5] used to count
+        # as a pivot and raise the rank bound; a bool is not a column
+        for rows in (
+            [([0.5], [1])],
+            [(np.array([0.0, 1.0]), [1, 1])],
+            [([True], [1])],
+            [(np.array([False, True]), np.array([1, 1]))],
+        ):
+            with pytest.raises(TypeError):
+                la.rank_mod(rows, 2)
 
     def test_repeated_columns_are_refused(self):
         # a dict, or a dense block, would keep one value of a repeated
